@@ -5,7 +5,7 @@ package core
 //
 // The fusion extends the paper's optimistic discipline instead of
 // abandoning it. Per-vertex lane masks are shared state, but they are
-// written with atomic Load/Store only — no locks, no atomic
+// written with atomic loads and relaxed stores only — no locks, no atomic
 // read-modify-write — so a concurrent OR can lose bits exactly like a
 // torn segment descriptor can misreport a front. Both are benign for
 // the same reason: the advisory mask only ever UNDERSTATES what has
@@ -14,7 +14,7 @@ package core
 // by a single goroutine:
 //
 //   - During a level, workers filter edges through the advisory `marks`
-//     (atomic load/store, lossy; they accumulate every lane discovered
+//     (atomic load, relaxed store, lossy; they accumulate every lane discovered
 //     this run, committed levels included, so they subsume the seen
 //     check at one cache line per edge) and append (parent, vertex,
 //     lanes) discovery entries to private buffers. Frontier entries are
@@ -73,7 +73,7 @@ type msEntry struct {
 
 // laneMark packs a vertex's advisory lane mask with its validity stamp
 // so the expand fast path touches one cache line per edge. Both fields
-// are accessed with atomic load/store only; the 8-byte slot alignment
+// are accessed with atomic loads and relaxed stores only; the 8-byte slot alignment
 // the pad buys keeps mask atomically addressable on every platform.
 type laneMark struct {
 	mask  uint64
@@ -151,7 +151,7 @@ type MSEngine struct {
 	// scattered arrays. Written only at level barriers and read only
 	// there and in finish; workers never touch it (the advisory marks
 	// subsume the seen check for filtering). marks is the advisory
-	// per-vertex mask+epoch, atomic load/store, lossy by design; mask
+	// per-vertex mask+epoch, atomic load, relaxed store, lossy; mask
 	// and stamp share a cache line so the per-edge fast path costs one
 	// line, not two.
 	meta  []msMeta
@@ -525,7 +525,7 @@ func (e *MSEngine) expand(ctx context.Context, id int) {
 		e.chaosAt(ChaosFrontStore, id, f+seg)
 		// Optimistic advance: load-then-store, no RMW. Racing workers
 		// may re-take [f, f+seg) — duplicate entries only.
-		atomic.StoreInt64(&e.front, f+seg)
+		storeRelaxed64(&e.front, f+seg)
 		hi := f + seg
 		if hi > total {
 			hi = total
@@ -549,12 +549,12 @@ func (e *MSEngine) expand(ctx context.Context, id int) {
 				if cand == 0 {
 					continue
 				}
-				atomic.StoreUint64(&mk.mask, m|cand)
+				storeRelaxedU64(&mk.mask, m|cand)
 				if m == 0 {
 					// Stamp published after the payload store, as in
 					// state.discover: a racer that sees the stamp is
 					// ordered after a valid mask.
-					atomic.StoreUint32(&mk.epoch, cur)
+					storeRelaxedU32(&mk.epoch, cur)
 				}
 				buf = append(buf, msEntry{u: v, v: x, m: cand})
 			}

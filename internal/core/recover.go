@@ -120,8 +120,8 @@ func (e *StallError) Error() string {
 
 // beatLane is one worker's progress heartbeat, padded so the watchdog's
 // sampling never bounces a cache line a worker is writing. The counter
-// is single-writer: only worker id bumps beats[id], with an atomic
-// Load+Store (no RMW), and the watchdog reads with atomic loads.
+// is single-writer: only worker id bumps beats[id], with a load and a
+// relaxed store (no RMW), and the watchdog reads with atomic loads.
 type beatLane struct {
 	n int64 // atomic
 	_ [56]byte
@@ -132,7 +132,7 @@ type beatLane struct {
 // never per vertex or edge.
 func (st *state) beat(id int) {
 	b := &st.beats[id]
-	atomic.StoreInt64(&b.n, atomic.LoadInt64(&b.n)+1)
+	storeRelaxed64(&b.n, atomic.LoadInt64(&b.n)+1)
 }
 
 // beatSum samples the run's total progress.
@@ -150,26 +150,32 @@ func (st *state) aborted() bool {
 	return atomic.LoadInt32(&st.abortFlag) != abortNone
 }
 
-// abortRun publishes an abort. The first reason wins — a panic that
-// races a stall declaration keeps whichever landed first, which is the
-// one that actually stopped the run. On a panic abort the registered
-// poison hooks run (under abortMu, exactly once) to break any barrier
-// the dead worker would have stranded peers at; stall/cancel aborts
+// abortRun publishes an abort. Between stalls and cancellations the
+// first reason wins: whichever landed first is the one that actually
+// stopped the run. A panic always takes over, even after a stall or
+// cancel abort: the dead worker skips every barrier still ahead of it,
+// so the registered poison hooks must run (under abortMu, exactly once)
+// to release peers waiting there, and the engine must be poisoned
+// because the worker abandoned its state mid-level. Stall/cancel aborts
 // wind down cooperatively through the normal barriers, so poisoning —
 // which would race the next level's barrier re-arm — is neither needed
 // nor safe there.
 func (st *state) abortRun(reason int32, stall *StallError) {
 	st.abortMu.Lock()
-	if st.abortFlag == abortNone {
+	defer st.abortMu.Unlock()
+	cur := st.abortFlag
+	if cur == abortPanic || (cur != abortNone && reason != abortPanic) {
+		return
+	}
+	if cur == abortNone {
 		st.stall = stall
-		atomic.StoreInt32(&st.abortFlag, reason)
-		if reason == abortPanic {
-			for _, poison := range st.abortHooks {
-				poison()
-			}
+	}
+	atomic.StoreInt32(&st.abortFlag, reason)
+	if reason == abortPanic {
+		for _, poison := range st.abortHooks {
+			poison()
 		}
 	}
-	st.abortMu.Unlock()
 }
 
 // recordPanic captures a worker panic as the run's abort cause. Only

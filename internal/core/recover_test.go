@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -138,6 +139,67 @@ func TestStallDetection(t *testing.T) {
 			}
 			if err := graph.EqualDistances(res2.Dist, want); err != nil {
 				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// stallThenPanicHook stalls worker 1 at its first ChaosStall for d —
+// long enough for the watchdog to declare a stall — and then panics it,
+// so the panic lands on a run that is already aborted.
+type stallThenPanicHook struct {
+	d     time.Duration
+	fired int32
+}
+
+func (h *stallThenPanicHook) At(point ChaosPoint, worker int, value int64) {
+	if point == ChaosStall && worker == 1 && atomic.CompareAndSwapInt32(&h.fired, 0, 1) {
+		time.Sleep(h.d)
+		panic("recover test: panic after stall")
+	}
+}
+
+// TestPanicAfterStallReleasesPeers is the regression test for a hang
+// the engines chaos soak found: a worker that panicked after the
+// watchdog had already declared a stall skipped BFS_WSL's phase
+// barrier, but the stall abort had claimed the abort word first, so
+// the barrier was never poisoned and the peers waited there forever.
+// The panic must take over: release the barrier, surface as a
+// *WorkerPanicError, and poison the engine.
+func TestPanicAfterStallReleasesPeers(t *testing.T) {
+	g, err := gen.ErdosRenyi(3000, 18000, 3, gen.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, persistent := range []bool{false, true} {
+		t.Run(fmt.Sprintf("persistent=%v", persistent), func(t *testing.T) {
+			opt := Options{
+				Workers:           3,
+				PersistentWorkers: persistent,
+				StallTimeout:      20 * time.Millisecond,
+				Chaos:             &stallThenPanicHook{d: 300 * time.Millisecond},
+			}
+			e, err := NewEngine(g, BFSWSL, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := e.Run(0)
+				done <- err
+			}()
+			select {
+			case err = <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("run hung: the panicking worker stranded its peers at the phase barrier")
+			}
+			defer e.Close()
+			var wp *WorkerPanicError
+			if !errors.As(err, &wp) {
+				t.Fatalf("got %v, want *WorkerPanicError", err)
+			}
+			if _, err := e.Run(0); !errors.Is(err, ErrPoisoned) {
+				t.Fatalf("second run: got %v, want ErrPoisoned", err)
 			}
 		})
 	}

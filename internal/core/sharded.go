@@ -112,7 +112,7 @@ func (st *state) discoverRemote(id int, u, w int32) {
 	if atomic.LoadUint32(&st.epoch[w]) == st.cur {
 		return
 	}
-	atomic.StoreUint32(&st.epoch[w], st.cur)
+	storeRelaxedU32(&st.epoch[w], st.cur)
 	d := st.shardEx.owner(w)
 	i := id*st.shardEx.shards + d
 	blk := append(st.remoteBlk[i], u, w)
@@ -136,7 +136,7 @@ func (st *state) flushRemote(id, dst int, blk []int32) []int32 {
 		c.PartialFlushes++
 	}
 	st.chaosAt(ChaosShardFlush, id, int64(len(q.buf)))
-	atomic.StoreInt64(&q.tail, int64(len(q.buf)))
+	storeRelaxed64(&q.tail, int64(len(q.buf)))
 	return blk[:0]
 }
 
@@ -187,7 +187,7 @@ func (st *state) drainRemote(id int) {
 		}
 		st.beat(id)
 		q.buf = q.buf[:0]
-		atomic.StoreInt64(&q.tail, 0)
+		storeRelaxed64(&q.tail, 0)
 	}
 	st.blk[id] = st.endLevelOut(id, out)
 }

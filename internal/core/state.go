@@ -29,7 +29,7 @@ type sharedQueue struct {
 
 // outQueue is one worker's shared output queue for the next BFS level
 // under batched frontier publication. The owning worker appends whole
-// discovery blocks to buf and then publishes them with a single atomic
+// discovery blocks to buf and then publishes them with a single relaxed
 // store of tail — one shared-index store per block instead of one per
 // vertex, which is the entire point of the batching. Entries at index
 // >= tail exist only in the owner's cache and must never be read by
@@ -38,7 +38,7 @@ type sharedQueue struct {
 // so neighboring workers' tail stores do not share a cache line.
 type outQueue struct {
 	buf  []int32
-	tail int64 // atomic; published entry count, always <= len(buf)
+	tail int64 // relaxed store, atomic load; published entry count, <= len(buf)
 	_    [32]byte
 }
 
@@ -127,15 +127,16 @@ type state struct {
 	// single marks a one-worker unsharded state: no thief, no racing
 	// discoverer, no cross-shard reader — every queue slot and every
 	// per-vertex word has exactly one writer and no concurrent reader
-	// (driver and worker hand off through level barriers). The hot
-	// paths then use plain stores where the parallel protocol needs
-	// atomic ones. This is not a protocol change but a Go artifact
-	// removed: the paper's benign-race stores are plain MOVs in C on
-	// x86, while Go's atomic.Store is a full XCHG — a ~25-cycle tax per
-	// claimed vertex and per zeroed slot that buys nothing without a
-	// second worker. Cleared by the sharded constructor alongside
-	// shardEx: the exchange makes remote epoch words cross-shard
-	// shared even at one worker per shard.
+	// (driver and worker hand off through level barriers). Two paths
+	// key on it: drainOwn's fused drainOwnLean loop, which inlines the
+	// pop → scan → claim chain, and the hybrid's top-down frontier
+	// count, which can skip the dedup bitmap because one worker never
+	// enqueues a vertex twice. The stores themselves need no fork: the
+	// storeRelaxed* helpers are already plain MOVs on amd64 (see
+	// DESIGN.md "No locked instructions at the ISA level"). Cleared by
+	// the sharded constructor alongside shardEx: the exchange makes
+	// remote epoch words cross-shard shared even at one worker per
+	// shard.
 	single bool
 
 	// chaos is Options.Chaos, kept as a direct field so the hot-path
@@ -392,7 +393,7 @@ func (st *state) swap() {
 }
 
 // flushBlock publishes worker id's discovery block: one append into the
-// shared output queue followed by one atomic tail store covering the
+// shared output queue followed by one relaxed tail store covering the
 // whole block. Between the copy and the tail store the queue holds
 // entries nobody else may read — ChaosBlockFlush stretches exactly that
 // window. Returns the block emptied for reuse.
@@ -405,7 +406,7 @@ func (st *state) flushBlock(id int, block []int32) []int32 {
 		c.PartialFlushes++
 	}
 	st.chaosAt(ChaosBlockFlush, id, int64(len(q.buf)))
-	atomic.StoreInt64(&q.tail, int64(len(q.buf)))
+	storeRelaxed64(&q.tail, int64(len(q.buf)))
 	return block[:0]
 }
 
@@ -440,30 +441,17 @@ func (st *state) discover(id int, u, w int32, out []int32) []int32 {
 		return out
 	}
 	if atomic.LoadUint32(&st.epoch[w]) != st.cur {
-		if st.single {
-			// One-worker state: no concurrent observer, so the payload
-			// and stamp stores are plain (see state.single).
-			st.dist[w] = st.level + 1
-			if st.claim != nil {
-				st.claim[w] = int32(id)
-			}
-			if st.parent != nil {
-				st.parent[w] = u
-			}
-			st.epoch[w] = st.cur
-		} else {
-			atomic.StoreInt32(&st.dist[w], st.level+1)
-			if st.claim != nil {
-				atomic.StoreInt32(&st.claim[w], int32(id))
-			}
-			if st.parent != nil {
-				// Arbitrary concurrent write: racing discoverers are all
-				// at the same level, so whichever store survives names a
-				// valid BFS-tree parent.
-				atomic.StoreInt32(&st.parent[w], u)
-			}
-			atomic.StoreUint32(&st.epoch[w], st.cur)
+		storeRelaxed32(&st.dist[w], st.level+1)
+		if st.claim != nil {
+			storeRelaxed32(&st.claim[w], int32(id))
 		}
+		if st.parent != nil {
+			// Arbitrary concurrent write: racing discoverers are all at
+			// the same level, so whichever store survives names a valid
+			// BFS-tree parent.
+			storeRelaxed32(&st.parent[w], u)
+		}
+		storeRelaxedU32(&st.epoch[w], st.cur)
 		st.counters[id].Discovered++
 		out = append(out, w+1)
 		if len(out) >= st.blkSize {
@@ -519,7 +507,6 @@ func (st *state) scanNeighbors(id int, u int32, nb []int32, out []int32) []int32
 func (st *state) scanNeighborsLean(id int, nb []int32, out []int32) []int32 {
 	epoch, dist := st.epoch, st.dist
 	cur, lvl := st.cur, st.level+1
-	single := st.single
 	c := &st.counters[id]
 	n := len(nb)
 	i := 0
@@ -531,12 +518,8 @@ func (st *state) scanNeighborsLean(id int, nb []int32, out []int32) []int32 {
 			_ = atomic.LoadUint32(&epoch[nb[i+prefetchWindow]])
 			w := nb[i]
 			if atomic.LoadUint32(&epoch[w]) != cur {
-				if single {
-					dist[w], epoch[w] = lvl, cur
-				} else {
-					atomic.StoreInt32(&dist[w], lvl)
-					atomic.StoreUint32(&epoch[w], cur)
-				}
+				storeRelaxed32(&dist[w], lvl)
+				storeRelaxedU32(&epoch[w], cur)
 				c.Discovered++
 				out = append(out, w+1)
 				if len(out) >= st.blkSize {
@@ -548,12 +531,8 @@ func (st *state) scanNeighborsLean(id int, nb []int32, out []int32) []int32 {
 	for ; i < n; i++ {
 		w := nb[i]
 		if atomic.LoadUint32(&epoch[w]) != cur {
-			if single {
-				dist[w], epoch[w] = lvl, cur
-			} else {
-				atomic.StoreInt32(&dist[w], lvl)
-				atomic.StoreUint32(&epoch[w], cur)
-			}
+			storeRelaxed32(&dist[w], lvl)
+			storeRelaxedU32(&epoch[w], cur)
 			c.Discovered++
 			out = append(out, w+1)
 			if len(out) >= st.blkSize {

@@ -16,7 +16,7 @@ const minStealSize = 2
 // its current segment lives in, and the segment's front and rear. In
 // the lockfree variants thieves read (q, f, r) with plain atomic loads
 // — possibly observing a torn *combination* (each load is itself
-// untorn) — and write r with a plain atomic store; the thief-side
+// untorn) — and write r with a plain relaxed store; the thief-side
 // sanity check f' < r' <= origR(q') rejects inconsistent combinations
 // (paper §IV-B2). In the locked variants mu protects the descriptor
 // and thieves use TryLock so their wait time is O(1).
@@ -222,51 +222,15 @@ const stealCheckPeriod = 32
 // clear it, publish the advanced front, explore; stop only at a 0 slot
 // — never by checking the (possibly thief-modified) rear — so stolen-
 // ahead regions produce at most duplicate work and nothing is skipped.
-// Locked mode advances the front under the worker's own mutex and does
-// check the rear, because locking makes it trustworthy.
+// Locked mode lives in drainOwnLocked, so this function's machine code
+// holds no locked instruction at all (normw_amd64_test.go checks it).
 func (w *wsWorker) drainOwn(d *segDesc) {
 	w.st.beat(w.id)
-	popped := 0
 	if w.locked {
-		// The victim reserves LockBatch vertices per acquisition so the
-		// mutex stays off the per-vertex path; thieves steal from the
-		// unreserved remainder [f, r).
-		batch := int64(w.st.opt.LockBatch)
-		for {
-			d.mu.Lock()
-			w.c.LockAcquisitions++
-			if d.f >= d.r {
-				d.mu.Unlock()
-				return
-			}
-			take := batch
-			if rem := d.r - d.f; take > rem {
-				take = rem
-			}
-			qi, start := d.q, d.f
-			d.f += take
-			d.mu.Unlock()
-			buf := w.st.in[qi].buf
-			for j := start; j < start+take; j++ {
-				if j+1 < start+take {
-					// Warm the next vertex's CSR offsets while this
-					// one's adjacency is scanned (locked mode leaves
-					// slots intact, so the peek is a plain read).
-					w.st.prefetchVertex(buf[j+1] - 1)
-				}
-				w.process(int(qi), buf[j]-1)
-			}
-			popped += int(take)
-			w.st.beat(w.id)
-			if w.st.aborted() {
-				return
-			}
-			if popped >= yieldEvery {
-				popped = 0
-				w.st.maybeYield()
-			}
-		}
+		w.drainOwnLocked(d)
+		return
 	}
+	popped := 0
 	qi := atomic.LoadInt64(&d.q)
 	buf := w.st.in[qi].buf
 	j := atomic.LoadInt64(&d.f)
@@ -274,40 +238,27 @@ func (w *wsWorker) drainOwn(d *segDesc) {
 	// instead of once per pop (see the constant's comment); published
 	// tracks the last value actually stored to d.f.
 	published := j
-	// A single-worker state has no thief to observe the slot words, so
-	// the per-pop load/zero pair can use plain accesses (see
-	// state.single); ledger semantics — every popped slot is zeroed —
-	// are identical either way. Descriptor publication stays atomic.
-	single := w.st.single
-	if single && w.st.claim == nil && w.st.parent == nil &&
+	// One-worker fast path; drainOwnLean documents its preconditions.
+	if w.st.single && w.st.claim == nil && w.st.parent == nil &&
 		w.st.shardEx == nil && w.st.chaos == nil {
-		atomic.StoreInt64(&d.f, w.drainOwnLean(d, buf, j))
+		storeRelaxed64(&d.f, w.drainOwnLean(d, buf, j))
 		return
 	}
 	for {
-		var slot int32
-		if single {
-			slot = buf[j]
-		} else {
-			slot = atomic.LoadInt32(&buf[j])
-		}
+		slot := atomic.LoadInt32(&buf[j])
 		if slot == emptySlot {
 			if j != published {
 				w.st.chaosAt(ChaosDrainAdvance, w.id, j)
-				atomic.StoreInt64(&d.f, j)
+				storeRelaxed64(&d.f, j)
 			}
 			return
 		}
 		w.st.chaosAt(ChaosSlotZero, w.id, j)
-		if single {
-			buf[j] = emptySlot
-		} else {
-			atomic.StoreInt32(&buf[j], emptySlot)
-		}
+		storeRelaxed32(&buf[j], emptySlot)
 		j++
 		if j-published >= stealCheckPeriod {
 			w.st.chaosAt(ChaosDrainAdvance, w.id, j)
-			atomic.StoreInt64(&d.f, j)
+			storeRelaxed64(&d.f, j)
 			published = j
 			w.st.beat(w.id)
 			if w.st.aborted() {
@@ -320,17 +271,55 @@ func (w *wsWorker) drainOwn(d *segDesc) {
 		// Peek the next slot (atomic: a concurrent thief's drain zeroes
 		// slots) and warm its vertex's CSR offsets before the current
 		// vertex's adjacency scan hides the latency.
-		var nxt int32
-		if single {
-			nxt = buf[j]
-		} else {
-			nxt = atomic.LoadInt32(&buf[j])
-		}
-		if nxt != emptySlot {
+		if nxt := atomic.LoadInt32(&buf[j]); nxt != emptySlot {
 			w.st.prefetchVertex(nxt - 1)
 		}
 		w.process(int(qi), slot-1)
 		if popped++; popped%yieldEvery == 0 {
+			w.st.maybeYield()
+		}
+	}
+}
+
+// drainOwnLocked is drainOwn for the locked variants: the front
+// advances under the worker's own mutex and the rear is checked,
+// because locking makes it trustworthy. The victim reserves LockBatch
+// vertices per acquisition so the mutex stays off the per-vertex path;
+// thieves steal from the unreserved remainder [f, r).
+func (w *wsWorker) drainOwnLocked(d *segDesc) {
+	batch := int64(w.st.opt.LockBatch)
+	popped := 0
+	for {
+		d.mu.Lock()
+		w.c.LockAcquisitions++
+		if d.f >= d.r {
+			d.mu.Unlock()
+			return
+		}
+		take := batch
+		if rem := d.r - d.f; take > rem {
+			take = rem
+		}
+		qi, start := d.q, d.f
+		d.f += take
+		d.mu.Unlock()
+		buf := w.st.in[qi].buf
+		for j := start; j < start+take; j++ {
+			if j+1 < start+take {
+				// Warm the next vertex's CSR offsets while this one's
+				// adjacency is scanned (locked mode leaves slots intact,
+				// so the peek is a plain read).
+				w.st.prefetchVertex(buf[j+1] - 1)
+			}
+			w.process(int(qi), buf[j]-1)
+		}
+		popped += int(take)
+		w.st.beat(w.id)
+		if w.st.aborted() {
+			return
+		}
+		if popped >= yieldEvery {
+			popped = 0
 			w.st.maybeYield()
 		}
 	}
@@ -368,7 +357,7 @@ func (w *wsWorker) drainOwnLean(d *segDesc, buf []int32, j int64) int64 {
 		buf[j] = emptySlot
 		j++
 		if j-published >= stealCheckPeriod {
-			atomic.StoreInt64(&d.f, j)
+			storeRelaxed64(&d.f, j)
 			published = j
 			st.beat(w.id)
 			if st.aborted() {
@@ -446,17 +435,17 @@ func (w *wsWorker) stealLockfree(victim int, me *segDesc) bool {
 	// Take the right half: shrink the victim, point ourselves at it.
 	// These plain stores can race with the victim's own progress or
 	// another thief; any resulting overlap is duplicate work only.
-	atomic.StoreInt64(&vd.r, mid)
-	atomic.StoreInt64(&me.q, q)
-	atomic.StoreInt64(&me.f, mid)
-	atomic.StoreInt64(&me.r, r)
+	storeRelaxed64(&vd.r, mid)
+	storeRelaxed64(&me.q, q)
+	storeRelaxed64(&me.f, mid)
+	storeRelaxed64(&me.r, r)
 	if atomic.LoadInt32(&w.st.in[q].buf[mid]) == emptySlot {
 		// The victim (or a previous thief) already explored past mid:
 		// the segment is stale (valid-looking but spent). Empty our
 		// own descriptor before giving up — it currently advertises
 		// the spent [mid, r), and leaving it live would let other
 		// thieves chain-steal dead work from us.
-		atomic.StoreInt64(&me.f, r)
+		storeRelaxed64(&me.f, r)
 		w.c.StealStale++
 		w.st.traceEvent(w.id, EventStealStale, victim, 0)
 		return false

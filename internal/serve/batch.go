@@ -184,6 +184,9 @@ func (gd *Guard) QueryFusedGoal(ctx context.Context, src int32, goal core.Goal) 
 		defer cancel()
 	}
 	r := &fusedReq{ctx: ctx, src: src, goal: goal, out: make(chan fusedResp, 1)}
+	if gd.testHookFusedEnqueue != nil {
+		gd.testHookFusedEnqueue()
+	}
 	select {
 	case gd.batch.reqs <- r:
 	default:
@@ -197,10 +200,24 @@ func (gd *Guard) QueryFusedGoal(ctx context.Context, src int32, goal core.Goal) 
 		gd.inflight.Add(-1)
 		gd.latency.Observe(time.Since(start).Seconds())
 	}()
-	select {
-	case resp := <-r.out:
-		return gd.finishFused(resp)
-	case <-ctx.Done():
+	done := gd.batch.done
+wait:
+	for {
+		select {
+		case resp := <-r.out:
+			return gd.finishFused(resp)
+		case <-done:
+			// The dispatcher has exited. A Close that landed between the
+			// closed check above and the enqueue found the queue empty,
+			// so r may be stranded in it with nobody left to answer.
+			// Drain the stragglers ourselves: r either gets ErrClosed
+			// here or was already taken, and then its answer is on its
+			// way (a singleton's solo re-run outlives the dispatcher).
+			gd.batch.drainPending()
+			done = nil
+		case <-ctx.Done():
+			break wait
+		}
 	}
 	// The caller's budget expired while parked or mid-batch. Mirror the
 	// solo path's grace window: give the dispatcher Grace to flush this
@@ -481,6 +498,8 @@ func (gd *Guard) rerunSolo(ctx context.Context, src int32, goal core.Goal) (*Ans
 }
 
 // drainPending answers everything still queued at close with ErrClosed.
+// Safe to run concurrently: each receive hands a request to exactly one
+// drainer, so every request still gets exactly one reply.
 func (b *batcher) drainPending() {
 	for {
 		select {

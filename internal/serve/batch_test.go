@@ -275,3 +275,32 @@ func TestFusedDisabledFallsBack(t *testing.T) {
 	}
 	checkAnswer(t, g, ans)
 }
+
+// TestFusedCloseBetweenCheckAndEnqueue is the reload-hang regression: a
+// Close that completes between QueryFusedGoal's closed check and its
+// enqueue leaves the request in the admission queue after the
+// dispatcher's final drain. The call must come back with ErrClosed at
+// once — so a registry swap retry re-leases the new generation — not
+// park until its deadline and surface as a timeout.
+func TestFusedCloseBetweenCheckAndEnqueue(t *testing.T) {
+	g := testGraph(t)
+	gd, err := New(g, Config{
+		Concurrency: 1,
+		Registry:    obs.New(),
+		Batch:       BatchConfig{Enabled: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gd.testHookFusedEnqueue = gd.Close
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	ans, err := gd.QueryFused(ctx, 0)
+	if !errors.Is(err, ErrClosed) {
+		t.Fatalf("QueryFused after close in the enqueue window: ans=%v err=%v, want ErrClosed", ans, err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("ErrClosed took %v, want well under the 5s deadline", took)
+	}
+}

@@ -182,6 +182,10 @@ type Guard struct {
 	// Nil outside tests.
 	testHookCtxExpired func()
 	testHookDelivered  func()
+	// testHookFusedEnqueue fires in QueryFusedGoal between the closed check and
+	// the admission-queue enqueue, the window a concurrent Close can
+	// slip into (the reload-hang regression).
+	testHookFusedEnqueue func()
 }
 
 // New builds a Guard with Concurrency warm engines over g.
