@@ -573,8 +573,10 @@ func drainGraph(b *testing.B, name string, mk func() (*graph.CSR, error)) *graph
 // store per discovery — the pre-batching baseline), 64, and 256.
 // MTEPS here is measured wall-clock TEPS on this host, not modeled:
 // block batching and the prefetched edge scan are real-cache effects.
-// Workers is left at 0 (= GOMAXPROCS) on purpose — oversubscribing a
-// small host drowns the locality signal in scheduler noise.
+// Every row runs at Workers 1 and 2, explicitly rather than GOMAXPROCS,
+// so the fused lockfree drain is covered alone and with a thief on any
+// runner size (two workers oversubscribe a one-core runner, which
+// blurs their MTEPS but not their allocation count).
 // The block>=64 rows must beat block=1 by >=10% MTEPS on rmat18
 // (recorded in BENCH_pr4.json); scripts/benchsmoke.sh gates allocs/op
 // at 0 on every sub-benchmark alongside BenchmarkEngineSteadyState.
@@ -594,34 +596,37 @@ func BenchmarkDrainLocality(b *testing.B) {
 		g := drainGraph(b, gc.name, gc.mk)
 		src := harness.PickSources(g, 1, 0xd7a1)[0]
 		for _, blk := range []int{1, 64, 256} {
-			b.Run(fmt.Sprintf("%s/block%d", gc.name, blk), func(b *testing.B) {
-				e, err := NewEngine(g, BFSWSL, &Options{
-					Seed: 1, PersistentWorkers: true, PublishBlock: blk,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer e.Close()
-				for i := 0; i < 8; i++ { // warm the pooled buffers
-					if _, err := e.Run(src); err != nil {
-						b.Fatal(err)
-					}
-				}
-				var edges int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := e.Run(src)
+			for _, p := range []int{1, 2} {
+				name := fmt.Sprintf("%s/workers%d/block%d", gc.name, p, blk)
+				b.Run(name, func(b *testing.B) {
+					e, err := NewEngine(g, BFSWSL, &Options{
+						Workers: p, Seed: 1, PersistentWorkers: true, PublishBlock: blk,
+					})
 					if err != nil {
 						b.Fatal(err)
 					}
-					edges += res.EdgesTraversed
-				}
-				b.StopTimer()
-				if secs := b.Elapsed().Seconds(); secs > 0 {
-					b.ReportMetric(float64(edges)/secs/1e6, "MTEPS")
-				}
-			})
+					defer e.Close()
+					for i := 0; i < 8; i++ { // warm the pooled buffers
+						if _, err := e.Run(src); err != nil {
+							b.Fatal(err)
+						}
+					}
+					var edges int64
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						res, err := e.Run(src)
+						if err != nil {
+							b.Fatal(err)
+						}
+						edges += res.EdgesTraversed
+					}
+					b.StopTimer()
+					if secs := b.Elapsed().Seconds(); secs > 0 {
+						b.ReportMetric(float64(edges)/secs/1e6, "MTEPS")
+					}
+				})
+			}
 		}
 	}
 }

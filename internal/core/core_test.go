@@ -377,16 +377,48 @@ func TestSimulatedNUMA(t *testing.T) {
 }
 
 func TestPopsAccounting(t *testing.T) {
-	// On a path there is no parallelism and no duplicates regardless of
-	// algorithm: every vertex is popped exactly once.
+	// On a path every level holds one vertex. Dispatch that never hands
+	// one queue slot to two workers pops every vertex exactly once: the
+	// locked families, and work stealing, which cannot split a one-entry
+	// segment. The optimistic fetches of BFS_CL/DL/EL can: two workers
+	// may read the same front or cursor before either store lands. The
+	// paper permits those duplicates, so for them the test asserts what
+	// the protocol does bound.
 	g, err := gen.Path(500)
 	if err != nil {
 		t.Fatal(err)
 	}
+	const p = 4
 	for _, algo := range parallelAlgos {
-		res := checkRun(t, g, 0, algo, Options{Workers: 4, Seed: 2})
-		if res.Duplicates() != 0 {
-			t.Fatalf("%s popped duplicates on a path: %d", algo, res.Duplicates())
+		res := checkRun(t, g, 0, algo, Options{Workers: p, Seed: 2})
+		c := res.Counters
+		switch algo {
+		case BFSCL, BFSDL, BFSEL:
+			// A worker's own epoch stamp stops it from enqueueing a
+			// vertex twice, so a level's frontier holds at most p copies.
+			if c.Discovered > p*(res.Reached-1) {
+				t.Fatalf("%s: %d discoveries of %d vertices exceed %d per vertex", algo, c.Discovered, res.Reached-1, p)
+			}
+			if algo == BFSEL {
+				// The path's levels have at most 2p edges, so every edge
+				// segment is one edge long and one fetch pops at most
+				// one entry. (A stale cursor store can hand a worker a
+				// range it already scanned, so no per-worker bound holds.)
+				if res.Pops > c.Fetches {
+					t.Fatalf("%s: %d pops from %d one-edge fetches", algo, res.Pops, c.Fetches)
+				}
+				continue
+			}
+			// Zero-on-read: nothing refills a slot within a level, so
+			// each worker pops each enqueued entry (the source plus one
+			// per discovery) at most once.
+			if entries := c.Discovered + 1; res.Pops > p*entries {
+				t.Fatalf("%s: %d pops of %d queue entries exceed %d per entry", algo, res.Pops, entries, p)
+			}
+		default:
+			if res.Duplicates() != 0 {
+				t.Fatalf("%s popped duplicates on a path: %d", algo, res.Duplicates())
+			}
 		}
 	}
 }

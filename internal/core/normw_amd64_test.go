@@ -15,9 +15,10 @@ import (
 
 // noRMWFuncs are the lockfree hot paths whose machine code must hold no
 // locked instruction: the claim (discover, scanNeighborsLean), the
-// work-stealing pop and its front publication (drainOwn, drainOwnLean),
-// the steal, the block and exchange publications, and the fused MS-BFS
-// expansion. Heartbeats are inlined into most of them, so beat is
+// work-stealing pop and its front publication (drainOwn's general loop
+// and drainOwnLean, the fused drain every plain lockfree work-stealing
+// run takes at any worker count, with its lookahead), the steal, the
+// block and exchange publications, and the fused MS-BFS expansion. Heartbeats are inlined into most of them, so beat is
 // covered too. The centralized dispatch (BFS_CL/DL fetch and slot
 // zeroing, BFS_EL's edge cursor) deliberately keeps sync/atomic stores;
 // DESIGN.md explains why.
@@ -27,6 +28,7 @@ var noRMWFuncs = []string{
 	"(*state).flushBlock",
 	"(*wsWorker).drainOwn",
 	"(*wsWorker).drainOwnLean",
+	"lookahead",
 	"(*wsWorker).stealLockfree",
 	"(*MSEngine).expand",
 	"(*state).discoverRemote",

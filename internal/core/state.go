@@ -124,19 +124,11 @@ type state struct {
 	// untouched.
 	yield bool
 
-	// single marks a one-worker unsharded state: no thief, no racing
-	// discoverer, no cross-shard reader — every queue slot and every
-	// per-vertex word has exactly one writer and no concurrent reader
-	// (driver and worker hand off through level barriers). Two paths
-	// key on it: drainOwn's fused drainOwnLean loop, which inlines the
-	// pop → scan → claim chain, and the hybrid's top-down frontier
-	// count, which can skip the dedup bitmap because one worker never
-	// enqueues a vertex twice. The stores themselves need no fork: the
-	// storeRelaxed* helpers are already plain MOVs on amd64 (see
-	// DESIGN.md "No locked instructions at the ISA level"). Cleared by
-	// the sharded constructor alongside shardEx: the exchange makes
-	// remote epoch words cross-shard shared even at one worker per
-	// shard.
+	// single marks a one-worker unsharded state, whose one worker never
+	// enqueues a vertex twice, so the hybrid's top-down frontier count
+	// skips its dedup bitmap. The sharded constructor clears it
+	// alongside shardEx: the exchange makes remote epoch words
+	// cross-shard shared even at one worker per shard.
 	single bool
 
 	// chaos is Options.Chaos, kept as a direct field so the hot-path

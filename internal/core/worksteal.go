@@ -222,6 +222,8 @@ const stealCheckPeriod = 32
 // clear it, publish the advanced front, explore; stop only at a 0 slot
 // — never by checking the (possibly thief-modified) rear — so stolen-
 // ahead regions produce at most duplicate work and nothing is skipped.
+// Plain configurations run it as the fused drainOwnLean; the loop here
+// serves chaos hooks, ParentClaim, TrackParents and sharded engines.
 // Locked mode lives in drainOwnLocked, so this function's machine code
 // holds no locked instruction at all (normw_amd64_test.go checks it).
 func (w *wsWorker) drainOwn(d *segDesc) {
@@ -230,20 +232,18 @@ func (w *wsWorker) drainOwn(d *segDesc) {
 		w.drainOwnLocked(d)
 		return
 	}
-	popped := 0
 	qi := atomic.LoadInt64(&d.q)
 	buf := w.st.in[qi].buf
 	j := atomic.LoadInt64(&d.f)
+	if w.st.claim == nil && w.st.parent == nil && w.st.shardEx == nil && w.st.chaos == nil {
+		storeRelaxed64(&d.f, w.drainOwnLean(d, buf, j))
+		return
+	}
+	popped := 0
 	// The shared front is published once per stealCheckPeriod pops
 	// instead of once per pop (see the constant's comment); published
 	// tracks the last value actually stored to d.f.
 	published := j
-	// One-worker fast path; drainOwnLean documents its preconditions.
-	if w.st.single && w.st.claim == nil && w.st.parent == nil &&
-		w.st.shardEx == nil && w.st.chaos == nil {
-		storeRelaxed64(&d.f, w.drainOwnLean(d, buf, j))
-		return
-	}
 	for {
 		slot := atomic.LoadInt32(&buf[j])
 		if slot == emptySlot {
@@ -325,19 +325,15 @@ func (w *wsWorker) drainOwnLocked(d *segDesc) {
 	}
 }
 
-// drainOwnLean is drainOwn's fused one-worker fast path: the same
-// slot-zeroing ledger and front-publication cadence, with the pop →
-// adjacency-scan → claim chain inlined into one loop. The general path
-// pays a three-deep call (process → scanNeighbors → the kernel) per
-// popped vertex, and the kernel's prologue — field hoists, counter
-// pointer — is per-call; on short-adjacency graphs (meshes) that
-// prologue rivals the scan itself. Here it is hoisted once per drain.
-// Long rows still route through scanNeighborsLean for its prefetch
-// pipeline, amortizing the call over the row, and scale-free mode's
-// hot-vertex deferral keeps its exact routing. Preconditions (checked
-// by the caller): single-worker state, no claim/parent arrays,
-// unsharded, no chaos hook. Returns the final front, which the caller
-// publishes.
+// drainOwnLean is drainOwn's fused loop, the lockfree drain at every
+// worker count when no claim or parent array, shard exchange or chaos
+// hook is bound (the caller checks). It keeps the general loop's slot
+// ledger, publication cadence, heartbeats, abort checks and hot-vertex
+// deferral, but inlines the pop → scan → claim chain that the general
+// loop pays three calls for per vertex; long rows still go through
+// scanNeighborsLean's prefetch pipeline. Every lookaheadBatch slots it
+// touches the offsets of the batch after next and the row heads of the
+// next batch. Returns the final front, which the caller publishes.
 func (w *wsWorker) drainOwnLean(d *segDesc, buf []int32, j int64) int64 {
 	st := w.st
 	epoch, dist := st.epoch, st.dist
@@ -349,12 +345,21 @@ func (w *wsWorker) drainOwnLean(d *segDesc, buf []int32, j int64) int64 {
 	blk := st.blkSize
 	published := j
 	popped := 0
-	for {
-		slot := buf[j]
+	// Prime: offsets two batches deep, row heads one.
+	const b = lookaheadBatch
+	lookahead(goff, gedges, buf, j, 2*b, false)
+	lookahead(goff, gedges, buf, j, b, true)
+	for next := j; ; {
+		if j == next { // batch boundary: warm the next two batches
+			next += b
+			lookahead(goff, gedges, buf, next, b, true)
+			lookahead(goff, gedges, buf, next+b, b, false)
+		}
+		slot := atomic.LoadInt32(&buf[j])
 		if slot == emptySlot {
 			break
 		}
-		buf[j] = emptySlot
+		storeRelaxed32(&buf[j], emptySlot)
 		j++
 		if j-published >= stealCheckPeriod {
 			storeRelaxed64(&d.f, j)
@@ -363,9 +368,6 @@ func (w *wsWorker) drainOwnLean(d *segDesc, buf []int32, j int64) int64 {
 			if st.aborted() {
 				break
 			}
-		}
-		if nxt := buf[j]; nxt != emptySlot {
-			st.prefetchVertex(nxt - 1)
 		}
 		v := slot - 1
 		c.VerticesPopped++
@@ -380,8 +382,9 @@ func (w *wsWorker) drainOwnLean(d *segDesc, buf []int32, j int64) int64 {
 		default:
 			c.EdgesScanned += o1 - o0
 			for _, u := range gedges[o0:o1] {
-				if epoch[u] != cur {
-					dist[u], epoch[u] = lvl, cur
+				if atomic.LoadUint32(&epoch[u]) != cur {
+					storeRelaxed32(&dist[u], lvl)
+					storeRelaxedU32(&epoch[u], cur)
 					c.Discovered++
 					out = append(out, u+1)
 					if len(out) >= blk {
@@ -396,6 +399,32 @@ func (w *wsWorker) drainOwnLean(d *segDesc, buf []int32, j int64) int64 {
 	}
 	w.out = out
 	return j
+}
+
+// lookaheadBatch is drainOwnLean's lookahead batch. A pop's chain slot
+// → Offsets[v] → Edges[Offsets[v]] → epoch is a run of dependent
+// misses; a batch of independent loads overlaps them.
+const lookaheadBatch = 16
+
+// lookahead touches Offsets[v] (or, with heads, the row head
+// Edges[Offsets[v]]) for the vertices in slots [at, at+n), stopping at
+// the first empty slot or the end of buf: a slot a thief zeroed only
+// ends it early. The loads are atomic so the compiler keeps them. Not
+// inlined: the batch-boundary code stays out of the per-pop loop.
+//
+//go:noinline
+func lookahead(goff []int64, gedges, buf []int32, at, n int64, heads bool) {
+	for k := at; k < at+n && k < int64(len(buf)); k++ {
+		s := atomic.LoadInt32(&buf[k])
+		if s == emptySlot {
+			return
+		}
+		if !heads {
+			_ = atomic.LoadInt64(&goff[s-1])
+		} else if o := goff[s-1]; o < int64(len(gedges)) {
+			_ = atomic.LoadInt32(&gedges[o])
+		}
+	}
 }
 
 // stealLockfree attempts to take the right half of victim's segment
