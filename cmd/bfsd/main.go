@@ -515,8 +515,9 @@ func (d *daemon) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "dst and full=1 are mutually exclusive: a goal-truncated run settles only the levels up to dst"})
 		return
 	}
-	// Batched (fused) admission is the default; ?batch=0 opts a query
-	// out to solo dispatch.
+	// Batched admission is the default: an idle engine answers at once
+	// and only fleet overflow fuses. ?batch=0 opts a query out to solo
+	// dispatch.
 	batched := r.URL.Query().Get("batch") != "0"
 	ans, err := queryLease(r.Context(), lease, src, goal, batched)
 	if errors.Is(err, serve.ErrClosed) {
@@ -852,7 +853,7 @@ func main() {
 		algo         = flag.String("algo", string(core.BFSWL), "BFS variant to serve")
 		workers      = flag.Int("workers", 0, "workers per engine (0 = GOMAXPROCS)")
 		shards       = flag.Int("shards", 1, "graph shards per engine (each with its own worker set)")
-		hybrid       = flag.Bool("hybrid", false, "direction-optimizing engines: bottom-up levels on large frontiers (single-source path; fused MS-BFS batches ignore it)")
+		hybrid       = flag.Bool("hybrid", false, "direction-optimizing engines: bottom-up levels on large frontiers (solo engines: ?batch=0 and every query an idle fleet answers; fused MS-BFS batches ignore it)")
 		concurrency  = flag.Int("concurrency", 2, "engine fleet size per graph (max queries in flight per graph)")
 		deadline     = flag.Duration("deadline", 5*time.Second, "default per-query deadline")
 		stallTimeout = flag.Duration("stall-timeout", time.Second, "watchdog window for wedged workers")
@@ -861,8 +862,8 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget on SIGTERM")
 		load         = flag.String("load", "", "graph file to serve at startup as the default graph (.mtx, .bin, else edge list)")
 		maxBody      = flag.Int64("max-body", 1<<30, "maximum /load request body bytes")
-		batch        = flag.Bool("batch", true, "fuse concurrent queries into multi-source batched runs (per-query opt-out: ?batch=0)")
-		batchWindow  = flag.Duration("batch-window", time.Millisecond, "how long a batch collects lanes before dispatch")
+		batch        = flag.Bool("batch", true, "fuse queries that find every engine busy into multi-source batched runs; a free engine answers at once (per-query opt-out: ?batch=0)")
+		batchWindow  = flag.Duration("batch-window", time.Millisecond, "how long a batch collects overflow lanes before dispatch (queries on an idle fleet never wait for it)")
 		batchLanes   = flag.Int("batch-lanes", 64, "max fused lanes per batch (<= 64)")
 		memBudget    = flag.Int64("mem-budget", 0, "registry memory budget in bytes: inserts past it evict idle graphs LRU-first (0 = unlimited)")
 		admInflight  = flag.Int("admit-inflight", 0, "global concurrent-query cap across all graphs (0 = max(8, 2×GOMAXPROCS))")

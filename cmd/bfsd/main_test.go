@@ -180,4 +180,9 @@ func TestMetricsExposed(t *testing.T) {
 	if !strings.Contains(body, `optibfs_serve_requests_total{outcome="ok"} 1`) {
 		t.Fatalf("metrics missing serve request counter:\n%s", body)
 	}
+	// The lone default-path query found the fleet idle and skipped the
+	// batcher.
+	if !strings.Contains(body, "optibfs_serve_fused_bypass_total 1") {
+		t.Fatalf("metrics missing fused bypass counter:\n%s", body)
+	}
 }

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -139,24 +141,78 @@ func (s slowHook) At(p core.ChaosPoint, _ int, _ int64) {
 	}
 }
 
-// TestBatchOptOutAndFusedMarking: concurrent default-path queries fuse
-// (answers say so); a lone query in its window solo-dispatches off the
-// fused engine (the singleton regression fix); ?batch=0 opts out
-// entirely.
-func TestBatchOptOutAndFusedMarking(t *testing.T) {
-	d := newDaemon(serve.Config{
+// parkHook parks the first worker to reach a level barrier until open
+// is closed, closing entered once it is parked. Later firings pass.
+type parkHook struct {
+	armed   atomic.Bool
+	entered chan struct{}
+	open    chan struct{}
+}
+
+func (h *parkHook) At(p core.ChaosPoint, _ int, _ int64) {
+	if p == core.ChaosStall && h.armed.CompareAndSwap(true, false) {
+		close(h.entered)
+		<-h.open
+	}
+}
+
+// parkedDaemon serves the graph that the load query string builds from
+// a one-engine fleet whose only engine is held busy: an opted-out solo
+// query parks at its first level barrier, so default-path queries find
+// no idle engine and overflow into the batcher. unpark lets the parked
+// query finish and checks its answer; call it before the daemon
+// closes.
+func parkedDaemon(t *testing.T, load string, batch serve.BatchConfig) (d *daemon, ts *httptest.Server, unpark func()) {
+	t.Helper()
+	park := &parkHook{entered: make(chan struct{}), open: make(chan struct{})}
+	park.armed.Store(true)
+	batch.Enabled = true
+	d = newDaemon(serve.Config{
 		Algo:        core.BFSWL,
 		Concurrency: 1,
 		Deadline:    10 * time.Second,
-		Options:     core.Options{Workers: 2},
-		Batch:       serve.BatchConfig{Enabled: true, Window: 250 * time.Millisecond, MaxLanes: 2},
+		// The hook parks a worker on purpose: not a stall.
+		Options: core.Options{Workers: 2, StallTimeout: time.Minute, Chaos: park},
+		Batch:   batch,
 	}, obs.New(), 1<<20)
-	ts := httptest.NewServer(d.handler())
-	defer func() {
+	ts = httptest.NewServer(d.handler())
+	t.Cleanup(func() {
 		ts.Close()
 		d.closeGuard()
+	})
+	postJSON(t, ts.URL+"/load?"+load, "", http.StatusOK)
+
+	held := make(chan map[string]any, 1)
+	go func() {
+		defer close(held)
+		resp, err := http.Get(ts.URL + "/query?src=3&validate=1&batch=0")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer resp.Body.Close()
+		var m map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+			t.Error(err)
+			return
+		}
+		held <- m
 	}()
-	postJSON(t, ts.URL+"/load?gen=er&n=256&m=1024&seed=4", "", http.StatusOK)
+	<-park.entered
+	return d, ts, func() {
+		close(park.open)
+		if m := <-held; m["valid"] != true {
+			t.Fatalf("fleet-holding solo query: %v", m)
+		}
+	}
+}
+
+// TestBatchOptOutAndFusedMarking: concurrent default-path queries that
+// find the solo fleet busy fuse (answers say so); a lone query on the
+// idle fleet answers solo at once; ?batch=0 opts out entirely.
+func TestBatchOptOutAndFusedMarking(t *testing.T) {
+	d, ts, unpark := parkedDaemon(t, "gen=er&n=256&m=1024&seed=4",
+		serve.BatchConfig{Window: 250 * time.Millisecond, MaxLanes: 2})
 
 	// Two concurrent queries seat in one window (MaxLanes 2 dispatches
 	// the moment both arrive) and come back fused.
@@ -170,6 +226,7 @@ func TestBatchOptOutAndFusedMarking(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	unpark()
 	for i, m := range fused {
 		if m["fused"] != true {
 			t.Fatalf("concurrent query %d not fused: %v", i, m)
@@ -182,14 +239,17 @@ func TestBatchOptOutAndFusedMarking(t *testing.T) {
 		}
 	}
 
-	// A lone query's window collapses to a singleton: it must dodge the
-	// fused engine and run on the solo fleet.
+	// A lone query finds the fleet idle: it must dodge the fused engine
+	// and run on the solo fleet at once.
 	lone := getJSON(t, ts.URL+"/query?src=0&validate=1", http.StatusOK)
 	if _, ok := lone["fused"]; ok {
-		t.Fatalf("singleton window still fused: %v", lone)
+		t.Fatalf("idle-fleet query still fused: %v", lone)
 	}
 	if lone["algorithm"] != string(core.BFSWL) {
-		t.Fatalf("singleton algorithm = %v, want solo %s", lone["algorithm"], core.BFSWL)
+		t.Fatalf("idle-fleet algorithm = %v, want solo %s", lone["algorithm"], core.BFSWL)
+	}
+	if n := d.reg.Counter("optibfs_serve_fused_bypass_total").Value(); n != 1 {
+		t.Fatalf("fused bypasses = %d, want 1 (the lone query)", n)
 	}
 
 	solo := getJSON(t, ts.URL+"/query?src=0&validate=1&batch=0", http.StatusOK)
@@ -202,11 +262,12 @@ func TestBatchOptOutAndFusedMarking(t *testing.T) {
 }
 
 // TestConcurrentFusedQueriesValidate is the in-process twin of the
-// smoke script's batcher check: 64 concurrent validated queries, all
-// fused, with the occupancy metrics populated.
+// smoke script's batcher check: 64 concurrent validated queries that
+// overflow a busy fleet, all fused, with the occupancy metrics
+// populated.
 func TestConcurrentFusedQueriesValidate(t *testing.T) {
-	d, ts := testDaemon(t)
-	postJSON(t, ts.URL+"/load?gen=rmat&n=512&m=4096&seed=3", "", http.StatusOK)
+	d, ts, unpark := parkedDaemon(t, "gen=rmat&n=512&m=4096&seed=3",
+		serve.BatchConfig{Window: time.Millisecond})
 	lease, err := d.registry.Acquire(defaultGraph)
 	if err != nil {
 		t.Fatal(err)
@@ -239,6 +300,17 @@ func TestConcurrentFusedQueriesValidate(t *testing.T) {
 			}
 		}(i)
 	}
+	// Unpark only once every query has seated in a batch: a singleton
+	// window's solo dispatch waits for the engine, and an early unpark
+	// would let late arrivals take the idle-fleet bypass.
+	lanes := d.reg.Counter("optibfs_serve_fused_lanes_total")
+	for deadline := time.Now().Add(10 * time.Second); lanes.Value() < q; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			unpark()
+			t.Fatalf("only %d of %d queries seated in a batch", lanes.Value(), q)
+		}
+	}
+	unpark()
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

@@ -205,10 +205,10 @@ func registryRound(cfg RegistrySoakConfig, dir string, round int, rep *RegistryS
 	// Per-round graph population: half mapped (v2 file, zero-copy),
 	// half heap, sizes drawn so the budget forces evict-on-insert.
 	type namedGraph struct {
-		name   string
-		g      *graph.CSR
-		path   string // "" = heap-loaded
-		cost   int64
+		name string
+		g    *graph.CSR
+		path string // "" = heap-loaded
+		cost int64
 	}
 	graphs := make([]namedGraph, cfg.Graphs)
 	var totalCost int64

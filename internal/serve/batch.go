@@ -5,6 +5,13 @@
 // traversals, so aggregate throughput scales with occupancy even on a
 // single core.
 //
+// Admission is work-conserving: a query that finds a solo engine free
+// runs on it at once through the normal ladder and never waits for a
+// window. Only the overflow — queries that find the whole fleet busy —
+// queues to fuse. Fusion pays off when lanes would otherwise queue; an
+// idle engine answering one query beats parking it for a window and
+// then running a lightly occupied fused traversal.
+//
 // Failure policy mirrors the solo ladder, lifted to batch granularity:
 // a lane whose caller cancels before dispatch is masked out of the
 // batch (the others still run); an engine failure — panic, poison,
@@ -31,7 +38,9 @@ type BatchConfig struct {
 	// solo Query when off.
 	Enabled bool
 	// Window is how long the dispatcher collects lanes after the first
-	// request arrives before dispatching a partial batch. Default 1ms.
+	// queued request arrives before dispatching a partial batch. Only a
+	// query that found every solo engine busy queues, so a query on an
+	// idle fleet never waits for it. Default 1ms.
 	Window time.Duration
 	// MaxLanes caps the lanes per fused run. Default and ceiling
 	// core.MaxLanes (64).
@@ -95,6 +104,7 @@ type batcher struct {
 	seconds      *obs.Histogram
 	soloRerun    *obs.Counter
 	soloDispatch *obs.Counter
+	bypass       *obs.Counter
 	ffailures    func(kind string) *obs.Counter
 
 	scratch []*fusedReq
@@ -128,6 +138,9 @@ func newBatcher(gd *Guard) (*batcher, error) {
 		// word-per-vertex kernels at occupancy 1, so a singleton window
 		// dispatches through the Guard's solo fleet instead.
 		soloDispatch: reg.Counter("optibfs_serve_fused_solo_dispatch_total"),
+		// Queries the fused entry point handed straight to an idle solo
+		// engine: a near-zero fused share under light load is policy.
+		bypass: reg.Counter("optibfs_serve_fused_bypass_total"),
 		ffailures: func(kind string) *obs.Counter {
 			return reg.Counter("optibfs_serve_fused_failures_total", obs.L("kind", kind))
 		},
@@ -148,13 +161,14 @@ func (b *batcher) close() {
 	}
 }
 
-// QueryFused answers one BFS query through the micro-batching
-// admission queue: the call parks for up to BatchConfig.Window while
-// other concurrent sources join, then shares one fused MS-BFS run.
-// Semantics match Query — same outcomes, same errors, same partial-
-// answer-on-expiry contract — plus Answer.Fused/BatchLanes reporting
-// the sharing. Falls back to solo Query when batching is disabled or
-// the admission queue is full.
+// QueryFused answers one BFS query through work-conserving fused
+// admission. A free solo engine answers it at once (Answer.Fused
+// false, BatchLanes 0). When the whole fleet is busy the call parks
+// for up to BatchConfig.Window while other concurrent sources join,
+// then shares one fused MS-BFS run. Semantics match Query — same
+// outcomes, same errors, same partial-answer-on-expiry contract — plus
+// Answer.Fused/BatchLanes reporting the sharing. Falls back to solo
+// Query when batching is disabled or the admission queue is full.
 func (gd *Guard) QueryFused(ctx context.Context, src int32) (*Answer, error) {
 	return gd.QueryFusedGoal(ctx, src, core.Goal{})
 }
@@ -183,10 +197,18 @@ func (gd *Guard) QueryFusedGoal(ctx context.Context, src int32, goal core.Goal) 
 		ctx, cancel = context.WithTimeout(ctx, gd.cfg.Deadline)
 		defer cancel()
 	}
-	r := &fusedReq{ctx: ctx, src: src, goal: goal, out: make(chan fusedResp, 1)}
 	if gd.testHookFusedEnqueue != nil {
 		gd.testHookFusedEnqueue()
 	}
+	// Work-conserving admission (see the package comment): a free solo
+	// engine answers at once; only fleet overflow parks to fuse.
+	select {
+	case s := <-gd.slots:
+		gd.batch.bypass.Inc()
+		return gd.runOnSlot(ctx, s, src, goal)
+	default:
+	}
+	r := &fusedReq{ctx: ctx, src: src, goal: goal, out: make(chan fusedResp, 1)}
 	select {
 	case gd.batch.reqs <- r:
 	default:

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,9 +26,42 @@ func checkAnswerFrom(t *testing.T, g *graph.CSR, src int32, ans *Answer) {
 	}
 }
 
-// TestFusedBatchOK: concurrent QueryFused calls land in one fused run,
-// every lane demuxes to a correct per-source answer, and the batch
-// metrics record the occupancy.
+// holdFleet takes every solo slot so QueryFused finds the fleet busy
+// and must queue for fusion instead of taking the idle-fleet bypass.
+// The returned release puts the slots back; it is idempotent and must
+// run before gd.Close, which waits for every slot.
+func holdFleet(gd *Guard) (release func()) {
+	held := make([]*slot, 0, gd.cfg.Concurrency)
+	for i := 0; i < gd.cfg.Concurrency; i++ {
+		held = append(held, <-gd.slots)
+	}
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			for _, s := range held {
+				gd.slots <- s
+			}
+		})
+	}
+}
+
+// waitCount yields until c reaches want: the ordering signal for
+// tests that must release a held fleet only after the dispatcher has
+// acted. It never sleeps; the bound only turns a hang into a failure.
+func waitCount(t *testing.T, c *obs.Counter, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Value() < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("counter stuck at %d, want %d", c.Value(), want)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestFusedBatchOK: concurrent QueryFused calls against a busy fleet
+// land in one fused run, every lane demuxes to a correct per-source
+// answer, and the batch metrics record the occupancy.
 func TestFusedBatchOK(t *testing.T) {
 	g := testGraph(t)
 	reg := obs.New()
@@ -40,6 +74,7 @@ func TestFusedBatchOK(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer gd.Close()
+	defer holdFleet(gd)()
 
 	const lanes = 8
 	anss := make([]*Answer, lanes)
@@ -87,7 +122,8 @@ func TestFusedBatchOK(t *testing.T) {
 // masked out of the batch instead of aborting it — the surviving lane
 // still answers ok. With one survivor the batch collapses to a
 // singleton and dispatches through the solo fleet (see soloDispatch),
-// so the answer is not marked fused.
+// so the answer is not marked fused. The fleet is held busy until that
+// dispatch so neither caller takes the idle-fleet bypass.
 func TestFusedCanceledLaneMasked(t *testing.T) {
 	g := testGraph(t)
 	reg := obs.New()
@@ -100,6 +136,8 @@ func TestFusedCanceledLaneMasked(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer gd.Close()
+	release := holdFleet(gd)
+	defer release()
 
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -115,6 +153,8 @@ func TestFusedCanceledLaneMasked(t *testing.T) {
 		defer wg.Done()
 		liveAns, liveErr = gd.QueryFused(context.Background(), 0)
 	}()
+	waitCount(t, reg.Counter("optibfs_serve_fused_solo_dispatch_total"), 1)
+	release()
 	wg.Wait()
 	if !errors.Is(deadErr, context.Canceled) {
 		t.Fatalf("canceled lane: err = %v, want context.Canceled", deadErr)
@@ -136,10 +176,13 @@ func TestFusedCanceledLaneMasked(t *testing.T) {
 
 // TestFusedEngineFailureRerunsSolo: a worker panic inside the fused
 // run fails the whole batch; every surviving lane is re-run solo
-// through the ladder and still answers correctly.
+// through the ladder and still answers correctly. The fleet is held
+// busy so both lanes queue for fusion; the first hook firing, which is
+// necessarily in the fused run, hands the slots back for the re-runs.
 func TestFusedEngineFailureRerunsSolo(t *testing.T) {
 	g := testGraph(t)
 	var fired int32
+	var release func()
 	reg := obs.New()
 	gd, err := New(g, Config{
 		Concurrency: 1,
@@ -147,6 +190,7 @@ func TestFusedEngineFailureRerunsSolo(t *testing.T) {
 		Batch:       BatchConfig{Enabled: true, Window: 150 * time.Millisecond},
 		Options: core.Options{Workers: 2, Chaos: hookFunc(func(p core.ChaosPoint, _ int, _ int64) {
 			if p == core.ChaosStall && atomic.CompareAndSwapInt32(&fired, 0, 1) {
+				release()
 				panic("batch test: injected fused panic")
 			}
 		})},
@@ -155,6 +199,8 @@ func TestFusedEngineFailureRerunsSolo(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer gd.Close()
+	release = holdFleet(gd)
+	defer release()
 
 	const lanes = 2
 	anss := make([]*Answer, lanes)
@@ -209,9 +255,11 @@ func TestFusedPartialOnDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer gd.Close()
+	defer holdFleet(gd)()
 
 	// Two lanes so the batch stays fused (a singleton would solo-
-	// dispatch); MaxLanes 2 dispatches as soon as both are seated.
+	// dispatch); MaxLanes 2 dispatches as soon as both are seated. The
+	// held fleet keeps either lane from taking the idle-fleet bypass.
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
 	defer cancel()
 	anss := make([]*Answer, 2)
@@ -302,5 +350,104 @@ func TestFusedCloseBetweenCheckAndEnqueue(t *testing.T) {
 	}
 	if took := time.Since(start); took > time.Second {
 		t.Fatalf("ErrClosed took %v, want well under the 5s deadline", took)
+	}
+}
+
+// TestFusedIdleFleetAnswersSolo: with a free solo engine, the fused
+// entry point answers at once on it instead of parking for the batch
+// window, and the query is accounted exactly once.
+func TestFusedIdleFleetAnswersSolo(t *testing.T) {
+	g := testGraph(t)
+	reg := obs.New()
+	const window = 500 * time.Millisecond
+	gd, err := New(g, Config{
+		Concurrency: 1,
+		Registry:    reg,
+		Batch:       BatchConfig{Enabled: true, Window: window},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gd.Close()
+
+	start := time.Now()
+	ans, err := gd.QueryFused(context.Background(), 0)
+	took := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took >= window/2 {
+		t.Fatalf("idle-fleet query took %v, want well inside the %v window", took, window)
+	}
+	if ans.Fused || ans.BatchLanes != 0 {
+		t.Fatalf("idle-fleet answer fused=%v lanes=%d, want a plain solo answer", ans.Fused, ans.BatchLanes)
+	}
+	if ans.Outcome != "ok" || ans.Algorithm != gd.Algorithm() {
+		t.Fatalf("outcome %q algorithm %q, want ok %q", ans.Outcome, ans.Algorithm, gd.Algorithm())
+	}
+	checkAnswer(t, g, ans)
+	if n := reg.Counter("optibfs_serve_requests_total", obs.L("outcome", "ok")).Value(); n != 1 {
+		t.Fatalf("ok requests = %d, want 1", n)
+	}
+	if n := reg.Histogram("optibfs_serve_latency_seconds",
+		[]float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10}).Count(); n != 1 {
+		t.Fatalf("latency observations = %d, want 1", n)
+	}
+	if v := reg.Gauge("optibfs_serve_inflight").Value(); v != 0 {
+		t.Fatalf("inflight gauge = %v after return, want 0", v)
+	}
+	if n := reg.Counter("optibfs_serve_fused_bypass_total").Value(); n != 1 {
+		t.Fatalf("fused bypasses = %d, want 1", n)
+	}
+	if n := reg.Counter("optibfs_serve_fused_batches_total").Value(); n != 0 {
+		t.Fatalf("fused batches = %d, want 0", n)
+	}
+}
+
+// TestFusedOverflowWhenFleetBusy: once every solo engine is taken,
+// concurrent queries overflow into one fused batch. MaxLanes equals
+// the caller count and the window is long, so the batch dispatches
+// exactly when the last lane seats.
+func TestFusedOverflowWhenFleetBusy(t *testing.T) {
+	g := testGraph(t)
+	reg := obs.New()
+	const lanes = 8
+	gd, err := New(g, Config{
+		Concurrency: 2,
+		Registry:    reg,
+		Batch:       BatchConfig{Enabled: true, Window: time.Minute, MaxLanes: lanes},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gd.Close()
+	defer holdFleet(gd)()
+
+	anss := make([]*Answer, lanes)
+	errs := make([]error, lanes)
+	var wg sync.WaitGroup
+	for i := 0; i < lanes; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			anss[i], errs[i] = gd.QueryFused(context.Background(), int32(i*31))
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < lanes; i++ {
+		if errs[i] != nil {
+			t.Fatalf("lane %d: %v", i, errs[i])
+		}
+		if !anss[i].Fused || anss[i].BatchLanes != lanes {
+			t.Fatalf("lane %d: fused=%v lanes=%d, want fused in a %d-lane batch",
+				i, anss[i].Fused, anss[i].BatchLanes, lanes)
+		}
+		checkAnswerFrom(t, g, int32(i*31), anss[i])
+	}
+	if n := reg.Counter("optibfs_serve_fused_batches_total").Value(); n != 1 {
+		t.Fatalf("fused batches = %d, want 1", n)
+	}
+	if n := reg.Counter("optibfs_serve_fused_bypass_total").Value(); n != 0 {
+		t.Fatalf("fused bypasses = %d with the fleet held, want 0", n)
 	}
 }

@@ -158,7 +158,9 @@ func TestQueryGoalDegraded(t *testing.T) {
 
 // TestFusedSingleLaneSoloDispatch is the regression pin for the 1-lane
 // fused-batch slowdown: a window that collects exactly one live lane
-// must bypass the MS-BFS engine and run on the solo fleet.
+// must bypass the MS-BFS engine and run on the solo fleet. The fleet
+// is held busy until the dispatch so the query queues for a window
+// instead of taking the idle-fleet bypass.
 func TestFusedSingleLaneSoloDispatch(t *testing.T) {
 	g := testGraph(t)
 	reg := obs.New()
@@ -171,7 +173,17 @@ func TestFusedSingleLaneSoloDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer gd.Close()
-	ans, err := gd.QueryFused(context.Background(), 0)
+	release := holdFleet(gd)
+	defer release()
+	var ans *Answer
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ans, err = gd.QueryFused(context.Background(), 0)
+	}()
+	waitCount(t, reg.Counter("optibfs_serve_fused_solo_dispatch_total"), 1)
+	release()
+	<-done
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,6 +235,7 @@ func TestQueryFusedGoal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer gd.Close()
+	defer holdFleet(gd)()
 
 	goals := []core.Goal{{}, core.GoalTo(near), {MaxDepth: 2}}
 	srcs := []int32{0, 0, 17}

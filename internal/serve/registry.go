@@ -78,13 +78,13 @@ type GraphSource func(ctx context.Context) (csr *graph.CSR, mapped *mmio.MappedG
 // entry is one resident graph. Mutable fields are guarded by the
 // registry mutex.
 type entry struct {
-	name   string
-	gen    uint64
-	guard  *Guard
-	mapped *mmio.MappedGraph // nil for heap-loaded graphs
-	csr    *graph.CSR
-	cost   int64
-	leases int    // live Lease count; > 0 pins against eviction
+	name    string
+	gen     uint64
+	guard   *Guard
+	mapped  *mmio.MappedGraph // nil for heap-loaded graphs
+	csr     *graph.CSR
+	cost    int64
+	leases  int    // live Lease count; > 0 pins against eviction
 	lastUse uint64 // registry useClock at last Acquire (LRU key)
 	// ext carries per-generation caches (bfsd's components cache);
 	// it dies with the entry, so a swap naturally invalidates it.

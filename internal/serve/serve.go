@@ -183,8 +183,8 @@ type Guard struct {
 	testHookCtxExpired func()
 	testHookDelivered  func()
 	// testHookFusedEnqueue fires in QueryFusedGoal between the closed check and
-	// the admission-queue enqueue, the window a concurrent Close can
-	// slip into (the reload-hang regression).
+	// the idle-slot try and admission-queue enqueue, the window a
+	// concurrent Close can slip into (the reload-hang regression).
 	testHookFusedEnqueue func()
 }
 
@@ -270,6 +270,14 @@ func (gd *Guard) QueryGoal(ctx context.Context, src int32, goal core.Goal) (*Ans
 	if err != nil {
 		return nil, err
 	}
+	return gd.runOnSlot(ctx, s, src, goal)
+}
+
+// runOnSlot runs the ladder on an acquired slot under the per-query
+// bookkeeping — in-flight gauge and latency histogram — and returns the
+// slot to the fleet. Shared by QueryGoal and the fused entry point's
+// idle-fleet bypass.
+func (gd *Guard) runOnSlot(ctx context.Context, s *slot, src int32, goal core.Goal) (*Answer, error) {
 	gd.inflight.Add(1)
 	start := time.Now()
 	defer func() {
@@ -294,7 +302,8 @@ func (gd *Guard) checkGoal(goal core.Goal) error {
 
 // ladder runs the escalation policy on an already-acquired slot:
 // primary, rebuild + retry once, then the serial oracle. Shared by
-// Query and the batcher's solo re-runs; counts request outcomes.
+// Query, the fused bypass and the batcher's solo re-runs; counts
+// request outcomes.
 func (gd *Guard) ladder(ctx context.Context, s *slot, src int32, goal core.Goal) (*Answer, error) {
 	for attempt := 0; attempt < 2; attempt++ {
 		if s.eng == nil {

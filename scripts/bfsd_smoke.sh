@@ -64,9 +64,12 @@ FULL_STATUS=$(curl -s -o /dev/null -w '%{http_code}' "${BASE}/query?src=0&dst=5&
 [ "$FULL_STATUS" = "400" ] || { echo "dst+full=1: $FULL_STATUS, want 400"; exit 1; }
 rm -f st.json khop.json comp.json ecc.json
 
-# Fire 64 concurrent self-validating queries through the fused
-# batcher (batching is the daemon default). Every one must come back
-# valid; the burst must light up the batch-occupancy metrics.
+# Fire 64 concurrent self-validating queries at the default (batched)
+# path. Admission is work-conserving: a query that finds a solo engine
+# free runs on it at once, and only the overflow that finds the whole
+# fleet busy queues to fuse. Every one must come back valid; the burst
+# overflows the two-engine fleet, so it must light up the
+# batch-occupancy metrics.
 BURST_PIDS=()
 for i in $(seq 0 63); do
   curl -fsS "${BASE}/query?src=$(( (i * 17) % 4096 ))&validate=1" -o "burst_${i}.json" &
