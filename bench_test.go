@@ -1,4 +1,4 @@
-package optibfs
+package optibfs_test
 
 // One benchmark family per paper artifact:
 //
@@ -19,6 +19,7 @@ import (
 	"sync"
 	"testing"
 
+	"optibfs"
 	"optibfs/internal/core"
 	"optibfs/internal/costmodel"
 	"optibfs/internal/gen"
@@ -283,12 +284,12 @@ func BenchmarkAblationReorder(b *testing.B) {
 	g := benchGraph(b, "wikipedia")
 	src := harness.PickSources(g, 1, 5)[0]
 	variants := map[string]*graph.CSR{"original": g}
-	if g2, _, err := ReorderByBFS(g, src); err == nil {
+	if g2, _, err := optibfs.ReorderByBFS(g, src); err == nil {
 		variants["bfs-order"] = g2
 	} else {
 		b.Fatal(err)
 	}
-	if g3, _, err := ReorderByDegree(g); err == nil {
+	if g3, _, err := optibfs.ReorderByDegree(g); err == nil {
 		variants["degree-order"] = g3
 	} else {
 		b.Fatal(err)
@@ -341,13 +342,13 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 	src := harness.PickSources(g, 1, 0xbe7c)[0]
 	cases := []struct {
 		name string
-		algo Algorithm
-		opt  Options
+		algo optibfs.Algorithm
+		opt  optibfs.Options
 	}{
-		{string(BFSCL), BFSCL, Options{Workers: 8, Seed: 1, PersistentWorkers: true}},
-		{string(BFSWL), BFSWL, Options{Workers: 8, Seed: 1, PersistentWorkers: true}},
-		{string(BFSWSL), BFSWSL, Options{Workers: 8, Seed: 1, PersistentWorkers: true}},
-		{string(BFSWSL) + "-timeline", BFSWSL, Options{
+		{string(optibfs.BFSCL), optibfs.BFSCL, optibfs.Options{Workers: 8, Seed: 1, PersistentWorkers: true}},
+		{string(optibfs.BFSWL), optibfs.BFSWL, optibfs.Options{Workers: 8, Seed: 1, PersistentWorkers: true}},
+		{string(optibfs.BFSWSL), optibfs.BFSWSL, optibfs.Options{Workers: 8, Seed: 1, PersistentWorkers: true}},
+		{string(optibfs.BFSWSL) + "-timeline", optibfs.BFSWSL, optibfs.Options{
 			Workers: 8, Seed: 1, PersistentWorkers: true,
 			LevelTimeline: true, TraceCapacity: 1 << 12,
 		}},
@@ -355,7 +356,7 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 	for _, tc := range cases {
 		opt := tc.opt
 		b.Run(tc.name, func(b *testing.B) {
-			e, err := NewEngine(g, tc.algo, &opt)
+			e, err := optibfs.NewEngine(g, tc.algo, &opt)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -391,9 +392,9 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 func BenchmarkHybridSteadyState(b *testing.B) {
 	g := benchGraph(b, "wikipedia")
 	src := harness.PickSources(g, 1, 0xbe7c)[0]
-	for _, algo := range []Algorithm{BFSWL, BFSWSL} {
+	for _, algo := range []optibfs.Algorithm{optibfs.BFSWL, optibfs.BFSWSL} {
 		b.Run(string(algo), func(b *testing.B) {
-			e, err := NewEngine(g, algo, &Options{
+			e, err := optibfs.NewEngine(g, algo, &optibfs.Options{
 				Workers: 8, Seed: 1, PersistentWorkers: true, Hybrid: true,
 			})
 			if err != nil {
@@ -441,8 +442,8 @@ func BenchmarkGoalSteadyState(b *testing.B) {
 	g := benchGraph(b, "wikipedia")
 	src := harness.PickSources(g, 1, 0xbe7c)[0]
 	ctx := context.Background()
-	for _, algo := range []Algorithm{BFSWL, BFSWSL} {
-		e, err := NewEngine(g, algo, &Options{Workers: 8, Seed: 1, PersistentWorkers: true})
+	for _, algo := range []optibfs.Algorithm{optibfs.BFSWL, optibfs.BFSWSL} {
+		e, err := optibfs.NewEngine(g, algo, &optibfs.Options{Workers: 8, Seed: 1, PersistentWorkers: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -465,10 +466,10 @@ func BenchmarkGoalSteadyState(b *testing.B) {
 		}
 		for _, gc := range []struct {
 			name string
-			goal Goal
+			goal optibfs.Goal
 		}{
-			{"st", GoalTo(dst)},
-			{"depth2", Goal{MaxDepth: 2}},
+			{"st", optibfs.GoalTo(dst)},
+			{"depth2", optibfs.Goal{MaxDepth: 2}},
 		} {
 			b.Run(fmt.Sprintf("%s/%s", algo, gc.name), func(b *testing.B) {
 				for i := 0; i < 8; i++ { // warm the pooled buffers
@@ -506,7 +507,7 @@ func BenchmarkEngineRunMany(b *testing.B) {
 	g := benchGraph(b, "wikipedia")
 	sources := harness.PickSources(g, 32, 0x32)
 	b.Run("engine-32src", func(b *testing.B) {
-		e, err := NewEngine(g, BFSWSL, &Options{Workers: 8, Seed: 1, PersistentWorkers: true})
+		e, err := optibfs.NewEngine(g, optibfs.BFSWSL, &optibfs.Options{Workers: 8, Seed: 1, PersistentWorkers: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -518,7 +519,7 @@ func BenchmarkEngineRunMany(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			var reached int64
-			err := e.RunMany(sources, func(_ int, res *Result) error {
+			err := e.RunMany(sources, func(_ int, res *optibfs.Result) error {
 				reached += res.Reached
 				return nil
 			})
@@ -531,13 +532,13 @@ func BenchmarkEngineRunMany(b *testing.B) {
 		}
 	})
 	b.Run("oneshot-32src", func(b *testing.B) {
-		opt := &Options{Workers: 8, Seed: 1}
+		opt := &optibfs.Options{Workers: 8, Seed: 1}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			var reached int64
 			for _, src := range sources {
-				res, err := BFS(g, src, BFSWSL, opt)
+				res, err := optibfs.BFS(g, src, optibfs.BFSWSL, opt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -578,8 +579,9 @@ func drainGraph(b *testing.B, name string, mk func() (*graph.CSR, error)) *graph
 // runner size (two workers oversubscribe a one-core runner, which
 // blurs their MTEPS but not their allocation count).
 // The block>=64 rows must beat block=1 by >=10% MTEPS on rmat18
-// (recorded in BENCH_pr4.json); scripts/benchsmoke.sh gates allocs/op
-// at 0 on every sub-benchmark alongside BenchmarkEngineSteadyState.
+// (recorded in EXPERIMENTS.md, "Hot-path locality");
+// scripts/benchsmoke.sh gates allocs/op at 0 on every sub-benchmark
+// alongside BenchmarkEngineSteadyState.
 func BenchmarkDrainLocality(b *testing.B) {
 	graphs := []struct {
 		name string
@@ -599,7 +601,7 @@ func BenchmarkDrainLocality(b *testing.B) {
 			for _, p := range []int{1, 2} {
 				name := fmt.Sprintf("%s/workers%d/block%d", gc.name, p, blk)
 				b.Run(name, func(b *testing.B) {
-					e, err := NewEngine(g, BFSWSL, &Options{
+					e, err := optibfs.NewEngine(g, optibfs.BFSWSL, &optibfs.Options{
 						Workers: p, Seed: 1, PersistentWorkers: true, PublishBlock: blk,
 					})
 					if err != nil {

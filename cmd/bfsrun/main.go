@@ -118,7 +118,7 @@ func run(algoName, graphPath, suite string, scale, src, sources, workers int, se
 		goal.Target = int32(dst) + 1
 	}
 	if goal.Bounded() && !algo.SupportsGoals() {
-		return fmt.Errorf("-dst/-k need the core family; %s runs to exhaustion", algoName)
+		return fmt.Errorf("-dst/-k need a goal-capable algorithm (the paper's or DirectionOptimizing); %s runs to exhaustion", algoName)
 	}
 	if maxDepth < 0 {
 		return fmt.Errorf("-k %d: want a non-negative depth bound", maxDepth)

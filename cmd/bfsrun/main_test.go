@@ -93,8 +93,9 @@ func TestRunWithReorder(t *testing.T) {
 }
 
 // TestRunGoalDirected: -dst and -k terminate early and self-validate
-// against the oracle's closed levels; the non-core runtimes refuse the
-// flags instead of silently running to exhaustion.
+// against the oracle's closed levels, DirectionOptimizing included; the
+// baseline runtimes refuse the flags instead of silently running to
+// exhaustion.
 func TestRunGoalDirected(t *testing.T) {
 	if err := run("BFS_WSL", "", "kkt-power", 4096, 0, 1, 4, 1, true, "Lonestar", false, false, "", "", 1, false, 50, 0); err != nil {
 		t.Fatalf("-dst: %v", err)
@@ -107,6 +108,9 @@ func TestRunGoalDirected(t *testing.T) {
 	}
 	if err := run("BFS_WSL", "", "kkt-power", 4096, 0, 1, 4, 1, true, "Lonestar", false, false, "", "degree", 1, false, 50, 0); err != nil {
 		t.Fatalf("reorder -dst (target must be translated): %v", err)
+	}
+	if err := run("DirectionOptimizing", "", "kkt-power", 4096, 0, 1, 4, 1, true, "Lonestar", false, false, "", "", 1, false, 50, 2); err != nil {
+		t.Fatalf("DirectionOptimizing -dst -k: %v", err)
 	}
 	if err := run("Baseline1(bag)", "", "kkt-power", 4096, 0, 1, 2, 1, false, "Lonestar", false, false, "", "", 1, false, 5, 0); err == nil {
 		t.Fatal("baseline accepted -dst")

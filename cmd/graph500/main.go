@@ -28,6 +28,7 @@ import (
 	"os"
 	"time"
 
+	"optibfs"
 	"optibfs/internal/core"
 	"optibfs/internal/costmodel"
 	"optibfs/internal/gen"
@@ -70,7 +71,7 @@ func run(w *os.File, scale int, edgefactor int64, algoName string, rounds, worke
 		return err
 	}
 	if st && !algo.SupportsGoals() {
-		return fmt.Errorf("-st needs the core family; %s runs to exhaustion", algoName)
+		return fmt.Errorf("-st needs a goal-capable algorithm (the paper's or DirectionOptimizing); %s runs to exhaustion", algoName)
 	}
 	var machine costmodel.Machine
 	switch machineName {
@@ -176,7 +177,7 @@ func run(w *os.File, scale int, edgefactor int64, algoName string, rounds, worke
 // so each round yields one paired full/s-t ratio. The headline number is
 // the median of those per-round ratios — pairing makes it immune to
 // slow drift (thermal, page cache) across the run.
-func runST(w *os.File, g *graph.CSR, runner *harness.Runner, sources []int32, seed uint64, skipVal bool) error {
+func runST(w *os.File, g *graph.CSR, runner *optibfs.Engine, sources []int32, seed uint64, skipVal bool) error {
 	ctx := context.Background()
 	var ratios, fracs, fullMS, stMS []float64
 	for i, src := range sources {

@@ -59,6 +59,9 @@ func TestGraph500ST(t *testing.T) {
 	if err := run(null, 8, 8, "BFS_WSL", 3, 4, 1, false, "Lonestar", "", 2, false, true); err != nil {
 		t.Fatalf("sharded -st: %v", err)
 	}
+	if err := run(null, 8, 8, "DirectionOptimizing", 3, 4, 1, false, "Lonestar", "", 1, false, true); err != nil {
+		t.Fatalf("DirectionOptimizing -st: %v", err)
+	}
 	if err := run(null, 8, 8, "Baseline1(bag)", 2, 1, 1, false, "Lonestar", "", 1, false, true); err == nil {
 		t.Fatal("baseline accepted -st")
 	}

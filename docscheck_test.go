@@ -11,6 +11,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -75,6 +76,51 @@ func TestAllExportedIdentifiersDocumented(t *testing.T) {
 	if len(missing) > 0 {
 		t.Fatalf("%d exported identifiers lack doc comments:\n  %s",
 			len(missing), strings.Join(missing, "\n  "))
+	}
+}
+
+// TestReadmeArchitectureListsInternalPackages keeps README's
+// architecture block in step with the tree: the entries under its
+// "internal/" line must name exactly the directories under internal/,
+// so a package added without a line, or a stale line left behind by a
+// removed package, fails here.
+func TestReadmeArchitectureListsInternalPackages(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, arch, ok := strings.Cut(string(readme), "\n## Architecture\n")
+	if !ok {
+		t.Fatal("README has no Architecture section")
+	}
+	_, block, _ := strings.Cut(arch, "```\n")
+	block, _, _ = strings.Cut(block, "```")
+	var listed []string
+	inInternal := false
+	for _, line := range strings.Split(block, "\n") {
+		switch {
+		case strings.HasPrefix(line, "internal/"):
+			inInternal = true
+		case !strings.HasPrefix(line, " "):
+			inInternal = false
+		case inInternal && strings.HasPrefix(line, "  ") && !strings.HasPrefix(line, "   "):
+			name, _, _ := strings.Cut(strings.TrimSpace(line), " ")
+			listed = append(listed, strings.TrimSuffix(name, "/"))
+		}
+	}
+	entries, err := os.ReadDir("internal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dirs []string
+	for _, e := range entries {
+		if e.IsDir() {
+			dirs = append(dirs, e.Name())
+		}
+	}
+	sort.Strings(listed)
+	if strings.Join(listed, " ") != strings.Join(dirs, " ") {
+		t.Fatalf("README architecture lists internal/ packages\n  %v\nbut the tree has\n  %v", listed, dirs)
 	}
 }
 

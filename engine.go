@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"optibfs/internal/beamer"
 	"optibfs/internal/core"
 )
 
@@ -23,10 +22,10 @@ import (
 // engine's pooled arrays and is valid only until the engine's next run;
 // callers that need a run's output beyond that must copy it.
 //
-// The paper's algorithms (and DirectionOptimizing) run on true pooled
-// engines; the Baseline1/Baseline2 comparison runtimes have no engine
-// layer, so an Engine over them transparently falls back to one-shot
-// dispatch per Run (correct, just not amortized). Options.Shards > 1
+// The paper's algorithms (DirectionOptimizing included) run on true
+// pooled engines; the Baseline1/Baseline2 comparison runtimes have no
+// engine layer, so an Engine over them transparently falls back to
+// one-shot dispatch per Run (correct, just not amortized). Options.Shards > 1
 // routes the paper's algorithms onto the sharded owner-compute backend
 // (per-shard pooled engines with cross-shard frontier exchange); the
 // default is the single-engine path.
@@ -35,7 +34,6 @@ type Engine struct {
 	algo   Algorithm
 	opt    Options
 	ce     core.Backend
-	be     *beamer.Engine
 	closed bool
 }
 
@@ -47,26 +45,19 @@ func NewEngine(g *Graph, algo Algorithm, opt *Options) (*Engine, error) {
 		o = *opt
 	}
 	e := &Engine{g: g, algo: algo, opt: o}
-	switch algo {
-	case Serial, BFSC, BFSCL, BFSDL, BFSW, BFSWL, BFSWS, BFSWSL, BFSEL:
-		ce, err := core.NewBackend(g, core.Algorithm(algo), o)
+	if v, co, ok := coreRoute(algo, o); ok {
+		ce, err := core.NewBackend(g, v, co)
 		if err != nil {
 			return nil, err
 		}
 		e.ce = ce
-	case DirectionOptimizing:
-		be, err := beamer.NewEngine(g, beamer.Options{Options: o})
-		if err != nil {
-			return nil, err
-		}
-		e.be = be
-	case Baseline1, Baseline2QueueCAS, Baseline2Read, Baseline2LocalQueue,
-		Baseline2LocalQueueBitmap, Baseline2Hybrid:
-		if g == nil {
-			return nil, fmt.Errorf("optibfs: nil graph")
-		}
-	default:
+		return e, nil
+	}
+	if baselineRun(algo) == nil {
 		return nil, fmt.Errorf("optibfs: unknown algorithm %q", algo)
+	}
+	if g == nil {
+		return nil, fmt.Errorf("optibfs: nil graph")
 	}
 	return e, nil
 }
@@ -84,17 +75,10 @@ func (e *Engine) RunContext(ctx context.Context, src int32) (*Result, error) {
 	if e.closed {
 		return nil, fmt.Errorf("optibfs: engine is closed")
 	}
-	switch {
-	case e.ce != nil:
+	if e.ce != nil {
 		return e.ce.RunContext(ctx, src)
-	case e.be != nil:
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return e.be.Run(src)
-	default:
-		return BFSContext(ctx, e.g, src, e.algo, &e.opt)
 	}
+	return BFSContext(ctx, e.g, src, e.algo, &e.opt)
 }
 
 // RunGoal executes one goal-directed search from src: the run stops at
@@ -103,8 +87,9 @@ func (e *Engine) RunContext(ctx context.Context, src int32) (*Result, error) {
 // distances at or below Result.Levels are final, deeper vertices are
 // Unreached, Result.Truncated reports whether the goal fired. Goal
 // checks happen only at level barriers, so the hot traversal path is
-// identical to Run's. Supported by the paper's algorithms (the engine
-// family); the baseline fallbacks have no goal machinery and refuse.
+// identical to Run's. Supported by the paper's algorithms and
+// DirectionOptimizing (the engine family); the baseline fallbacks have
+// no goal machinery and refuse.
 func (e *Engine) RunGoal(ctx context.Context, src int32, goal Goal) (*Result, error) {
 	if e.closed {
 		return nil, fmt.Errorf("optibfs: engine is closed")

@@ -132,9 +132,9 @@ type Options struct {
 	PublishBlock int
 	// Reorder applies a vertex relabeling at engine construction (see
 	// ReorderMode). Results are mapped back to original ids through the
-	// inverse permutation. Only the core engines honor it; the
-	// Baseline1/Baseline2/DirectionOptimizing comparison runtimes
-	// ignore it.
+	// inverse permutation. Only the core engines honor it (the public
+	// DirectionOptimizing name included: it runs BFS_WSL with Hybrid);
+	// the Baseline1/Baseline2 comparison runtimes ignore it.
 	Reorder ReorderMode
 	// ParentClaim enables the §IV-D duplicate-exploration filter:
 	// discoverers record a claim for each vertex with an arbitrary
@@ -204,11 +204,11 @@ type Options struct {
 	// vertex-owned state, so the kernel needs no locks and no atomic
 	// RMW. Switching back top-down compacts the bitmap into the batched
 	// queue publication path with an atomics-free per-worker prefix-sum
-	// pass (Tithi, Fogel & Chowdhury 2022). Unlike the internal/beamer
-	// wrapper, the switch never sees duplicate-inflated estimates: the
-	// decision inputs are deduplicated at the barrier by construction.
-	// Not supported for the Serial algorithm (use the plain serial
-	// baseline or internal/beamer for a serial hybrid).
+	// pass (Tithi, Fogel & Chowdhury 2022). The switch never sees
+	// duplicate-inflated estimates: the decision inputs are
+	// deduplicated at the barrier by construction. Not supported for
+	// the Serial algorithm, which has no per-level parallel machinery
+	// to switch; run a parallel variant with Workers: 1 instead.
 	Hybrid bool
 	// Alpha is the top-down→bottom-up switch aggressiveness: switch
 	// when mf > unexplored/Alpha and the frontier is growing, where mf

@@ -443,7 +443,8 @@ func TestCentralizedFetchCounters(t *testing.T) {
 }
 
 // Property: any algorithm, any random graph, any source, any worker
-// count in [1,8] produces exactly the oracle distances.
+// count in [1,8] produces exactly the oracle distances, with and
+// without the direction-optimizing Hybrid mode.
 func TestPropertyAllAlgorithmsCorrect(t *testing.T) {
 	f := func(seed uint64) bool {
 		n := int32(2 + seed%300)
@@ -456,11 +457,13 @@ func TestPropertyAllAlgorithmsCorrect(t *testing.T) {
 		want := graph.ReferenceBFS(g, src)
 		workers := 1 + int(seed%8)
 		algo := parallelAlgos[seed%uint64(len(parallelAlgos))]
-		res, err := Run(g, src, algo, Options{Workers: workers, Seed: seed})
-		if err != nil {
-			return false
+		for _, hybrid := range []bool{false, true} {
+			res, err := Run(g, src, algo, Options{Workers: workers, Seed: seed, Hybrid: hybrid})
+			if err != nil || graph.EqualDistances(res.Dist, want) != nil {
+				return false
+			}
 		}
-		return graph.EqualDistances(res.Dist, want) == nil
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)

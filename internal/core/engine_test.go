@@ -145,29 +145,43 @@ func TestEngineCancelMidLevelThenReuse(t *testing.T) {
 func TestEngineEpochWraparound(t *testing.T) {
 	g := engineTestGraph(t)
 	want := graph.ReferenceBFS(g, 0)
-	t.Run("parallel", func(t *testing.T) {
-		e, err := NewEngine(g, BFSCL, Options{Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-		if _, err := e.Run(0); err != nil {
-			t.Fatal(err)
-		}
-		e.impl.(*parEngine).st.cur = ^uint32(0) - 1 // two runs from wrapping
-		for i := 0; i < 4; i++ {
-			res, err := e.Run(0)
+	// The hybrid's bottom-up kernel reads the same epoch stamps to find
+	// unvisited vertices, so it must see the wrap sweep too.
+	for _, tc := range []struct {
+		name string
+		algo Algorithm
+		opt  Options
+	}{
+		{"parallel", BFSCL, Options{Workers: 4}},
+		{"hybrid", BFSWSL, Options{Workers: 4, Hybrid: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := NewEngine(g, tc.algo, tc.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := graph.EqualDistances(res.Dist, want); err != nil {
-				t.Fatalf("run %d across wraparound: %v", i, err)
+			defer e.Close()
+			if _, err := e.Run(0); err != nil {
+				t.Fatal(err)
 			}
-		}
-		if cur := e.impl.(*parEngine).st.cur; cur == 0 || cur > 3 {
-			t.Fatalf("epoch after wraparound = %d, want in [1,3]", cur)
-		}
-	})
+			e.impl.(*parEngine).st.cur = ^uint32(0) - 1 // two runs from wrapping
+			for i := 0; i < 4; i++ {
+				res, err := e.Run(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := graph.EqualDistances(res.Dist, want); err != nil {
+					t.Fatalf("run %d across wraparound: %v", i, err)
+				}
+				if tc.opt.Hybrid && res.Counters.BottomUpLevels == 0 {
+					t.Fatalf("run %d never went bottom-up; the wrap is not exercised by the hybrid kernel", i)
+				}
+			}
+			if cur := e.impl.(*parEngine).st.cur; cur == 0 || cur > 3 {
+				t.Fatalf("epoch after wraparound = %d, want in [1,3]", cur)
+			}
+		})
+	}
 	t.Run("serial", func(t *testing.T) {
 		e, err := NewEngine(g, Serial, Options{})
 		if err != nil {

@@ -2,7 +2,8 @@ package core
 
 // In-core direction-optimizing traversal (Options.Hybrid): the Beamer,
 // Asanović & Patterson hybrid fused into the lockfree level loop
-// instead of wrapped around it (internal/beamer). The pieces:
+// instead of wrapped around it. The public DirectionOptimizing
+// algorithm is BFS_WSL with this mode on. The pieces:
 //
 //   - Bottom-up levels keep the frontier as a dense uint64 bitmap.
 //     Bits are written with plain stores: within a level each worker
@@ -21,8 +22,8 @@ package core
 //     exact frontier counters. Top-down frontiers are deduplicated by
 //     a single test-and-set walk over the promoted in-queues (the
 //     queues hold duplicates from racing discoveries), so the decision
-//     never sees the duplicate-inflated estimates that made the
-//     internal/beamer wrapper drift; bottom-up frontiers are exact for
+//     never sees the duplicate-inflated estimates that make a
+//     queue-volume count drift; bottom-up frontiers are exact for
 //     free (per-vertex ownership admits no duplicates).
 //   - Switching back top-down compacts the bitmap into the batched
 //     queue publication path with an atomics-free prefix-sum pass in
@@ -112,9 +113,9 @@ type hybridState struct {
 	curCount int64 // owned-frontier size while bottomUp (volume())
 
 	// Decision state (plain Engine only; a ShardedEngine keeps the
-	// global copy on its shardedHybrid). unexplored follows the beamer
-	// wrapper's convention: the out-edge budget *after* subtracting the
-	// frontier under decision, seeded as m − outdeg(src).
+	// global copy on its shardedHybrid). unexplored follows the
+	// classic Beamer convention: the out-edge budget *after*
+	// subtracting the frontier under decision, seeded as m − outdeg(src).
 	unexplored int64
 	prevNf     int64
 	alpha      int64
@@ -206,7 +207,7 @@ func hybridRanges(lo, hi int32, p int) (los, his []int32) {
 // back to top-down, the dedup/discovery bitmap cleared (an aborted run
 // can abandon it mid-write), and the decision budget restored to the
 // full edge count (seedSource subtracts the source's degree to match
-// the wrapper's convention). The O(n/64) word clear is the only
+// the classic Beamer convention). The O(n/64) word clear is the only
 // per-run cost.
 func (st *state) resetHybrid() {
 	hy := st.hy
@@ -581,12 +582,11 @@ func rangeWord(bm []uint64, w, wlo, whi int, lo, hi int32) uint64 {
 }
 
 // hybridDecide applies the Beamer heuristics to the frontier just
-// counted. Accounting convention matches the (fixed) internal/beamer
-// wrapper — unexplored excludes the frontier under decision, the alpha
-// test additionally requires a growing frontier, and the beta test
-// fires on |frontier| < n/beta — plus one refinement the wrapper
-// (kept classic for the oracle-replay regression tests) does not have:
-// entry is also gated on the frontier either already satisfying the
+// counted. Accounting follows the classic Beamer convention —
+// unexplored excludes the frontier under decision, the alpha test
+// additionally requires a growing frontier, and the beta test fires on
+// |frontier| < n/beta — plus one refinement the classic heuristic does
+// not have: entry is also gated on the frontier either already satisfying the
 // beta stay-condition or growing geometrically. Without the gate,
 // long plateau phases (meshes: cage*, freescale) oscillate — size
 // jitter of a few vertices re-fires the alpha test, the bottom-up

@@ -37,7 +37,7 @@ func rmat18(b *testing.B) *graph.CSR {
 // to exhaustion. Medges/op is the fused expansion's total adjacency
 // scans per run — the direct measure of the edges retirement avoids —
 // so the retired/unbounded ratio is the headline number recorded in
-// BENCH_pr9.json.
+// EXPERIMENTS.md ("Goal-directed traversal").
 func BenchmarkMSGoalRetirement(b *testing.B) {
 	g := rmat18(b)
 	srcs := make([]int32, MaxLanes)

@@ -332,7 +332,7 @@ func (st *state) seedSource(src int32) {
 	}
 	st.epoch[src] = st.cur
 	if st.hy != nil {
-		// Match the beamer wrapper's budget convention: unexplored
+		// The classic Beamer budget convention: unexplored
 		// excludes the frontier under decision, starting with the
 		// source. (Under a ShardedEngine this touches the owner shard's
 		// unused per-state budget; the global one lives on the engine.)

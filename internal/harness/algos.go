@@ -1,73 +1,61 @@
 package harness
 
 import (
-	"context"
 	"fmt"
+	"strings"
 
-	"optibfs/internal/baseline1"
-	"optibfs/internal/baseline2"
-	"optibfs/internal/beamer"
+	"optibfs"
 	"optibfs/internal/core"
 	"optibfs/internal/costmodel"
 	"optibfs/internal/graph"
 )
 
-// family tags which runtime an AlgoSpec dispatches to.
-type family int
-
-const (
-	familyCore family = iota
-	familyBaseline1
-	familyBaseline2
-	familyBeamer
-)
-
 // AlgoSpec identifies one algorithm column/row of the experiments —
 // the paper's own variants plus both baselines under one interface.
+// It runs through the public API, so the harness dispatches exactly
+// as library callers do.
 type AlgoSpec struct {
 	// Name is the display name used in tables.
 	Name string
 
-	fam  family
-	algo core.Algorithm
-	b2   baseline2.Variant
+	algo optibfs.Algorithm
 }
 
-// Core algorithm specs (paper Table II acronyms).
-func coreSpec(a core.Algorithm) AlgoSpec {
-	return AlgoSpec{Name: string(a), fam: familyCore, algo: a}
+// algoSpec names an algorithm by its own identifier.
+func algoSpec(a optibfs.Algorithm) AlgoSpec {
+	return AlgoSpec{Name: string(a), algo: a}
 }
 
 // TableAlgos is the algorithm set of Table V: the paper's variants,
 // Baseline1 (PBFS/bag), and the two strongest Baseline2 configurations.
 var TableAlgos = []AlgoSpec{
-	coreSpec(core.Serial),
-	coreSpec(core.BFSC),
-	coreSpec(core.BFSCL),
-	coreSpec(core.BFSDL),
-	coreSpec(core.BFSW),
-	coreSpec(core.BFSWL),
-	coreSpec(core.BFSWS),
-	coreSpec(core.BFSWSL),
-	{Name: "Baseline1(bag)", fam: familyBaseline1},
-	{Name: "Baseline2(lq+read+bmp)", fam: familyBaseline2, b2: baseline2.LocalQueueBitmap},
-	{Name: "Baseline2(queue+cas)", fam: familyBaseline2, b2: baseline2.QueueCAS},
+	algoSpec(optibfs.Serial),
+	algoSpec(optibfs.BFSC),
+	algoSpec(optibfs.BFSCL),
+	algoSpec(optibfs.BFSDL),
+	algoSpec(optibfs.BFSW),
+	algoSpec(optibfs.BFSWL),
+	algoSpec(optibfs.BFSWS),
+	algoSpec(optibfs.BFSWSL),
+	{Name: "Baseline1(bag)", algo: optibfs.Baseline1},
+	{Name: "Baseline2(lq+read+bmp)", algo: optibfs.Baseline2LocalQueueBitmap},
+	{Name: "Baseline2(queue+cas)", algo: optibfs.Baseline2QueueCAS},
 }
 
 // LockfreeAlgos is the Figure 2 set: the paper plots the scalability of
 // its lockfree variants only.
 var LockfreeAlgos = []AlgoSpec{
-	coreSpec(core.BFSCL),
-	coreSpec(core.BFSDL),
-	coreSpec(core.BFSWSL),
+	algoSpec(optibfs.BFSCL),
+	algoSpec(optibfs.BFSDL),
+	algoSpec(optibfs.BFSWSL),
 }
 
 // ExtensionAlgos are this repository's implementations of the paper's
 // future-work sketches (§IV-D); they are benchmarked as ablations, not
 // in the paper-faithful tables.
 var ExtensionAlgos = []AlgoSpec{
-	coreSpec(core.BFSEL),
-	{Name: "DirectionOptimizing", fam: familyBeamer},
+	algoSpec(optibfs.BFSEL),
+	algoSpec(optibfs.DirectionOptimizing),
 }
 
 // AlgoByName resolves a display name (for CLI flags).
@@ -88,135 +76,51 @@ func AlgoByName(name string) (AlgoSpec, error) {
 // Run executes the algorithm on g from src (one-shot; multi-source
 // measurements should go through NewRunner so per-run state is pooled).
 func (a AlgoSpec) Run(g *graph.CSR, src int32, opt core.Options) (*core.Result, error) {
-	switch a.fam {
-	case familyCore:
-		if a.algo == core.Serial {
-			// Parallel-only knobs don't apply to the serial baseline;
-			// drop Hybrid the same way NewBackend ignores Shards for it,
-			// so one option set can sweep a whole algorithm table.
-			opt.Hybrid = false
-		}
-		return core.Run(g, src, a.algo, opt)
-	case familyBaseline1:
-		return baseline1.Run(g, src, opt)
-	case familyBaseline2:
-		return baseline2.Run(g, src, a.b2, opt)
-	case familyBeamer:
-		return beamer.Run(g, src, beamer.Options{Options: opt})
-	default:
-		return nil, fmt.Errorf("harness: bad algorithm family %d", a.fam)
-	}
+	return optibfs.BFS(g, src, a.algo, a.options(opt))
 }
 
-// Runner is a reusable per-(algorithm, graph) handle. Core variants and
-// the direction-optimizing extension run on a pooled engine, so repeated
-// Run calls reuse dist/parent/queue state (and, for beamer, the
-// transpose); the baselines have no engine layer and fall back to
-// one-shot dispatch. Like the engines it wraps, a Runner is
-// single-caller, and results alias pooled state valid until the next Run.
-type Runner struct {
-	spec AlgoSpec
-	g    *graph.CSR
-	opt  core.Options
-	ce   core.Backend
-	be   *beamer.Engine
+// NewRunner builds a reusable engine for the spec over g: the paper's
+// variants and DirectionOptimizing run on pooled engines, the
+// baselines fall back to one-shot dispatch per run (see
+// optibfs.Engine). Options.Reorder and Options.Shards reach the core
+// engines only; the Baseline1/Baseline2 runtimes traverse the graph as
+// given.
+func (a AlgoSpec) NewRunner(g *graph.CSR, opt core.Options) (*optibfs.Engine, error) {
+	return optibfs.NewEngine(g, a.algo, a.options(opt))
 }
 
-// NewRunner builds a Runner for the spec over g. Options.Reorder is
-// honored by the core family only (the engine relabels internally and
-// maps results back to original ids); the Baseline1/Baseline2 and
-// direction-optimizing runtimes have no engine relabeling layer and
-// traverse the graph as given. Options.Shards routes the core family
-// through core.NewBackend: 0/1 is the classic single engine, more gets
-// the sharded owner-compute runtime (which rejects Reorder).
-// Options.Hybrid enables direction-optimizing levels for the parallel
-// core variants; the serial baseline drops it (and the non-core
-// runtimes never see core's option struct semantics for it).
-func (a AlgoSpec) NewRunner(g *graph.CSR, opt core.Options) (*Runner, error) {
-	r := &Runner{spec: a, g: g, opt: opt}
-	switch a.fam {
-	case familyCore:
-		if a.algo == core.Serial {
-			// Same parallel-only-knob convention as AlgoSpec.Run.
-			opt.Hybrid = false
-		}
-		e, err := core.NewBackend(g, a.algo, opt)
-		if err != nil {
-			return nil, err
-		}
-		r.ce = e
-	case familyBeamer:
-		e, err := beamer.NewEngine(g, beamer.Options{Options: opt})
-		if err != nil {
-			return nil, err
-		}
-		r.be = e
+// options adapts one sweep-wide option set to the spec: the serial
+// baseline drops the parallel-only Hybrid knob (the same way
+// core.NewBackend ignores Shards for it), so one option set can sweep
+// a whole algorithm table. The public BFS(Serial, Hybrid) still
+// refuses the combination.
+func (a AlgoSpec) options(opt core.Options) *core.Options {
+	if a.IsSerial() {
+		opt.Hybrid = false
 	}
-	return r, nil
-}
-
-// Run executes one search from src on the pooled state.
-func (r *Runner) Run(src int32) (*core.Result, error) {
-	switch {
-	case r.ce != nil:
-		return r.ce.Run(src)
-	case r.be != nil:
-		return r.be.Run(src)
-	default:
-		return r.spec.Run(r.g, src, r.opt)
-	}
-}
-
-// RunGoal executes one goal-directed search on the pooled state: the
-// run stops at the level barrier that settles goal (target committed or
-// depth bound reached) and the partial Result is exact for every closed
-// level. Core family only — see SupportsGoals.
-func (r *Runner) RunGoal(ctx context.Context, src int32, goal core.Goal) (*core.Result, error) {
-	if r.ce == nil {
-		return nil, fmt.Errorf("harness: %s does not support goal-directed termination", r.spec.Name)
-	}
-	return r.ce.RunGoal(ctx, src, goal)
-}
-
-// Reseed re-derives the algorithm's RNG streams from seed, matching
-// what a fresh run with Options.Seed = seed would use.
-func (r *Runner) Reseed(seed uint64) {
-	r.opt.Seed = seed
-	if r.ce != nil {
-		r.ce.Reseed(seed)
-	}
-}
-
-// Close releases the runner's engine (persistent workers, if any).
-func (r *Runner) Close() {
-	if r.ce != nil {
-		r.ce.Close()
-	}
+	return &opt
 }
 
 // Shape returns the cost shape the model should assume.
 func (a AlgoSpec) Shape() costmodel.Shape {
-	switch a.fam {
-	case familyCore:
-		return costmodel.ShapeOf(a.algo)
-	case familyBaseline1:
+	if a.algo == optibfs.Baseline1 {
 		return costmodel.ShapeBag
-	default:
-		return costmodel.ShapeNone
 	}
+	return costmodel.ShapeOf(core.Algorithm(a.algo))
 }
 
 // IsSerial reports whether the spec is the serial baseline (always run
 // with one worker regardless of the experiment's p).
 func (a AlgoSpec) IsSerial() bool {
-	return a.fam == familyCore && a.algo == core.Serial
+	return a.algo == optibfs.Serial
 }
 
 // SupportsGoals reports whether the spec's runtime honors goal-directed
-// early termination (core.Options.Target / MaxDepth): the core family
-// does, serial baseline included; the Baseline1/Baseline2 and
-// direction-optimizing extension runtimes have no goal machinery and
-// would silently run to exhaustion.
+// early termination (core.Options.Target / MaxDepth): the paper's
+// variants, serial baseline included, and DirectionOptimizing do; the
+// Baseline1/Baseline2 comparison runtimes (the Baseline-prefixed
+// algorithm names) have no goal machinery and would silently run to
+// exhaustion.
 func (a AlgoSpec) SupportsGoals() bool {
-	return a.fam == familyCore
+	return !strings.HasPrefix(string(a.algo), "Baseline")
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"optibfs"
 	"optibfs/internal/core"
 	"optibfs/internal/costmodel"
 	"optibfs/internal/graph"
@@ -192,8 +193,8 @@ func Table6(w io.Writer, cfg Config, reps int) (*Table, error) {
 		Headers: []string{"program", "modeled-ms", "attempts", "victim-locked", "victim-idle", "too-small", "stale", "invalid", "failed-total", "successful"},
 	}
 	for _, algo := range []AlgoSpec{
-		{Name: string(core.BFSWS), fam: familyCore, algo: core.BFSWS},
-		{Name: string(core.BFSWSL), fam: familyCore, algo: core.BFSWSL},
+		algoSpec(optibfs.BFSWS),
+		algoSpec(optibfs.BFSWSL),
 	} {
 		var agg stats.Counters
 		var modeled float64
@@ -244,7 +245,7 @@ func Table6(w io.Writer, cfg Config, reps int) (*Table, error) {
 // variants on the full suite. Not a paper artifact — an extension.
 func Extensions(w io.Writer, cfg Config) (*Table, error) {
 	cfg = cfg.WithDefaults()
-	algos := []AlgoSpec{coreSpec(core.BFSCL), coreSpec(core.BFSWSL)}
+	algos := []AlgoSpec{algoSpec(optibfs.BFSCL), algoSpec(optibfs.BFSWSL)}
 	algos = append(algos, ExtensionAlgos...)
 	t := &Table{
 		Title:   fmt.Sprintf("Extensions — future-work variants vs the paper's lockfree BFS (modeled ms, %s, p=%d, scale 1/%d)", cfg.Machine.Name, cfg.Workers, cfg.ScaleDiv),
@@ -279,20 +280,18 @@ func Extensions(w io.Writer, cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// HybridTable compares the in-core direction-optimizing mode (PR 8)
-// against plain BFS_WSL and the standalone beamer wrapper on every
-// suite graph: measured wall-clock MTEPS on this host (harmonic-mean
-// convention), plus the hybrid's speedups over both. This is a
+// HybridTable compares the in-core direction-optimizing mode against
+// plain BFS_WSL on every suite graph: measured wall-clock MTEPS on this
+// host (harmonic-mean convention), plus the hybrid's speedup. This is a
 // measured experiment, not a modeled one — the cost model has no
-// bottom-up shape, and the claim under test ("the fused hybrid beats
-// the wrapper everywhere") is about real allocation, conversion, and
-// scan costs.
+// bottom-up shape, and the claim under test is about real conversion
+// and scan costs.
 //
-// Measurement is paired: per graph, all variants share one source set
+// Measurement is paired: per graph, both variants share one source set
 // and one warmed runner each, and every repetition times each
 // variant's full source sweep back-to-back, alternating the order by
 // repetition parity. Reported MTEPS are medians over repetitions, and
-// the ratio rows are medians of the per-repetition time ratios.
+// the ratio row is the median of the per-repetition time ratios.
 // Host-frequency and GC drift over a run's lifetime moves adjacent
 // blocks together, so paired ratios survive it; the naive
 // one-contiguous-block-per-variant design this replaced could swing a
@@ -304,29 +303,27 @@ func HybridTable(w io.Writer, cfg Config) (*Table, error) {
 		algo   AlgoSpec
 		hybrid bool
 	}{
-		{"BFS_WSL", coreSpec(core.BFSWSL), false},
-		{"BFS_WSL+hybrid", coreSpec(core.BFSWSL), true},
-		{"DirectionOptimizing(wrapper)", AlgoSpec{Name: "DirectionOptimizing", fam: familyBeamer}, false},
+		{"BFS_WSL", algoSpec(optibfs.BFSWSL), false},
+		{"BFS_WSL+hybrid", algoSpec(optibfs.BFSWSL), true},
 	}
 	// Odd so every median is an actual observation, high enough that
 	// one descheduled repetition cannot reach the middle ranks.
 	const reps = 9
 	t := &Table{
-		Title: fmt.Sprintf("Hybrid — in-core direction optimization vs wrapper and plain BFS_WSL (measured MTEPS, p=%d, scale 1/%d)",
+		Title: fmt.Sprintf("Hybrid — in-core direction optimization vs plain BFS_WSL (measured MTEPS, p=%d, scale 1/%d)",
 			cfg.Workers, cfg.ScaleDiv),
 		Headers: append([]string{"algorithm"}, suiteNames()...),
 		Notes: []string{
 			"measured wall-clock on this host, harmonic-mean TEPS across sources",
 			fmt.Sprintf("paired runs: each of %d repetitions times every variant back-to-back (order alternating); MTEPS are medians over repetitions", reps),
-			"hybrid/wrapper and hybrid/plain are medians of per-repetition time ratios (>1 = in-core hybrid faster), so they may differ slightly from the MTEPS quotients",
+			"hybrid/plain is the median of per-repetition time ratios (>1 = in-core hybrid faster), so it may differ slightly from the MTEPS quotient",
 		},
 	}
-	rows := make([][]string, len(variants)+2)
+	rows := make([][]string, len(variants)+1)
 	for i, v := range variants {
 		rows[i] = []string{v.name}
 	}
-	rows[len(variants)] = []string{"hybrid/wrapper"}
-	rows[len(variants)+1] = []string{"hybrid/plain"}
+	rows[len(variants)] = []string{"hybrid/plain"}
 	for _, spec := range Suite {
 		g, err := spec.Generate(cfg.ScaleDiv)
 		if err != nil {
@@ -335,7 +332,7 @@ func HybridTable(w io.Writer, cfg Config) (*Table, error) {
 		// One shared source set: paired ratios are only meaningful if
 		// every variant sweeps the identical searches.
 		sources := PickSources(g, cfg.Sources, cfg.Seed)
-		runners := make([]*Runner, len(variants))
+		runners := make([]*optibfs.Engine, len(variants))
 		edges := make([]int64, len(variants))
 		for i, v := range variants {
 			opt := cfg.Opt
@@ -365,7 +362,7 @@ func HybridTable(w io.Writer, cfg Config) (*Table, error) {
 				pub.run(res, elapsed, costmodel.Modeled(cfg.Machine, shape, res))
 			}
 		}
-		block := func(r *Runner) (float64, error) {
+		block := func(r *optibfs.Engine) (float64, error) {
 			start := time.Now()
 			for k, src := range sources {
 				r.Reseed(cfg.Seed + uint64(k)*0x9e37 + 1)
@@ -399,8 +396,7 @@ func HybridTable(w io.Writer, cfg Config) (*Table, error) {
 		for i := range variants {
 			rows[i] = append(rows[i], fmt.Sprintf("%.1f", float64(edges[i])/median(times[i])/1e6))
 		}
-		rows[len(variants)] = append(rows[len(variants)], fmt.Sprintf("%.2fx", ratio(2, 1)))
-		rows[len(variants)+1] = append(rows[len(variants)+1], fmt.Sprintf("%.2fx", ratio(0, 1)))
+		rows[len(variants)] = append(rows[len(variants)], fmt.Sprintf("%.2fx", ratio(0, 1)))
 	}
 	for _, row := range rows {
 		t.AddRow(row...)
@@ -431,7 +427,7 @@ func HybridTable(w io.Writer, cfg Config) (*Table, error) {
 // mechanism behind the latency wins.
 func GoalTable(w io.Writer, cfg Config) (*Table, error) {
 	cfg = cfg.WithDefaults()
-	spec := coreSpec(core.BFSWSL)
+	algo := algoSpec(optibfs.BFSWSL)
 	const reps = 9
 	const hop = 4
 	t := &Table{
@@ -461,7 +457,7 @@ func GoalTable(w io.Writer, cfg Config) (*Table, error) {
 		sources := PickSources(g, cfg.Sources, cfg.Seed)
 		opt := cfg.Opt
 		opt.Workers = cfg.Workers
-		r, err := spec.NewRunner(g, opt)
+		r, err := algo.NewRunner(g, opt)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", gs.Name, err)
 		}

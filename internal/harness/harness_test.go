@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"optibfs"
 	"optibfs/internal/core"
 	"optibfs/internal/costmodel"
 	"optibfs/internal/graph"
@@ -423,10 +424,13 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-// TestRunnerReuseAllFamilies checks the Runner contract across every
-// dispatch family: repeated Run calls on one runner (pooled for core
-// and beamer, one-shot fallback for the baselines) all match the
-// serial oracle, and Reseed between runs is accepted everywhere.
+// TestRunnerReuseAllFamilies checks the runner contract across every
+// dispatch family: repeated Run calls on one runner (pooled for the
+// core engines, DirectionOptimizing included, one-shot fallback for
+// the baselines) all match the serial oracle, and Reseed between runs
+// is accepted everywhere. A sweep-wide Hybrid option reaches every
+// spec too: the serial baseline drops it in the harness, while the
+// public BFS(Serial, Hybrid) keeps core's refusal.
 func TestRunnerReuseAllFamilies(t *testing.T) {
 	gspec, _ := SpecByName("wikipedia")
 	g, err := gspec.Generate(4096)
@@ -435,21 +439,34 @@ func TestRunnerReuseAllFamilies(t *testing.T) {
 	}
 	want := graph.ReferenceBFS(g, 0)
 	specs := append(append([]AlgoSpec{}, TableAlgos...), ExtensionAlgos...)
-	for _, spec := range specs {
-		runner, err := spec.NewRunner(g, core.Options{Workers: 4, Seed: 1})
-		if err != nil {
-			t.Fatalf("%s: %v", spec.Name, err)
-		}
-		for i := 0; i < 3; i++ {
-			runner.Reseed(uint64(i) + 1)
-			res, err := runner.Run(0)
+	for _, hybrid := range []bool{false, true} {
+		for _, spec := range specs {
+			opt := core.Options{Workers: 4, Seed: 1, Hybrid: hybrid}
+			runner, err := spec.NewRunner(g, opt)
 			if err != nil {
-				t.Fatalf("%s run %d: %v", spec.Name, i, err)
+				t.Fatalf("%s hybrid=%v: %v", spec.Name, hybrid, err)
+			}
+			for i := 0; i < 3; i++ {
+				runner.Reseed(uint64(i) + 1)
+				res, err := runner.Run(0)
+				if err != nil {
+					t.Fatalf("%s hybrid=%v run %d: %v", spec.Name, hybrid, i, err)
+				}
+				if err := graph.EqualDistances(res.Dist, want); err != nil {
+					t.Fatalf("%s hybrid=%v run %d: %v", spec.Name, hybrid, i, err)
+				}
+			}
+			runner.Close()
+			res, err := spec.Run(g, 0, opt)
+			if err != nil {
+				t.Fatalf("%s hybrid=%v one-shot: %v", spec.Name, hybrid, err)
 			}
 			if err := graph.EqualDistances(res.Dist, want); err != nil {
-				t.Fatalf("%s run %d: %v", spec.Name, i, err)
+				t.Fatalf("%s hybrid=%v one-shot: %v", spec.Name, hybrid, err)
 			}
 		}
-		runner.Close()
+	}
+	if _, err := optibfs.BFS(g, 0, optibfs.Serial, &core.Options{Hybrid: true}); err == nil {
+		t.Fatal("public BFS accepted Hybrid for the serial baseline")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"optibfs/internal/analysis"
 	"optibfs/internal/baseline1"
 	"optibfs/internal/baseline2"
-	"optibfs/internal/beamer"
 	"optibfs/internal/core"
 	"optibfs/internal/gen"
 	"optibfs/internal/graph"
@@ -199,8 +198,9 @@ const (
 	// Baseline2Hybrid is Hong et al.'s per-level strategy picker.
 	Baseline2Hybrid Algorithm = "Baseline2:hybrid"
 	// DirectionOptimizing is Beamer et al.'s top-down/bottom-up hybrid
-	// (SC 2012, the paper's prior-work ref [5]), implemented here with
-	// the same no-lock, no-RMW discipline as the core algorithms.
+	// (SC 2012, the paper's prior-work ref [5]): BFS_WSL with the
+	// in-core Options.Hybrid switch on, so it keeps the paper's
+	// no-lock, no-RMW discipline and every core engine feature.
 	DirectionOptimizing Algorithm = "DirectionOptimizing"
 )
 
@@ -214,7 +214,24 @@ var Algorithms = []Algorithm{
 // Lockfree reports whether the algorithm's dynamic load balancer uses
 // neither locks nor atomic read-modify-write instructions.
 func (a Algorithm) Lockfree() bool {
-	return core.Algorithm(a).Lockfree()
+	v, _, ok := coreRoute(a, Options{})
+	return ok && v.Lockfree()
+}
+
+// coreRoute maps a public algorithm onto the core variant that runs it
+// and the options it runs with: the paper's algorithms run as
+// themselves, DirectionOptimizing is BFS_WSL with the in-core Hybrid
+// switch on. ok is false for the comparison runtimes (and unknown
+// names), which have no core engine.
+func coreRoute(a Algorithm, o Options) (v core.Algorithm, _ Options, ok bool) {
+	switch a {
+	case Serial, BFSC, BFSCL, BFSDL, BFSW, BFSWL, BFSWS, BFSWSL, BFSEL:
+		return core.Algorithm(a), o, true
+	case DirectionOptimizing:
+		o.Hybrid = true
+		return core.BFSWSL, o, true
+	}
+	return "", o, false
 }
 
 // BFS runs the selected algorithm on g from source src. A nil opt is
@@ -232,33 +249,42 @@ func BFSContext(ctx context.Context, g *Graph, src int32, algo Algorithm, opt *O
 	if opt != nil {
 		o = *opt
 	}
-	switch algo {
-	case Serial, BFSC, BFSCL, BFSDL, BFSW, BFSWL, BFSWS, BFSWSL, BFSEL:
-		return core.RunContext(ctx, g, src, core.Algorithm(algo), o)
-	case Baseline1, Baseline2QueueCAS, Baseline2Read, Baseline2LocalQueue,
-		Baseline2LocalQueueBitmap, Baseline2Hybrid, DirectionOptimizing:
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	if v, co, ok := coreRoute(algo, o); ok {
+		return core.RunContext(ctx, g, src, v, co)
 	}
-	switch algo {
-	case Baseline1:
-		return baseline1.Run(g, src, o)
-	case Baseline2QueueCAS:
-		return baseline2.Run(g, src, baseline2.QueueCAS, o)
-	case Baseline2Read:
-		return baseline2.Run(g, src, baseline2.ReadArray, o)
-	case Baseline2LocalQueue:
-		return baseline2.Run(g, src, baseline2.LocalQueue, o)
-	case Baseline2LocalQueueBitmap:
-		return baseline2.Run(g, src, baseline2.LocalQueueBitmap, o)
-	case Baseline2Hybrid:
-		return baseline2.Run(g, src, baseline2.Hybrid, o)
-	case DirectionOptimizing:
-		return beamer.Run(g, src, beamer.Options{Options: o})
-	default:
+	run := baselineRun(algo)
+	if run == nil {
 		return nil, fmt.Errorf("optibfs: unknown algorithm %q", algo)
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return run(g, src, o)
+}
+
+// baselineRun returns the one-shot runtime of a comparison system, or
+// nil if a is not one.
+func baselineRun(a Algorithm) func(*Graph, int32, Options) (*Result, error) {
+	variant := func(v baseline2.Variant) func(*Graph, int32, Options) (*Result, error) {
+		return func(g *Graph, src int32, o Options) (*Result, error) {
+			return baseline2.Run(g, src, v, o)
+		}
+	}
+	switch a {
+	case Baseline1:
+		return baseline1.Run
+	case Baseline2QueueCAS:
+		return variant(baseline2.QueueCAS)
+	case Baseline2Read:
+		return variant(baseline2.ReadArray)
+	case Baseline2LocalQueue:
+		return variant(baseline2.LocalQueue)
+	case Baseline2LocalQueueBitmap:
+		return variant(baseline2.LocalQueueBitmap)
+	case Baseline2Hybrid:
+		return variant(baseline2.Hybrid)
+	}
+	return nil
 }
 
 // WriteChromeTrace renders a run's dispatch events (Options.

@@ -49,7 +49,7 @@ func TestBFSUnknownAlgorithm(t *testing.T) {
 }
 
 func TestLockfreeClassification(t *testing.T) {
-	for _, a := range []Algorithm{BFSCL, BFSDL, BFSWL, BFSWSL} {
+	for _, a := range []Algorithm{BFSCL, BFSDL, BFSWL, BFSWSL, BFSEL, DirectionOptimizing} {
 		if !a.Lockfree() {
 			t.Fatalf("%s not classified lockfree", a)
 		}
@@ -145,16 +145,18 @@ func TestResultCountersExposed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := BFS(g, 0, BFSWSL, &Options{Workers: 8, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var c Counters = res.Counters
-	if c.EdgesScanned == 0 {
-		t.Fatal("counters not populated")
-	}
-	if c.AtomicRMW != 0 {
-		t.Fatalf("paper algorithm reported %d atomic RMW", c.AtomicRMW)
+	for _, algo := range []Algorithm{BFSWSL, DirectionOptimizing} {
+		res, err := BFS(g, 0, algo, &Options{Workers: 8, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var c Counters = res.Counters
+		if c.EdgesScanned == 0 {
+			t.Fatalf("%s: counters not populated", algo)
+		}
+		if c.AtomicRMW != 0 || c.LockAcquisitions != 0 {
+			t.Fatalf("%s reported %d atomic RMW, %d lock acquisitions", algo, c.AtomicRMW, c.LockAcquisitions)
+		}
 	}
 	resB, err := BFS(g, 0, Baseline2LocalQueueBitmap, &Options{Workers: 8})
 	if err != nil {
