@@ -94,7 +94,7 @@ func TestLoadPathTooLarge(t *testing.T) {
 	ts := httptest.NewServer(d.handler())
 	t.Cleanup(func() {
 		ts.Close()
-		d.closeGuard()
+		d.registry.Close()
 	})
 	g, err := gen.ErdosRenyi(500, 2500, 3, gen.Options{})
 	if err != nil {
@@ -174,7 +174,7 @@ func TestShardedDaemonQueries(t *testing.T) {
 	ts := httptest.NewServer(d.handler())
 	t.Cleanup(func() {
 		ts.Close()
-		d.closeGuard()
+		d.registry.Close()
 	})
 	postJSON(t, ts.URL+"/load?gen=rmat&n=2048&m=16384&seed=3", "", http.StatusOK)
 	for i := 0; i < 3; i++ {

@@ -122,12 +122,6 @@ func (d *daemon) handler() http.Handler {
 	return mux
 }
 
-// closeGuard drains the whole registry during daemon shutdown (the
-// name predates the registry; tests and main both use it).
-func (d *daemon) closeGuard() {
-	d.registry.Close()
-}
-
 // graphName validates a client-supplied graph name: short, path-safe,
 // metric-label-safe.
 func graphName(name string) (string, error) {
@@ -926,7 +920,7 @@ func main() {
 	}
 	// Close the registry: fleets drain and close in eviction (LRU)
 	// order, mappings release after their last reader.
-	d.closeGuard()
+	d.registry.Close()
 	log.Printf("bfsd: bye")
 	os.Exit(code)
 }

@@ -28,7 +28,7 @@ func testDaemon(t *testing.T) (*daemon, *httptest.Server) {
 	ts := httptest.NewServer(d.handler())
 	t.Cleanup(func() {
 		ts.Close()
-		d.closeGuard()
+		d.registry.Close()
 	})
 	return d, ts
 }
@@ -157,7 +157,7 @@ func TestLoadBodyTooLarge(t *testing.T) {
 	ts := httptest.NewServer(d.handler())
 	defer func() {
 		ts.Close()
-		d.closeGuard()
+		d.registry.Close()
 	}()
 	big := strings.Repeat("0 1\n", 100)
 	postJSON(t, ts.URL+"/load", big, http.StatusRequestEntityTooLarge)

@@ -111,7 +111,7 @@ func TestPartialAnswerOn504(t *testing.T) {
 	ts := httptest.NewServer(d.handler())
 	defer func() {
 		ts.Close()
-		d.closeGuard()
+		d.registry.Close()
 	}()
 	postJSON(t, ts.URL+"/load?gen=er&n=2000&m=12000&seed=7", "", http.StatusOK)
 
@@ -178,7 +178,7 @@ func parkedDaemon(t *testing.T, load string, batch serve.BatchConfig) (d *daemon
 	ts = httptest.NewServer(d.handler())
 	t.Cleanup(func() {
 		ts.Close()
-		d.closeGuard()
+		d.registry.Close()
 	})
 	postJSON(t, ts.URL+"/load?"+load, "", http.StatusOK)
 

@@ -161,7 +161,7 @@ func TestBurstSheds429WithRetryAfter(t *testing.T) {
 	ts := httptest.NewServer(d.handler())
 	t.Cleanup(func() {
 		ts.Close()
-		d.closeGuard()
+		d.registry.Close()
 	})
 	postJSON(t, ts.URL+"/load?gen=er&n=256&m=1024&seed=4", "", http.StatusOK)
 
@@ -231,7 +231,7 @@ func TestMemBudgetEvictsLRUOverHTTP(t *testing.T) {
 	ts := httptest.NewServer(d.handler())
 	t.Cleanup(func() {
 		ts.Close()
-		d.closeGuard()
+		d.registry.Close()
 	})
 
 	// Identical generator params -> identical cost per graph; the

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -113,10 +114,8 @@ func run(algoName, graphPath, suite string, scale, src, sources, workers int, se
 	if err != nil {
 		return err
 	}
-	goal := core.Goal{MaxDepth: int32(maxDepth)}
-	if dst >= 0 {
-		goal.Target = int32(dst) + 1
-	}
+	goal := core.GoalTo(int32(dst))
+	goal.MaxDepth = int32(maxDepth)
 	if goal.Bounded() && !algo.SupportsGoals() {
 		return fmt.Errorf("-dst/-k need a goal-capable algorithm (the paper's or DirectionOptimizing); %s runs to exhaustion", algoName)
 	}
@@ -154,8 +153,7 @@ func run(algoName, graphPath, suite string, scale, src, sources, workers int, se
 	} else {
 		srcs = harness.PickSources(g, sources, seed)
 	}
-	opt := core.Options{Workers: workers, Seed: seed, Reorder: core.ReorderMode(reorderMode), Shards: shards, Hybrid: hybrid,
-		Target: goal.Target, MaxDepth: goal.MaxDepth}
+	opt := core.Options{Workers: workers, Seed: seed, Reorder: core.ReorderMode(reorderMode), Shards: shards, Hybrid: hybrid}
 	if opt.Reorder != core.ReorderNone {
 		// The engine relabels internally and maps results back, so the
 		// -validate comparison below stays in original vertex ids.
@@ -185,7 +183,7 @@ func run(algoName, graphPath, suite string, scale, src, sources, workers int, se
 	var lastSrc int32
 	for _, s := range srcs {
 		start := time.Now()
-		res, err := runner.Run(s)
+		res, err := runner.RunGoal(context.Background(), s, goal)
 		if err != nil {
 			return err
 		}

@@ -15,7 +15,7 @@
 // With -st the procedure measures goal-directed point-to-point search
 // instead of TEPS: each round runs one validated full BFS to pick a
 // mid-depth target, then times a full sweep and an s-t search
-// (core.Options.Target early termination) back to back in alternating
+// (a core.GoalTo run argument) back to back in alternating
 // order, reporting per-round and paired-median speedup plus the edge
 // fraction the s-t search actually touched.
 package main

@@ -72,13 +72,7 @@ func (e *Engine) Run(src int32) (*Result, error) {
 // (the baseline fallbacks, as with BFSContext, only check ctx before
 // starting).
 func (e *Engine) RunContext(ctx context.Context, src int32) (*Result, error) {
-	if e.closed {
-		return nil, fmt.Errorf("optibfs: engine is closed")
-	}
-	if e.ce != nil {
-		return e.ce.RunContext(ctx, src)
-	}
-	return BFSContext(ctx, e.g, src, e.algo, &e.opt)
+	return e.RunGoal(ctx, src, Goal{})
 }
 
 // RunGoal executes one goal-directed search from src: the run stops at
@@ -87,17 +81,19 @@ func (e *Engine) RunContext(ctx context.Context, src int32) (*Result, error) {
 // distances at or below Result.Levels are final, deeper vertices are
 // Unreached, Result.Truncated reports whether the goal fired. Goal
 // checks happen only at level barriers, so the hot traversal path is
-// identical to Run's. Supported by the paper's algorithms and
-// DirectionOptimizing (the engine family); the baseline fallbacks have
-// no goal machinery and refuse.
+// identical to Run's. Every algorithm accepts the zero Goal; the
+// baseline fallbacks have no goal machinery and refuse any other.
 func (e *Engine) RunGoal(ctx context.Context, src int32, goal Goal) (*Result, error) {
 	if e.closed {
 		return nil, fmt.Errorf("optibfs: engine is closed")
 	}
-	if e.ce == nil {
+	if e.ce != nil {
+		return e.ce.RunGoal(ctx, src, goal)
+	}
+	if goal != (Goal{}) {
 		return nil, fmt.Errorf("optibfs: %s does not support goal-directed termination", e.algo)
 	}
-	return e.ce.RunGoal(ctx, src, goal)
+	return BFSContext(ctx, e.g, src, e.algo, &e.opt)
 }
 
 // RunMany runs one search per source, invoking visit (if non-nil)

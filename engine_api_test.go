@@ -2,6 +2,7 @@ package optibfs
 
 import (
 	"context"
+	"strings"
 	"testing"
 )
 
@@ -41,6 +42,47 @@ func TestEngineAPI(t *testing.T) {
 		if _, err := e.Run(0); err == nil {
 			t.Fatalf("%s: Run on a closed engine succeeded", algo)
 		}
+	}
+}
+
+// TestEngineRunGoalEveryAlgorithm: the zero Goal is an unbounded run on
+// every algorithm, baselines included, with the same distances as Run;
+// a bounded goal is refused only where no goal machinery exists.
+func TestEngineRunGoalEveryAlgorithm(t *testing.T) {
+	g, err := NewPowerLaw(1024, 8192, 2.2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := SerialBFS(g, 0)
+	ctx := context.Background()
+	for _, algo := range Algorithms {
+		e, err := NewEngine(g, algo, &Options{Workers: 4, Seed: 4})
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		res, err := e.RunGoal(ctx, 0, Goal{})
+		if err != nil {
+			t.Fatalf("%s: zero Goal: %v", algo, err)
+		}
+		if res.Truncated {
+			t.Fatalf("%s: zero Goal run marked truncated", algo)
+		}
+		for v, d := range want {
+			if res.Dist[v] != d {
+				t.Fatalf("%s: zero Goal dist[%d] = %d, want %d", algo, v, res.Dist[v], d)
+			}
+		}
+		res, err = e.RunGoal(ctx, 0, Goal{MaxDepth: 2})
+		if strings.HasPrefix(string(algo), "Baseline") {
+			if err == nil {
+				t.Fatalf("%s: bounded goal accepted by a runtime without goal machinery", algo)
+			}
+		} else if err != nil {
+			t.Fatalf("%s: bounded goal: %v", algo, err)
+		} else if res.Levels != 2 || !res.Truncated {
+			t.Fatalf("%s: depth-2 goal: Levels=%d Truncated=%v", algo, res.Levels, res.Truncated)
+		}
+		e.Close()
 	}
 }
 

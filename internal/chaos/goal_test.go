@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestAuditGoalContract(t *testing.T) {
 
 	// Depth-bounded run: 5 closed levels, everything deeper Unreached.
 	goal := core.Goal{MaxDepth: 5}
-	res, err := core.Run(g, 0, core.BFSWL, core.Options{Workers: 4, TrackParents: true, MaxDepth: 5})
+	res, err := core.RunGoal(context.Background(), g, 0, core.BFSWL, core.Options{Workers: 4, TrackParents: true}, goal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestAuditGoalContract(t *testing.T) {
 			break
 		}
 	}
-	tres, err := core.Run(g, 0, core.BFSWL, core.Options{Workers: 4, Target: deep + 1})
+	tres, err := core.RunGoal(context.Background(), g, 0, core.BFSWL, core.Options{Workers: 4}, core.GoalTo(deep))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestReplayGoalRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Options.MaxDepth != 4 {
+	if o := got.Options; o.MaxDepth != 4 {
 		t.Fatalf("depth bound lost in artifact round-trip: %+v", got.Options)
 	}
 	vs, res, err := Replay(got)
@@ -181,7 +182,7 @@ func TestReplayGoalRun(t *testing.T) {
 		t.Fatalf("goal replay: Levels=%d Truncated=%v, want 4/true", res.Levels, res.Truncated)
 	}
 
-	// The engine-run replay path honors the construction-time goal too.
+	// The engine-run replay path honors the artifact's goal too.
 	got.EngineRun = true
 	vs, res, err = Replay(got)
 	if err != nil {

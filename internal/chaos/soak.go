@@ -110,7 +110,7 @@ type RunOptions struct {
 	// 0 leaves it off. Set by the soak for Disruptive profiles so forced
 	// stalls are detected rather than hanging the sweep.
 	StallTimeoutMillis int `json:"stall_timeout_millis,omitempty"`
-	// Target is a goal-directed termination target, in core.Options'
+	// Target is a goal-directed termination target, in core.Goal's
 	// vertex+1 sentinel encoding (0 = none): the run stops at the level
 	// barrier that settles vertex Target−1.
 	Target int32 `json:"target,omitempty"`
@@ -120,7 +120,8 @@ type RunOptions struct {
 	Seed uint64 `json:"seed"`
 }
 
-// Core converts to core.Options (without a chaos hook).
+// Core converts to core.Options (without a chaos hook or the goal,
+// which is a run argument: see goal).
 func (o RunOptions) Core() core.Options {
 	return core.Options{
 		Workers:           o.Workers,
@@ -137,11 +138,12 @@ func (o RunOptions) Core() core.Options {
 		Shards:            o.Shards,
 		Hybrid:            o.Hybrid,
 		StallTimeout:      time.Duration(o.StallTimeoutMillis) * time.Millisecond,
-		Target:            o.Target,
-		MaxDepth:          o.MaxDepth,
 		Seed:              o.Seed,
 	}
 }
+
+// goal returns the run's termination goal.
+func (o RunOptions) goal() core.Goal { return core.Goal{Target: o.Target, MaxDepth: o.MaxDepth} }
 
 // injectorWorkers is how many worker-id slots the injector must cover
 // for this option set: sharded backends run Shards engines of Workers
@@ -223,10 +225,10 @@ func Replay(r Repro) ([]Violation, *core.Result, error) {
 	if opt.Workers <= 0 {
 		opt.Workers = runtime.GOMAXPROCS(0)
 	}
-	// The artifact's goal rides in as construction-time options, so the
-	// replayed run terminates where the recorded one did; the audit
-	// judges it by the same goal-aware contract.
-	goal := core.Goal{Target: r.Options.Target, MaxDepth: r.Options.MaxDepth}
+	// Every replayed run takes the artifact's goal, so it terminates
+	// where the recorded one did; the audit judges it by the same
+	// goal-aware contract.
+	goal := r.Options.goal()
 	if r.EngineRun {
 		// The failure was observed on a reused engine: replay the run
 		// three times on one engine so second-run-and-later bugs (state
@@ -245,7 +247,7 @@ func Replay(r Repro) ([]Violation, *core.Result, error) {
 			inj := NewInjector(r.Profile, r.InjectionSeed, r.Options.injectorWorkers())
 			e.SetChaos(inj)
 			e.Reseed(opt.Seed)
-			res, err = e.Run(r.Source)
+			res, err = e.RunGoal(context.Background(), r.Source, goal)
 			if err != nil {
 				if !recoveryAbort(err) {
 					return nil, nil, err
@@ -269,7 +271,7 @@ func Replay(r Repro) ([]Violation, *core.Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := b.Run(r.Source)
+	res, err := b.RunGoal(context.Background(), r.Source, goal)
 	b.Close()
 	if err != nil {
 		if recoveryAbort(err) {
@@ -610,7 +612,7 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 						}
 						// The cell's goal, captured before engines mode
 						// swaps opts for the shared engine's frozen set.
-						goal := core.Goal{Target: opts.Target, MaxDepth: opts.MaxDepth}
+						goal := opts.goal()
 						injSeed := r.Next()
 						if prof.Disruptive() {
 							// Arm the watchdog so forced stalls abort with
@@ -626,16 +628,11 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 							key := engKey{gi, algo, prof.Disruptive()}
 							se := engines[key]
 							if se == nil {
-								// The shared engine is built goal-free —
-								// each cell's goal is a per-run RunGoal
-								// override, never frozen into the build.
-								bopts := opts
-								bopts.Target, bopts.MaxDepth = 0, 0
-								e, eerr := core.NewBackend(pg.g, algo, bopts.Core())
+								e, eerr := core.NewBackend(pg.g, algo, opts.Core())
 								if eerr != nil {
 									return nil, fmt.Errorf("chaos: engine for %s on %s: %w", algo, pg.spec, eerr)
 								}
-								se = &sharedEng{e: e, opts: bopts}
+								se = &sharedEng{e: e, opts: opts}
 								engines[key] = se
 							}
 							// The engine froze everything but the seed at
@@ -670,18 +667,7 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 							inj = NewInjector(prof, injSeed, opts.injectorWorkers())
 							copt := opts.Core()
 							copt.Chaos = inj
-							if opts.Shards > 1 {
-								// NewBackend routes to the sharded runtime;
-								// one-shot, so build, run, and tear down here.
-								b, berr := core.NewBackend(pg.g, algo, copt)
-								if berr != nil {
-									return nil, fmt.Errorf("chaos: backend for %s on %s: %w", algo, pg.spec, berr)
-								}
-								res, rerr = b.Run(0)
-								b.Close()
-							} else {
-								res, rerr = core.Run(pg.g, 0, algo, copt)
-							}
+							res, rerr = core.RunGoal(context.Background(), pg.g, 0, algo, copt, goal)
 							if rerr != nil && !recoveryAbort(rerr) {
 								return nil, fmt.Errorf("chaos: %s on %s: %w", algo, pg.spec, rerr)
 							}

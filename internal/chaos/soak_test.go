@@ -64,8 +64,8 @@ func TestDeriveOptionsStayInRange(t *testing.T) {
 		if o.MaxDepth < 0 || o.MaxDepth > 8 {
 			t.Fatalf("depth bound %d out of [0, 8]", o.MaxDepth)
 		}
-		if o.Core().Target != o.Target || o.Core().MaxDepth != o.MaxDepth {
-			t.Fatalf("goal (%d, %d) lost in Core() conversion", o.Target, o.MaxDepth)
+		if g := o.goal(); g.Target != o.Target || g.MaxDepth != o.MaxDepth {
+			t.Fatalf("goal (%d, %d) lost in goal() conversion", o.Target, o.MaxDepth)
 		}
 		if o.Target != 0 || o.MaxDepth != 0 {
 			goals++

@@ -231,29 +231,6 @@ type Options struct {
 	// and notice ctx only at level boundaries, as before.
 	StallTimeout time.Duration
 
-	// Target, when non-zero, holds dst+1 — the same vertex+1 sentinel
-	// encoding the queue slots use, so the zero Options stays fully
-	// unbounded while vertex 0 remains a legal target (use GoalTo or
-	// SetTarget rather than open-coding the +1). A targeted search
-	// terminates at the first level barrier after dst's distance
-	// commits. The barrier is already the run's one single-threaded
-	// point, so termination adds no locks and no atomic RMW: the driver
-	// reads the target's epoch stamp where the level's happens-before
-	// edge already exists. Level synchrony makes the partial Result
-	// exact — when the barrier after exploring level d-1 observes the
-	// target settled at distance d, every vertex at distance <= d has
-	// its final distance, and everything deeper reads Unreached. The
-	// Result is marked Truncated. Engines honor a per-run override via
-	// RunGoal without rebuilding.
-	Target int32
-	// MaxDepth, when positive, bounds the traversal to that many
-	// levels: the run stops at the barrier where the completed-level
-	// count reaches MaxDepth, settling every vertex at distance <=
-	// MaxDepth (a k-hop neighborhood) and never scanning the edges of
-	// the deepest rank. 0 (the default) is unbounded. Composes with
-	// Target: whichever goal fires first terminates the run.
-	MaxDepth int32
-
 	// Chaos, when non-nil, receives a callback at each of the
 	// optimistic protocols' instrumented racy points (see ChaosPoint)
 	// so tests and the internal/chaos soak harness can provoke rare
@@ -263,10 +240,6 @@ type Options struct {
 	// Nil — the default — costs one predictable branch per
 	// instrumented step.
 	Chaos ChaosHook
-
-	// ctx carries RunContext's cancellation; nil means background.
-	// Unexported: set it via RunContext, not by struct literal.
-	ctx context.Context
 }
 
 // withDefaults returns a copy of o with defaults filled in.
@@ -313,33 +286,35 @@ func (o Options) withDefaults() Options {
 	} else if o.SameSocketBias > 1 {
 		o.SameSocketBias = 1
 	}
-	if o.MaxDepth < 0 {
-		o.MaxDepth = 0
-	}
 	return o
 }
 
-// SetTarget records dst as the Options' target vertex in the vertex+1
-// sentinel encoding (see Options.Target). A negative dst clears it.
-func (o *Options) SetTarget(dst int32) {
-	if dst < 0 {
-		o.Target = 0
-		return
-	}
-	o.Target = dst + 1
-}
-
-// Goal is a per-run traversal bound, the pair of Options.Target and
-// Options.MaxDepth lifted out so one warm engine can answer queries
-// with different goals without rebuilding (see Engine.RunGoal and
-// Backend.RunGoal). Target uses the same vertex+1 sentinel encoding as
-// Options.Target — zero means no target — so the zero Goal bounds
-// nothing and RunGoal with it is exactly RunContext.
+// Goal is a per-run traversal bound, passed to every run as an
+// argument (Engine.RunGoal, Backend.RunGoal, RunGoal) so one warm engine
+// answers queries with different goals without rebuilding. The zero
+// Goal bounds nothing and runs to frontier exhaustion.
+//
+// A targeted search terminates at the first level barrier after the
+// target's distance commits. The barrier is already the run's one
+// single-threaded point, so termination adds no locks and no atomic
+// RMW: the driver reads the target's epoch stamp where the level's
+// happens-before edge already exists. Level synchrony makes the partial
+// Result exact — when the barrier after exploring level d-1 observes
+// the target settled at distance d, every vertex at distance <= d has
+// its final distance, and everything deeper reads Unreached. The Result
+// is marked Truncated.
 type Goal struct {
-	// Target is dst+1, or 0 for no target (see Options.Target).
+	// Target, when non-zero, holds dst+1 — the same vertex+1 sentinel
+	// encoding the queue slots use, so the zero Goal stays unbounded
+	// while vertex 0 remains a legal target (use GoalTo rather than
+	// open-coding the +1).
 	Target int32
-	// MaxDepth bounds the completed-level count; 0 is unbounded (see
-	// Options.MaxDepth).
+	// MaxDepth, when positive, bounds the traversal to that many
+	// levels: the run stops at the barrier where the completed-level
+	// count reaches MaxDepth, settling every vertex at distance <=
+	// MaxDepth (a k-hop neighborhood) and never scanning the edges of
+	// the deepest rank. 0 is unbounded. Composes with Target: whichever
+	// goal fires first terminates the run.
 	MaxDepth int32
 }
 
@@ -358,12 +333,9 @@ func (g Goal) TargetVertex() int32 { return g.Target - 1 }
 // Bounded reports whether the goal terminates anything at all.
 func (g Goal) Bounded() bool { return g.Target != 0 || g.MaxDepth > 0 }
 
-// goal extracts the construction-time goal from resolved options.
-func (o Options) goal() Goal { return Goal{Target: o.Target, MaxDepth: o.MaxDepth} }
-
-// validGoal rejects goals that name a vertex outside [0, n) or carry a
-// negative (meaningless) encoding. The zero Goal is always valid.
-func validGoal(g Goal, n int32) error {
+// Validate rejects a goal that names a vertex outside [0, n) or carries
+// a negative (meaningless) encoding. The zero Goal is always valid.
+func (g Goal) Validate(n int32) error {
 	if g.Target < 0 {
 		return fmt.Errorf("core: negative goal target encoding %d", g.Target)
 	}
@@ -405,12 +377,12 @@ type Result struct {
 	// Levels is the number of BFS levels explored (depth+1 of the tree).
 	Levels int32
 	// Truncated reports that the run terminated at a goal — the target
-	// vertex's distance committed (Options.Target / Goal.Target) or the
-	// completed-level count reached Options.MaxDepth with frontier
-	// remaining — rather than by frontier exhaustion. Every distance at
-	// a closed level (< Levels, plus the target itself) is exact; deeper
-	// vertices read Unreached except for the final frontier, which is
-	// settled at distance == Levels but outside LevelSizes.
+	// vertex's distance committed (Goal.Target) or the completed-level
+	// count reached Goal.MaxDepth with frontier remaining — rather than
+	// by frontier exhaustion. Every distance at a closed level
+	// (< Levels, plus the target itself) is exact; deeper vertices read
+	// Unreached except for the final frontier, which is settled at
+	// distance == Levels but outside LevelSizes.
 	Truncated bool
 	// Reached is the number of vertices reached, including the source.
 	Reached int64
@@ -466,16 +438,15 @@ func Run(g *graph.CSR, src int32, algo Algorithm, opt Options) (*Result, error) 
 // so callers can report how far the search got. The per-level check
 // costs one atomic load.
 func RunContext(ctx context.Context, g *graph.CSR, src int32, algo Algorithm, opt Options) (*Result, error) {
-	opt.ctx = ctx
-	return run(g, src, algo, opt)
+	return RunGoal(ctx, g, src, algo, opt, Goal{})
 }
 
-// run is the one-shot wrapper over the engine layer: build the
-// backend Options.Shards asks for (plain Engine by default, sharded
-// when Shards > 1), run once, release. Validation order (graph, then
-// source, then algorithm) is preserved from the pre-engine
-// implementation.
-func run(g *graph.CSR, src int32, algo Algorithm, opt Options) (*Result, error) {
+// RunGoal is RunContext under a termination goal (see Engine.RunGoal),
+// on the one-shot path: build the backend Options.Shards asks for
+// (plain Engine by default, sharded when Shards > 1), run once,
+// release. Validation order (graph, then source, then algorithm) is
+// preserved from the pre-engine implementation.
+func RunGoal(ctx context.Context, g *graph.CSR, src int32, algo Algorithm, opt Options, goal Goal) (*Result, error) {
 	if g == nil {
 		return nil, fmt.Errorf("core: nil graph")
 	}
@@ -487,9 +458,5 @@ func run(g *graph.CSR, src int32, algo Algorithm, opt Options) (*Result, error) 
 		return nil, err
 	}
 	defer e.Close()
-	ctx := opt.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return e.RunContext(ctx, src)
+	return e.RunGoal(ctx, src, goal)
 }

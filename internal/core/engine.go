@@ -50,23 +50,16 @@ type Engine struct {
 	inv      []int32
 	rmDist   []int32
 	rmParent []int32
-
-	// baseGoal is the construction-time goal from Options.Target /
-	// Options.MaxDepth, held in relabeled space so RunGoal can restore
-	// it on the impl after a per-run override.
-	baseGoal Goal
 }
 
 // engineImpl is the per-family backend behind an Engine. run returns
 // the (possibly partial) Result together with the abort error, if any:
-// *WorkerPanicError, *StallError, or ErrPoisoned. setGoal rebinds the
-// termination goal between runs (vertex+1 target encoding, relabeled
-// space); it must not be called while a search is in flight.
+// *WorkerPanicError, *StallError, or ErrPoisoned. src and goal arrive
+// validated and in relabeled space.
 type engineImpl interface {
-	run(ctx context.Context, src int32) (*Result, error)
+	run(ctx context.Context, src int32, goal Goal) (*Result, error)
 	reseed(seed uint64)
 	setChaos(h ChaosHook)
-	setGoal(target, depth int32)
 	close()
 }
 
@@ -96,9 +89,6 @@ func NewEngine(g *graph.CSR, algo Algorithm, opt Options) (*Engine, error) {
 		return nil, fmt.Errorf("core: nil graph")
 	}
 	opt = opt.withDefaults()
-	if err := validGoal(opt.goal(), g.NumVertices()); err != nil {
-		return nil, err
-	}
 	rg := g
 	var perm, inv []int32
 	switch opt.Reorder {
@@ -127,13 +117,7 @@ func NewEngine(g *graph.CSR, algo Algorithm, opt Options) (*Engine, error) {
 		if opt.TrackParents {
 			e.rmParent = make([]int32, g.NumVertices())
 		}
-		// The backend traverses relabeled ids, so the target must be
-		// translated the same way the source is in RunContext.
-		if opt.Target > 0 {
-			opt.Target = perm[opt.Target-1] + 1
-		}
 	}
-	e.baseGoal = opt.goal()
 	if algo == Serial {
 		if opt.Hybrid {
 			// Serial has no per-level binding to interpose the switch
@@ -199,16 +183,34 @@ func (e *Engine) Run(src int32) (*Result, error) {
 // any other Result it aliases pooled state and is valid only until the
 // engine's next run.
 func (e *Engine) RunContext(ctx context.Context, src int32) (*Result, error) {
+	return e.RunGoal(ctx, src, Goal{})
+}
+
+// RunGoal is RunContext with a termination goal: the search stops at
+// the first level barrier where goal.Target's distance has committed or
+// the completed-level count reaches goal.MaxDepth, and the partial
+// Result (marked Truncated) is exact for every closed level. The goal
+// is an argument of this run alone, so one warm engine serves queries
+// with different goals without rebuilding. The zero Goal runs
+// unbounded. Under Options.Reorder the target is translated into the
+// relabeled space here, once per run, exactly as the source is.
+func (e *Engine) RunGoal(ctx context.Context, src int32, goal Goal) (*Result, error) {
 	if e.closed {
 		return nil, fmt.Errorf("core: engine is closed")
 	}
 	if src < 0 || src >= e.g.NumVertices() {
 		return nil, fmt.Errorf("core: source %d out of range [0,%d)", src, e.g.NumVertices())
 	}
+	if err := goal.Validate(e.g.NumVertices()); err != nil {
+		return nil, err
+	}
 	if e.perm != nil {
 		src = e.perm[src]
+		if goal.Target > 0 {
+			goal.Target = e.perm[goal.Target-1] + 1
+		}
 	}
-	res, err := e.impl.run(ctx, src)
+	res, err := e.impl.run(ctx, src, goal)
 	if e.perm != nil && res != nil {
 		e.remapResult(res)
 	}
@@ -219,29 +221,6 @@ func (e *Engine) RunContext(ctx context.Context, src int32) (*Result, error) {
 		return res, cerr
 	}
 	return res, nil
-}
-
-// RunGoal is RunContext with a per-run termination goal: the search
-// stops at the first level barrier where goal.Target's distance has
-// committed or the completed-level count reaches goal.MaxDepth, and the
-// partial Result (marked Truncated) is exact for every closed level.
-// The override lasts for this run only — the engine's construction-time
-// Options.Target/MaxDepth goal is restored afterward — so one warm
-// engine serves queries with different goals without rebuilding. The
-// zero Goal runs unbounded, exactly like RunContext.
-func (e *Engine) RunGoal(ctx context.Context, src int32, goal Goal) (*Result, error) {
-	if e.closed {
-		return nil, fmt.Errorf("core: engine is closed")
-	}
-	if err := validGoal(goal, e.g.NumVertices()); err != nil {
-		return nil, err
-	}
-	if e.perm != nil && goal.Target > 0 {
-		goal.Target = e.perm[goal.Target-1] + 1
-	}
-	e.impl.setGoal(goal.Target, goal.MaxDepth)
-	defer e.impl.setGoal(e.baseGoal.Target, e.baseGoal.MaxDepth)
-	return e.RunContext(ctx, src)
 }
 
 // remapResult translates a relabeled-space Result back into original
@@ -364,12 +343,12 @@ func newParEngine(g *graph.CSR, opt Options, bf bindFunc, algo Algorithm) *parEn
 	return e
 }
 
-func (e *parEngine) run(ctx context.Context, src int32) (*Result, error) {
+func (e *parEngine) run(ctx context.Context, src int32, goal Goal) (*Result, error) {
 	if e.poisoned {
 		return nil, ErrPoisoned
 	}
 	st := e.st
-	st.opt.ctx = ctx
+	st.ctx, st.goal = ctx, goal
 	st.beginRun(src)
 	stopWatch := st.startWatchdog(ctx)
 	if e.pool != nil {
@@ -413,10 +392,6 @@ func (e *parEngine) setChaos(h ChaosHook) {
 	} else {
 		e.st.flushAudit = nil
 	}
-}
-
-func (e *parEngine) setGoal(target, depth int32) {
-	e.st.setGoal(target, depth)
 }
 
 func (e *parEngine) close() {

@@ -212,62 +212,10 @@ func TestGoalDirectedMatrix(t *testing.T) {
 	}
 }
 
-// Construction-time goals (Options.Target / Options.MaxDepth) must
-// behave exactly like per-run goals, including through reorder's
-// permutation of the target id.
-func TestGoalViaOptions(t *testing.T) {
-	g, err := gen.Graph500RMAT(2048, 16384, 7, gen.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := graph.ReferenceBFS(g, 0)
-	var target int32 = -1
-	for v := int32(0); v < g.NumVertices(); v++ {
-		if want[v] == 3 {
-			target = v
-			break
-		}
-	}
-	if target < 0 {
-		t.Skip("no depth-3 vertex")
-	}
-	for _, mode := range []ReorderMode{ReorderNone, ReorderDegree} {
-		opt := Options{Workers: 4, Reorder: mode}
-		opt.SetTarget(target)
-		e, err := NewEngine(g, BFSWSL, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := e.Run(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkGoalResult(t, g, 0, GoalTo(target), res)
-		e.Close()
-	}
-	opt := Options{Workers: 4, MaxDepth: 2}
-	e, err := NewEngine(g, BFSWSL, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	res, err := e.Run(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGoalResult(t, g, 0, Goal{MaxDepth: 2}, res)
-}
-
 func TestGoalValidation(t *testing.T) {
 	g, err := gen.Path(16)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := NewEngine(g, BFSWL, Options{Workers: 2, Target: 17}); err == nil {
-		t.Fatal("out-of-range Options.Target accepted")
-	}
-	if _, err := NewEngine(g, BFSWL, Options{Workers: 2, Target: -1}); err == nil {
-		t.Fatal("negative Options.Target accepted")
 	}
 	e, err := NewEngine(g, BFSWL, Options{Workers: 2})
 	if err != nil {
@@ -276,6 +224,9 @@ func TestGoalValidation(t *testing.T) {
 	defer e.Close()
 	if _, err := e.RunGoal(context.Background(), 0, GoalTo(99)); err == nil {
 		t.Fatal("out-of-range RunGoal target accepted")
+	}
+	if _, err := e.RunGoal(context.Background(), 0, Goal{Target: -1}); err == nil {
+		t.Fatal("negative RunGoal target encoding accepted")
 	}
 	if _, err := e.RunGoal(context.Background(), 0, Goal{MaxDepth: -2}); err == nil {
 		t.Fatal("negative RunGoal depth accepted")

@@ -658,15 +658,15 @@ func (st *state) hybridAdvance() {
 		hy.unexplored = 0
 	}
 	var goalBound int64
-	if st.goalDepth > 0 {
+	if d := st.goal.MaxDepth; d > 0 {
 		// hybridAdvance runs after the barrier's level bump, so st.level
 		// is the level the decision is for; <= 0 means the depth goal
 		// fires at the loop top before another level runs.
-		goalBound = int64(st.goalDepth - st.level)
+		goalBound = int64(d - st.level)
 	}
 	bu := hybridDecide(wasBU, nf, mf, hy.unexplored, hy.prevNf,
 		int64(st.g.NumVertices()), hy.alpha, hy.beta,
-		goalBound, st.goalTarget >= 0)
+		goalBound, st.goal.Target != 0)
 	hy.prevNf = nf
 	st.chaosAt(ChaosDirectionFlip, 0, int64(st.level))
 	if ctl, ok := st.chaos.(ChaosDirectionController); ok {
@@ -809,12 +809,12 @@ func (e *ShardedEngine) hybridAdvance() {
 		hy.unexplored = 0
 	}
 	var goalBound int64
-	if e.goalDepth > 0 {
-		goalBound = int64(e.goalDepth - st0.level)
+	if d := e.goal.MaxDepth; d > 0 {
+		goalBound = int64(d - st0.level)
 	}
 	bu := hybridDecide(wasBU, nf, mf, hy.unexplored, hy.prevNf,
 		int64(e.sg.Full.NumVertices()), hy.alpha, hy.beta,
-		goalBound, e.goalTarget >= 0)
+		goalBound, e.goal.Target != 0)
 	hy.prevNf = nf
 	st0.chaosAt(ChaosDirectionFlip, 0, int64(st0.level))
 	if ctl, ok := st0.chaos.(ChaosDirectionController); ok {

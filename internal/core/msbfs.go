@@ -299,7 +299,7 @@ func (e *MSEngine) RunGoals(ctx context.Context, sources []int32, goals []Goal) 
 	}
 	e.hasGoals = false
 	for lane := range goals {
-		if err := validGoal(goals[lane], n); err != nil {
+		if err := goals[lane].Validate(n); err != nil {
 			return nil, err
 		}
 		e.goals[lane] = goals[lane]

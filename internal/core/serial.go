@@ -24,15 +24,6 @@ type serialEngine struct {
 	queue      []int32
 	levelSizes []int64
 	res        Result
-
-	// Goal-directed termination, decoded like state's: target is the
-	// goal vertex (-1 for none), maxDepth the level bound (0 for none).
-	// The serial queue walk terminates at exactly the same point the
-	// parallel barriers do — on the first pop whose depth would open a
-	// level past the goal — so the oracle stays bit-identical to the
-	// parallel engines' closed levels under truncation too.
-	target   int32
-	maxDepth int32
 }
 
 func newSerialEngine(g *graph.CSR, opt Options) *serialEngine {
@@ -44,7 +35,6 @@ func newSerialEngine(g *graph.CSR, opt Options) *serialEngine {
 		epoch: make([]uint32, n),
 		queue: make([]int32, 0, 1024),
 	}
-	e.setGoal(opt.Target, opt.MaxDepth)
 	for i := range e.dist {
 		e.dist[i] = graph.Unreached
 	}
@@ -57,7 +47,11 @@ func newSerialEngine(g *graph.CSR, opt Options) *serialEngine {
 	return e
 }
 
-func (e *serialEngine) run(ctx context.Context, src int32) (*Result, error) {
+// run walks the queue from src. The walk terminates at exactly the
+// point the parallel barriers do — on the first pop whose depth would
+// open a level past the goal — so the oracle stays bit-identical to the
+// parallel engines' closed levels under truncation too.
+func (e *serialEngine) run(ctx context.Context, src int32, goal Goal) (*Result, error) {
 	e.cur++
 	if e.cur == 0 {
 		// See state.beginRun: full sweep on uint32 wraparound only.
@@ -77,7 +71,7 @@ func (e *serialEngine) run(ctx context.Context, src int32) (*Result, error) {
 	queue := append(e.queue[:0], src)
 	var levels int32
 	truncated := false
-	target, maxDepth := e.target, e.maxDepth
+	target, maxDepth := goal.TargetVertex(), goal.MaxDepth
 	for head := 0; head < len(queue); head++ {
 		if ctx != nil && head&4095 == 0 && ctx.Err() != nil {
 			break
@@ -160,11 +154,3 @@ func (e *serialEngine) run(ctx context.Context, src int32) (*Result, error) {
 func (e *serialEngine) reseed(seed uint64) { e.opt.Seed = seed }
 func (e *serialEngine) setChaos(ChaosHook) {}
 func (e *serialEngine) close()             {}
-
-func (e *serialEngine) setGoal(target, depth int32) {
-	e.target = target - 1
-	if depth < 0 {
-		depth = 0
-	}
-	e.maxDepth = depth
-}

@@ -315,14 +315,9 @@ type ShardedEngine struct {
 	// only — each shard's own state gets a zero goal — because a shard's
 	// epoch stamp on a vertex it does not own means "forwarded", not
 	// "settled"; goalDone consults the target's *owner* shard, the one
-	// place its stamp is authoritative. goalTarget/goalDepth are the
-	// current run's decoded goal, base{Target,Depth} the construction-
-	// time goal RunGoal restores.
-	goalTarget int32
-	goalDepth  int32
-	baseTarget int32
-	baseDepth  int32
-	truncated  bool
+	// place its stamp is authoritative. goal is the current run's.
+	goal      Goal
+	truncated bool
 
 	// hy is the engine half of direction optimization (hybrid.go); nil
 	// unless Options.Hybrid. The per-shard halves live on each shard
@@ -353,9 +348,6 @@ func NewShardedEngine(sg *graph.ShardedCSR, algo Algorithm, opt Options) (*Shard
 		return nil, fmt.Errorf("core: sharded execution does not support Reorder=%q", opt.Reorder)
 	}
 	opt = opt.withDefaults()
-	if err := validGoal(opt.goal(), sg.Full.NumVertices()); err != nil {
-		return nil, err
-	}
 	// Per-worker traces and the level timeline describe one state's
 	// run; neither composes across shards. Strip rather than reject so
 	// option sets tuned for Engine sweeps work unchanged.
@@ -378,8 +370,6 @@ func NewShardedEngine(sg *graph.ShardedCSR, algo Algorithm, opt Options) (*Shard
 		shards:  make([]*shardEngine, S),
 		running: make([]bool, S),
 	}
-	e.setGoal(opt.Target, opt.MaxDepth)
-	e.baseTarget, e.baseDepth = e.goalTarget, e.goalDepth
 	if S > 1 {
 		e.ex = newExchange(sg, opt.Workers)
 	}
@@ -393,10 +383,6 @@ func NewShardedEngine(sg *graph.ShardedCSR, algo Algorithm, opt Options) (*Shard
 	for s := 0; s < S; s++ {
 		sOpt := opt
 		sOpt.Seed = shardSeed(opt.Seed, s)
-		// The goal is evaluated at the engine's global barrier (see the
-		// field comment); a shard observing the target's stamp locally
-		// could terminate on a merely-forwarded vertex.
-		sOpt.Target, sOpt.MaxDepth = 0, 0
 		st := allocState(sg.Full, sOpt)
 		st.algo = algo
 		if e.ex != nil {
@@ -456,6 +442,15 @@ func (e *ShardedEngine) Run(src int32) (*Result, error) {
 // watchdog armed), partial Results alongside abort errors, ErrPoisoned
 // after a worker panic.
 func (e *ShardedEngine) RunContext(ctx context.Context, src int32) (*Result, error) {
+	return e.RunGoal(ctx, src, Goal{})
+}
+
+// RunGoal is RunContext with a termination goal, under Engine.RunGoal's
+// exact contract. The goal is judged at the engine's global barrier
+// only (see goalDone); every shard state runs with the zero goal, since
+// a shard observing the target's stamp locally could terminate on a
+// merely-forwarded vertex.
+func (e *ShardedEngine) RunGoal(ctx context.Context, src int32, goal Goal) (*Result, error) {
 	if e.closed {
 		return nil, fmt.Errorf("core: engine is closed")
 	}
@@ -466,9 +461,12 @@ func (e *ShardedEngine) RunContext(ctx context.Context, src int32) (*Result, err
 	if src < 0 || src >= n {
 		return nil, fmt.Errorf("core: source %d out of range [0,%d)", src, n)
 	}
-	e.truncated = false
+	if err := goal.Validate(n); err != nil {
+		return nil, err
+	}
+	e.goal, e.truncated = goal, false
 	for _, se := range e.shards {
-		se.st.opt.ctx = ctx
+		se.st.ctx = ctx
 		se.st.beginRunCommon()
 	}
 	e.shards[e.sg.Owner(src)].st.seedSource(src)
@@ -549,16 +547,6 @@ func (e *ShardedEngine) runLoop() {
 	}
 }
 
-// setGoal decodes a goal into the engine's current-run fields, exactly
-// as state.setGoal does for an unsharded state.
-func (e *ShardedEngine) setGoal(target, depth int32) {
-	e.goalTarget = target - 1
-	if depth < 0 {
-		depth = 0
-	}
-	e.goalDepth = depth
-}
-
 // goalDone is the sharded barrier-time termination predicate: the
 // shards have all joined the level barrier (runLoop's loop top), so
 // this is the run's single-threaded point and the target's stamp is
@@ -567,11 +555,11 @@ func (e *ShardedEngine) setGoal(target, depth int32) {
 // effectively vote through their quiescence at the barrier; the driver
 // casts the verdict.
 func (e *ShardedEngine) goalDone() bool {
-	if e.goalDepth > 0 && e.shards[0].st.level >= e.goalDepth {
+	if d := e.goal.MaxDepth; d > 0 && e.shards[0].st.level >= d {
 		e.truncated = true
 		return true
 	}
-	if t := e.goalTarget; t >= 0 {
+	if t := e.goal.TargetVertex(); t >= 0 {
 		st := e.shards[e.sg.Owner(t)].st
 		if st.epoch[t] == st.cur {
 			e.truncated = true
@@ -579,23 +567,6 @@ func (e *ShardedEngine) goalDone() bool {
 		}
 	}
 	return false
-}
-
-// RunGoal is RunContext with a per-run termination goal, under
-// Engine.RunGoal's exact contract: the override lasts one run and the
-// construction-time goal is restored afterward.
-func (e *ShardedEngine) RunGoal(ctx context.Context, src int32, goal Goal) (*Result, error) {
-	if e.closed {
-		return nil, fmt.Errorf("core: engine is closed")
-	}
-	if err := validGoal(goal, e.sg.Full.NumVertices()); err != nil {
-		return nil, err
-	}
-	e.setGoal(goal.Target, goal.MaxDepth)
-	defer func() {
-		e.goalTarget, e.goalDepth = e.baseTarget, e.baseDepth
-	}()
-	return e.RunContext(ctx, src)
 }
 
 // joinRunning waits for every released phase and clears the flags.
@@ -878,9 +849,9 @@ type Backend interface {
 	Run(src int32) (*Result, error)
 	// RunContext is Run with cancellation.
 	RunContext(ctx context.Context, src int32) (*Result, error)
-	// RunGoal is RunContext with a per-run termination goal (early
-	// s-t termination and/or a depth bound); the zero Goal is exactly
-	// RunContext. The override lasts one run.
+	// RunGoal is RunContext with a termination goal for this run
+	// (early s-t termination and/or a depth bound); the zero Goal is
+	// exactly RunContext.
 	RunGoal(ctx context.Context, src int32, goal Goal) (*Result, error)
 	// Reseed restarts the RNG streams from seed.
 	Reseed(seed uint64)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -88,17 +89,17 @@ type state struct {
 	dropped  []int64   // per-worker events dropped on full buffers
 	level    int32     // current BFS level being produced (dist of children)
 
-	// Goal-directed termination (Options.Target / Options.MaxDepth,
-	// overridable per run via setGoal). goalTarget is the decoded
-	// target vertex (-1 for none); goalDepth the level bound (0 for
-	// none); truncated records that goalDone fired this run. The
-	// predicate runs only at level barriers — the run's existing
-	// single-threaded points — so it reads epoch and level with plain
-	// loads under the barrier's happens-before edge and adds no
-	// synchronization to the workers' hot paths.
-	goalTarget int32
-	goalDepth  int32
-	truncated  bool
+	// ctx and goal are the current run's arguments, bound by the
+	// engine before each run (a sharded engine leaves every shard's
+	// goal zero and judges the goal itself). truncated records that
+	// goalDone fired this run. The predicate runs only at level
+	// barriers — the run's existing single-threaded points — so it
+	// reads epoch and level with plain loads under the barrier's
+	// happens-before edge and adds no synchronization to the workers'
+	// hot paths.
+	ctx       context.Context
+	goal      Goal
+	truncated bool
 
 	// Per-level timeline (Options.LevelTimeline): lvl is the pooled
 	// LevelStat storage recordLevel appends to at each level barrier,
@@ -218,7 +219,6 @@ func allocState(g *graph.CSR, opt Options) *state {
 		chaos:    opt.Chaos,
 		beats:    make([]beatLane, p),
 	}
-	st.setGoal(opt.Target, opt.MaxDepth)
 	if a, ok := opt.Chaos.(ChaosLevelAuditor); ok {
 		st.levelAudit = a
 	}
@@ -564,18 +564,6 @@ func (st *state) claimAllows(qid int, v int32) bool {
 	return atomic.LoadInt32(&st.claim[v]) == int32(qid)
 }
 
-// setGoal (re)binds the state's termination goal: target in the
-// vertex+1 Options.Target encoding (0 clears it), depth the MaxDepth
-// bound (<=0 clears it). Called at construction from Options and
-// between runs by RunGoal; never during a run.
-func (st *state) setGoal(target, depth int32) {
-	st.goalTarget = target - 1
-	if depth < 0 {
-		depth = 0
-	}
-	st.goalDepth = depth
-}
-
 // goalDone is the barrier-time termination predicate: true once the
 // completed-level count reaches the depth bound or the target vertex's
 // distance has committed. Called only from the single-threaded driver
@@ -587,11 +575,11 @@ func (st *state) setGoal(target, depth int32) {
 // observes the target settled at distance d, every vertex at distance
 // <= d holds its final distance and everything deeper reads Unreached.
 func (st *state) goalDone() bool {
-	if st.goalDepth > 0 && st.level >= st.goalDepth {
+	if d := st.goal.MaxDepth; d > 0 && st.level >= d {
 		st.truncated = true
 		return true
 	}
-	if t := st.goalTarget; t >= 0 && st.epoch[t] == st.cur {
+	if t := st.goal.TargetVertex(); t >= 0 && st.epoch[t] == st.cur {
 		st.truncated = true
 		return true
 	}
@@ -707,7 +695,7 @@ func (st *state) maybeYield() {
 // canceled reports whether the run's context (if any) has fired.
 // Checked at level boundaries only.
 func (st *state) canceled() bool {
-	return st.opt.ctx != nil && st.opt.ctx.Err() != nil
+	return st.ctx != nil && st.ctx.Err() != nil
 }
 
 // segmentSize returns the dispatch segment length for a queue with

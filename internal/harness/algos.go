@@ -115,12 +115,11 @@ func (a AlgoSpec) IsSerial() bool {
 	return a.algo == optibfs.Serial
 }
 
-// SupportsGoals reports whether the spec's runtime honors goal-directed
-// early termination (core.Options.Target / MaxDepth): the paper's
-// variants, serial baseline included, and DirectionOptimizing do; the
-// Baseline1/Baseline2 comparison runtimes (the Baseline-prefixed
-// algorithm names) have no goal machinery and would silently run to
-// exhaustion.
+// SupportsGoals reports whether the spec's runtime honors a bounded
+// core.Goal passed to Engine.RunGoal: the paper's variants, serial
+// baseline included, and DirectionOptimizing do; the Baseline1/Baseline2
+// comparison runtimes (the Baseline-prefixed algorithm names) have no
+// goal machinery, and their engines refuse any goal but the zero one.
 func (a AlgoSpec) SupportsGoals() bool {
 	return !strings.HasPrefix(string(a.algo), "Baseline")
 }

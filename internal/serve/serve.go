@@ -291,11 +291,8 @@ func (gd *Guard) runOnSlot(ctx context.Context, s *slot, src int32, goal core.Go
 // checkGoal validates a goal against the graph before any slot is
 // spent on it, mapping violations to ErrBadGoal.
 func (gd *Guard) checkGoal(goal core.Goal) error {
-	if tv := goal.TargetVertex(); goal.Target != 0 && (tv < 0 || tv >= gd.g.NumVertices()) {
-		return fmt.Errorf("%w: target %d not in [0,%d)", ErrBadGoal, tv, gd.g.NumVertices())
-	}
-	if goal.MaxDepth < 0 {
-		return fmt.Errorf("%w: negative depth bound %d", ErrBadGoal, goal.MaxDepth)
+	if err := goal.Validate(gd.g.NumVertices()); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadGoal, err)
 	}
 	return nil
 }
@@ -344,9 +341,8 @@ func (gd *Guard) ladder(ctx context.Context, s *slot, src int32, goal core.Goal)
 	// Degraded mode: the serial oracle shares no state with the
 	// parallel engines and cannot race, panic, or stall on them. The
 	// goal rides along so a degraded s–t query still terminates early.
-	sopt := core.Options{Workers: 1, TrackParents: true,
-		Target: goal.Target, MaxDepth: goal.MaxDepth}
-	res, serr := core.RunContext(ctx, gd.g, src, core.Serial, sopt)
+	sopt := core.Options{Workers: 1, TrackParents: true}
+	res, serr := core.RunGoal(ctx, gd.g, src, core.Serial, sopt, goal)
 	if serr != nil {
 		gd.requests(outcomeForCtx(serr)).Inc()
 		return copyAnswer(res), serr

@@ -1,54 +1,40 @@
 #!/usr/bin/env bash
 # Benchmark smoke for CI: run the steady-state engine benchmarks and the
 # drain-locality benchmarks for a few short iterations with -benchmem and
-# fail if the warm Engine.Run path allocates.
+# fail if a warm run allocates more than its row of the gate table.
 #
-# BenchmarkEngineSteadyState gets a small headroom (MAX_ALLOCS): racy
-# duplicate counts vary run to run, so pooled-queue high-water marks
-# settle stochastically and a sample can still land on a late growth
-# event. BenchmarkDrainLocality is gated at 0 allocs/op by default
-# (MAX_ALLOCS_DRAIN): it warms each engine for 8 full sweeps before the
-# timed region, so batched publication + prefetched drains must run
-# allocation-free at every block size.
+# Each row names a benchmark prefix, its allocs/op ceiling and the
+# minimum number of result lines it must produce:
 #
-# BenchmarkShardedSteadyState (warm sharded backends, shards 1/2/4)
-# gets the same stochastic headroom as the engine benchmark
-# (MAX_ALLOCS_SHARDED): the cross-shard exchange queues and remote
-# blocks are pooled, but their high-water capacities settle over the
-# first few runs just like the in-queues do.
-#
-# BenchmarkHybridSteadyState (warm direction-optimizing engines) is
-# gated at 0 allocs/op by default (MAX_ALLOCS_HYBRID): the bitmaps,
-# transpose, and compaction targets are all engine-pooled, and the
-# bottom-up kernel writes race-free into preallocated state, so the
-# hybrid warm path has no stochastic growth source at all.
-#
-# BenchmarkGoalSteadyState (warm goal-directed runs) is gated in two
-# halves: the depth-bounded rows at 0 allocs/op by default
-# (MAX_ALLOCS_GOAL) — the goal predicate runs at level barriers on
-# pooled state and adds no growth source of its own — while the s-t
-# rows get the engine-style stochastic headroom (MAX_ALLOCS_GOAL_ST):
-# they sweep almost the whole graph, so racy duplicate counts can still
-# land on a late queue high-water growth event exactly as in
-# BenchmarkEngineSteadyState.
+# - BenchmarkEngineSteadyState, BenchmarkShardedSteadyState and the
+#   s-t rows of BenchmarkGoalSteadyState get a small headroom (8):
+#   racy duplicate counts vary run to run, so pooled-queue (and, when
+#   sharded, exchange-queue) high-water marks settle stochastically and
+#   a sample can still land on a late growth event.
+# - BenchmarkDrainLocality, BenchmarkHybridSteadyState and the
+#   depth-bounded rows of BenchmarkGoalSteadyState are gated at 0. These
+#   rows are NOT free of stochastic growth: a worker's output queue (and,
+#   rarely, the scale-free hot list) still grows whenever racy load
+#   balance hands it a larger share of a level than its buffer has held,
+#   so multi-worker rows can allocate after warm-up on a small host.
+#   The zero gate stays until that growth is bounded (see ROADMAP.md);
+#   raising it is a last resort.
 #
 # Usage: scripts/benchsmoke.sh [output-file]
-#   MAX_ALLOCS          gate for BenchmarkEngineSteadyState (default 8)
-#   MAX_ALLOCS_DRAIN    gate for BenchmarkDrainLocality (default 0)
-#   MAX_ALLOCS_SHARDED  gate for BenchmarkShardedSteadyState (default 8)
-#   MAX_ALLOCS_HYBRID   gate for BenchmarkHybridSteadyState (default 0)
-#   MAX_ALLOCS_GOAL     gate for BenchmarkGoalSteadyState depth rows (default 0)
-#   MAX_ALLOCS_GOAL_ST  gate for BenchmarkGoalSteadyState s-t rows (default 8)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 out="${1:-bench-smoke.txt}"
-max_allocs="${MAX_ALLOCS:-8}"
-max_allocs_drain="${MAX_ALLOCS_DRAIN:-0}"
-max_allocs_sharded="${MAX_ALLOCS_SHARDED:-8}"
-max_allocs_hybrid="${MAX_ALLOCS_HYBRID:-0}"
-max_allocs_goal="${MAX_ALLOCS_GOAL:-0}"
-max_allocs_goal_st="${MAX_ALLOCS_GOAL_ST:-8}"
+
+# prefix-regex                           max-allocs  min-results
+gates=(
+  '^BenchmarkEngineSteadyState'           8           4
+  '^BenchmarkDrainLocality'               0           6
+  '^BenchmarkShardedSteadyState'          8           6
+  '^BenchmarkHybridSteadyState'           0           2
+  '^BenchmarkGoalSteadyState/.*depth'     0           2
+  '^BenchmarkGoalSteadyState/.*/st'       8           2
+)
 
 go test -run '^$' -bench 'BenchmarkEngineSteadyState|BenchmarkEngineRunMany|BenchmarkDrainLocality|BenchmarkShardedSteadyState|BenchmarkHybridSteadyState|BenchmarkGoalSteadyState' \
   -benchtime 3x -benchmem . | tee "$out"
@@ -75,11 +61,8 @@ gate() {
   fi
 }
 
-gate '^BenchmarkEngineSteadyState' "$max_allocs" 4
-gate '^BenchmarkDrainLocality' "$max_allocs_drain" 6
-gate '^BenchmarkShardedSteadyState' "$max_allocs_sharded" 6
-gate '^BenchmarkHybridSteadyState' "$max_allocs_hybrid" 2
-gate '^BenchmarkGoalSteadyState/.*depth' "$max_allocs_goal" 2
-gate '^BenchmarkGoalSteadyState/.*/st' "$max_allocs_goal_st" 2
+for ((i = 0; i < ${#gates[@]}; i += 3)); do
+  gate "${gates[i]}" "${gates[i + 1]}" "${gates[i + 2]}"
+done
 
 exit "$fail"
