@@ -1,9 +1,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"testing"
+
+	"optibfs/internal/core"
+	"optibfs/internal/gen"
+	"optibfs/internal/serve"
 )
 
 // TestGoalParamValidation is the table for the goal-directed query
@@ -103,4 +108,40 @@ func TestGoalQueries(t *testing.T) {
 	if ecc["ecc"].(float64) != 63 {
 		t.Fatalf("ecc: %v", ecc)
 	}
+}
+
+// TestValidateAnswerRejectsWrongStopPoint: ?validate=1 must judge the
+// goal's stop point, not only the levels the answer claims to have
+// closed. A serial k=1 answer checked as k=3 stopped two levels early,
+// and an answer whose Truncated flag is flipped lies about why it
+// stopped; both must be rejected.
+func TestValidateAnswerRejectsWrongStopPoint(t *testing.T) {
+	g, err := gen.Path(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k1 := core.Goal{MaxDepth: 1}
+	res, err := core.RunGoal(context.Background(), g, 0, core.Serial, core.Options{TrackParents: true}, k1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ans := &serve.Answer{
+		Dist: res.Dist, Parent: res.Parent, Levels: res.Levels, Truncated: res.Truncated,
+		Reached: res.Reached, EdgesTraversed: res.EdgesTraversed,
+	}
+	if err := validateAnswer(g, 0, k1, ans); err != nil {
+		t.Fatalf("clean k=1 answer rejected: %v", err)
+	}
+	t.Run("early-stop", func(t *testing.T) {
+		if err := validateAnswer(g, 0, core.Goal{MaxDepth: 3}, ans); err == nil {
+			t.Fatal("k=1 answer accepted as k=3")
+		}
+	})
+	t.Run("false-truncated", func(t *testing.T) {
+		flipped := *ans
+		flipped.Truncated = false
+		if err := validateAnswer(g, 0, k1, &flipped); err == nil {
+			t.Fatal("answer with a flipped Truncated flag accepted")
+		}
+	})
 }

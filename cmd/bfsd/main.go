@@ -727,47 +727,12 @@ func addProjection(resp map[string]any, r *http.Request, g *graph.CSR, ans *serv
 	}
 }
 
-// validateAnswer checks the answer against the serial oracle and the
-// structural BFS-tree rules — the daemon's self-check for CI smoke.
-// Goal-directed answers are checked against the oracle's closed
-// levels: exact distances up to Answer.Levels, Unreached beyond.
+// validateAnswer checks the answer against the answer tier of the
+// audit contract (core.AuditAnswer): oracle distances, the goal's stop
+// point and Truncated flag, reach counts and the parent tree — the
+// daemon's self-check for CI smoke.
 func validateAnswer(g *graph.CSR, src int32, goal core.Goal, ans *serve.Answer) error {
-	want := graph.ReferenceBFS(g, src)
-	if goal.Bounded() {
-		for v, d := range ans.Dist {
-			if wd := want[v]; wd != graph.Unreached && wd <= ans.Levels {
-				if d != wd {
-					return fmt.Errorf("bfsd: dist[%d]=%d, oracle %d (closed level)", v, d, wd)
-				}
-			} else if d != graph.Unreached {
-				return fmt.Errorf("bfsd: dist[%d]=%d, want Unreached past level %d", v, d, ans.Levels)
-			}
-			if p := ans.Parent[v]; d == graph.Unreached {
-				if p != -1 {
-					return fmt.Errorf("bfsd: unreached %d has parent %d", v, p)
-				}
-			} else if int32(v) != src && (p < 0 || ans.Dist[p] != d-1) {
-				return fmt.Errorf("bfsd: vertex %d depth %d has parent %d", v, d, p)
-			}
-		}
-		if tv := goal.TargetVertex(); tv >= 0 && want[tv] != graph.Unreached &&
-			(goal.MaxDepth == 0 || want[tv] <= goal.MaxDepth) && ans.Dist[tv] != want[tv] {
-			return fmt.Errorf("bfsd: target %d not settled: dist=%d, oracle %d", tv, ans.Dist[tv], want[tv])
-		}
-		return nil
-	}
-	if err := graph.EqualDistances(ans.Dist, want); err != nil {
-		return err
-	}
-	if err := graph.ValidateDistances(g, src, ans.Dist); err != nil {
-		return err
-	}
-	if ans.Parent != nil {
-		if err := graph.ValidateParents(g, src, ans.Dist, ans.Parent); err != nil {
-			return err
-		}
-	}
-	return nil
+	return core.AuditError(core.AuditAnswer(g, src, nil, goal, ans.AsResult()))
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -796,7 +761,7 @@ func openGraphFile(path string, maxBody int64) (*graph.CSR, *mmio.MappedGraph, s
 	if maxBody > 0 && fi.Size() > maxBody {
 		return nil, nil, "", fmt.Errorf("%w: %d bytes > limit %d", errFileTooLarge, fi.Size(), maxBody)
 	}
-	if hasSuffix(path, ".bin") || hasSuffix(path, ".bin2") {
+	if strings.HasSuffix(path, ".bin") || strings.HasSuffix(path, ".bin2") {
 		mg, err := mmio.LoadMapped(path, mmio.MapOptions{})
 		if err != nil {
 			return nil, nil, "", err
@@ -809,7 +774,7 @@ func openGraphFile(path string, maxBody int64) (*graph.CSR, *mmio.MappedGraph, s
 	}
 	defer f.Close()
 	var g *graph.CSR
-	if hasSuffix(path, ".mtx") {
+	if strings.HasSuffix(path, ".mtx") {
 		g, err = mmio.ReadMatrixMarket(f)
 	} else {
 		g, err = mmio.ReadEdgeList(f)
@@ -835,10 +800,6 @@ func loadFile(d *daemon, path string) error {
 	}
 	d.descs.Store(defaultGraph, path)
 	return nil
-}
-
-func hasSuffix(s, suf string) bool {
-	return len(s) >= len(suf) && s[len(s)-len(suf):] == suf
 }
 
 func main() {

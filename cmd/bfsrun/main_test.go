@@ -1,11 +1,13 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"optibfs/internal/core"
 	"optibfs/internal/gen"
 	"optibfs/internal/mmio"
 )
@@ -121,6 +123,38 @@ func TestRunGoalDirected(t *testing.T) {
 	if err := run("BFS_WSL", "", "kkt-power", 4096, 0, 1, 2, 1, false, "Lonestar", false, false, "", "", 1, false, -1, -2); err == nil {
 		t.Fatal("accepted negative -k")
 	}
+}
+
+// TestValidateRunRejectsWrongStopPoint: -validate must judge the
+// goal's stop point, not only the levels the run claims to have
+// closed. A serial k=1 run checked as k=3 stopped two levels early,
+// and a run whose Truncated flag is flipped lies about why it
+// stopped; both must be rejected.
+func TestValidateRunRejectsWrongStopPoint(t *testing.T) {
+	g, err := gen.Path(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k1 := core.Goal{MaxDepth: 1}
+	res, err := core.RunGoal(context.Background(), g, 0, core.Serial, core.Options{}, k1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := validateRun(g, 0, k1, res); err != nil {
+		t.Fatalf("clean k=1 run rejected: %v", err)
+	}
+	t.Run("early-stop", func(t *testing.T) {
+		if err := validateRun(g, 0, core.Goal{MaxDepth: 3}, res); err == nil {
+			t.Fatal("k=1 run accepted as k=3")
+		}
+	})
+	t.Run("false-truncated", func(t *testing.T) {
+		flipped := *res
+		flipped.Truncated = false
+		if err := validateRun(g, 0, k1, &flipped); err == nil {
+			t.Fatal("run with a flipped Truncated flag accepted")
+		}
+	})
 }
 
 func TestRunErrors(t *testing.T) {

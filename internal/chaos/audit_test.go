@@ -24,7 +24,7 @@ func goodRun(t *testing.T) (*graph.CSR, *core.Result) {
 }
 
 // expectViolation asserts the named invariant is among the findings.
-func expectViolation(t *testing.T, vs []Violation, invariant string) {
+func expectViolation(t *testing.T, vs []core.Violation, invariant string) {
 	t.Helper()
 	for _, v := range vs {
 		if v.Invariant == invariant {
@@ -39,7 +39,7 @@ func expectViolation(t *testing.T, vs []Violation, invariant string) {
 
 func TestAuditCleanRunPasses(t *testing.T) {
 	g, res := goodRun(t)
-	if vs := Audit(g, 0, nil, res); len(vs) != 0 {
+	if vs := core.Audit(g, 0, nil, core.Goal{}, res); len(vs) != 0 {
 		t.Fatalf("clean run reported violations: %v", vs)
 	}
 }
@@ -55,7 +55,7 @@ func TestAuditCatchesWrongDistance(t *testing.T) {
 			break
 		}
 	}
-	vs := Audit(g, 0, nil, &bad)
+	vs := core.Audit(g, 0, nil, core.Goal{}, &bad)
 	expectViolation(t, vs, "distances-match-oracle")
 	expectViolation(t, vs, "distances-structurally-valid")
 }
@@ -64,7 +64,7 @@ func TestAuditCatchesSkippedDiscovery(t *testing.T) {
 	g, res := goodRun(t)
 	bad := *res
 	bad.Counters.Discovered = bad.Reached - 2 // one vertex reached but never discovered
-	vs := Audit(g, 0, nil, &bad)
+	vs := core.Audit(g, 0, nil, core.Goal{}, &bad)
 	expectViolation(t, vs, "discovered-conservation")
 	if !strings.Contains(vs[0].Detail, "never discovered") {
 		t.Fatalf("wrong side of the conservation bound: %v", vs[0])
@@ -75,7 +75,7 @@ func TestAuditCatchesUnpoppedEntries(t *testing.T) {
 	g, res := goodRun(t)
 	bad := *res
 	bad.Counters.Discovered = bad.Pops + 5 // entries appended but never popped
-	vs := Audit(g, 0, nil, &bad)
+	vs := core.Audit(g, 0, nil, core.Goal{}, &bad)
 	expectViolation(t, vs, "discovered-conservation")
 }
 
@@ -83,7 +83,7 @@ func TestAuditCatchesMissedPops(t *testing.T) {
 	g, res := goodRun(t)
 	bad := *res
 	bad.Pops = bad.Reached - 1
-	expectViolation(t, Audit(g, 0, nil, &bad), "pops-cover-reached")
+	expectViolation(t, core.Audit(g, 0, nil, core.Goal{}, &bad), "pops-cover-reached")
 }
 
 func TestAuditCatchesLevelSizeLeak(t *testing.T) {
@@ -91,7 +91,7 @@ func TestAuditCatchesLevelSizeLeak(t *testing.T) {
 	bad := *res
 	bad.LevelSizes = append([]int64(nil), res.LevelSizes...)
 	bad.LevelSizes[0] = 0 // the source vanished from its level
-	expectViolation(t, Audit(g, 0, nil, &bad), "level-sizes-account")
+	expectViolation(t, core.Audit(g, 0, nil, core.Goal{}, &bad), "level-sizes-account")
 }
 
 func TestAuditCatchesBadParent(t *testing.T) {
@@ -104,18 +104,18 @@ func TestAuditCatchesBadParent(t *testing.T) {
 			break
 		}
 	}
-	expectViolation(t, Audit(g, 0, nil, &bad), "parents-valid")
+	expectViolation(t, core.Audit(g, 0, nil, core.Goal{}, &bad), "parents-valid")
 }
 
 func TestAuditAcceptsPrecomputedOracle(t *testing.T) {
 	g, res := goodRun(t)
 	want := graph.ReferenceBFS(g, 0)
-	if vs := Audit(g, 0, want, res); len(vs) != 0 {
+	if vs := core.Audit(g, 0, want, core.Goal{}, res); len(vs) != 0 {
 		t.Fatalf("violations with precomputed oracle: %v", vs)
 	}
 	// A wrong oracle must surface as a mismatch, proving it is used.
 	want[len(want)-1]++
-	if vs := Audit(g, 0, want, res); len(vs) == 0 {
+	if vs := core.Audit(g, 0, want, core.Goal{}, res); len(vs) == 0 {
 		t.Fatal("tampered oracle not detected")
 	}
 }

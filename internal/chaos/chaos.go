@@ -14,18 +14,18 @@
 //     stretch the read→write window with scheduler yields and spin
 //     work, making stale steals, overlapping segments, and duplicate
 //     phase-2 units common instead of one-in-a-million.
-//   - Audit checks a finished run against the protocol invariants:
-//     distances equal the serial oracle and are structurally valid,
-//     discoveries are conserved (Reached−1 ≤ Σ Discovered ≤ Pops−1;
-//     the slack is exactly the benign duplicate-discovery count),
-//     duplicate work only ever adds pops (Pops ≥ Reached), level
-//     sizes account for every reached vertex, and parents (when
-//     tracked) form a valid BFS tree. The injector also receives the
-//     per-level unconsumed-slot audit from the lockfree runners.
-//   - Soak sweeps variants × graphs × profiles × seeds, diffing every
-//     run against graph.ReferenceBFS; a failure emits a minimal JSON
-//     repro artifact (graph params, seeds, options, profile) that
-//     Replay re-executes.
+//   - Every finished run is judged by the shared audit contract,
+//     core.Audit (invariants tabled in DESIGN.md, "The audit
+//     contract"): the answer fields against the serial oracle under
+//     the run's goal, plus discovery conservation, pop coverage and
+//     level-size accounting. The injector adds the per-level
+//     unconsumed-slot and flush audits from the lockfree runners.
+//   - Soak sweeps variants × graphs × profiles × seeds × goals,
+//     auditing every run; a failure emits a minimal JSON repro
+//     artifact (graph params, seeds, options, profile) that Replay
+//     re-executes and re-audits. MSLaneSoak and RegistrySoak hold
+//     fused lanes and registry answers to the contract's answer tier,
+//     core.AuditAnswer.
 package chaos
 
 import (

@@ -126,7 +126,7 @@ func TestInjectedRunsStayCorrect(t *testing.T) {
 				}
 				t.Fatal(err)
 			}
-			vs := Audit(g, 0, want, res)
+			vs := core.Audit(g, 0, want, core.Goal{}, res)
 			vs = append(vs, levelViolations(in)...)
 			if len(vs) != 0 {
 				t.Fatalf("%s under %s: %v", algo, prof.Name, vs)

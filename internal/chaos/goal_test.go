@@ -11,10 +11,10 @@ import (
 	"optibfs/internal/graph"
 )
 
-// TestAuditGoalContract: a goal-terminated run passes the goal-aware
-// audit, tampering with a settled distance, the truncation flag, or
-// the level count is caught, and an unbounded goal delegates to the
-// plain full-oracle Audit.
+// TestAuditGoalContract: a goal-terminated run passes core.Audit,
+// tampering with a settled distance, the truncation flag, or the level
+// count is caught, and an unbounded goal holds the run to the full
+// oracle.
 func TestAuditGoalContract(t *testing.T) {
 	g, err := gen.LayeredRandom(1500, 7500, 30, 9, gen.Options{})
 	if err != nil {
@@ -31,15 +31,15 @@ func TestAuditGoalContract(t *testing.T) {
 	if !res.Truncated || res.Levels != 5 {
 		t.Fatalf("depth-bounded run: Levels=%d Truncated=%v", res.Levels, res.Truncated)
 	}
-	if vs := AuditGoal(g, 0, want, goal, res); len(vs) != 0 {
+	if vs := core.Audit(g, 0, want, goal, res); len(vs) != 0 {
 		t.Fatalf("clean truncated run flagged: %v", vs)
 	}
 	// nil oracle computes its own reference.
-	if vs := AuditGoal(g, 0, nil, goal, res); len(vs) != 0 {
+	if vs := core.Audit(g, 0, nil, goal, res); len(vs) != 0 {
 		t.Fatalf("clean truncated run flagged with computed oracle: %v", vs)
 	}
 
-	flagged := func(vs []Violation, invariant string) bool {
+	flagged := func(vs []core.Violation, invariant string) bool {
 		for _, v := range vs {
 			if v.Invariant == invariant {
 				return true
@@ -58,14 +58,14 @@ func TestAuditGoalContract(t *testing.T) {
 	}
 	saved := res.Dist[settled]
 	res.Dist[settled] = saved + 1
-	if vs := AuditGoal(g, 0, want, goal, res); !flagged(vs, "goal-distances-exact") {
+	if vs := core.Audit(g, 0, want, goal, res); !flagged(vs, "goal-distances-exact") {
 		t.Fatalf("corrupted settled distance not flagged: %v", vs)
 	}
 	res.Dist[settled] = saved
 
 	// Lie about truncation: caught as goal-truncation-honest.
 	res.Truncated = false
-	if vs := AuditGoal(g, 0, want, goal, res); !flagged(vs, "goal-truncation-honest") {
+	if vs := core.Audit(g, 0, want, goal, res); !flagged(vs, "goal-truncation-honest") {
 		t.Fatalf("false truncation flag not flagged: %v", vs)
 	}
 	res.Truncated = true
@@ -73,7 +73,7 @@ func TestAuditGoalContract(t *testing.T) {
 	// Misreport the closed-level count: caught as goal-levels-match
 	// (and the level histogram no longer accounts for the prefix).
 	res.Levels--
-	if vs := AuditGoal(g, 0, want, goal, res); !flagged(vs, "goal-levels-match") {
+	if vs := core.Audit(g, 0, want, goal, res); !flagged(vs, "goal-levels-match") {
 		t.Fatalf("wrong closed-level count not flagged: %v", vs)
 	}
 	res.Levels++
@@ -90,27 +90,83 @@ func TestAuditGoalContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vs := AuditGoal(g, 0, want, core.GoalTo(deep), tres); len(vs) != 0 {
+	if vs := core.Audit(g, 0, want, core.GoalTo(deep), tres); len(vs) != 0 {
 		t.Fatalf("clean target run flagged: %v", vs)
 	}
 
-	// Unbounded goal delegates to the full-oracle Audit.
+	// An unbounded goal holds the run to the full oracle.
 	full, err := core.Run(g, 0, core.BFSWL, core.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vs := AuditGoal(g, 0, want, core.Goal{}, full); len(vs) != 0 {
-		t.Fatalf("unbounded delegation flagged a clean run: %v", vs)
+	if vs := core.Audit(g, 0, want, core.Goal{}, full); len(vs) != 0 {
+		t.Fatalf("unbounded goal flagged a clean run: %v", vs)
 	}
 	full.Dist[settled] = -7
-	if vs := AuditGoal(g, 0, want, core.Goal{}, full); !flagged(vs, "distances-match-oracle") {
-		t.Fatalf("unbounded delegation missed a corrupted distance: %v", vs)
+	if vs := core.Audit(g, 0, want, core.Goal{}, full); !flagged(vs, "distances-match-oracle") {
+		t.Fatalf("unbounded goal missed a corrupted distance: %v", vs)
+	}
+}
+
+// TestAuditAnswerTierCatches plants one corruption per answer field
+// into clean runs: each must yield exactly its named invariant.
+func TestAuditAnswerTierCatches(t *testing.T) {
+	g, err := gen.LayeredRandom(1500, 7500, 30, 9, gen.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := graph.ReferenceBFS(g, 0)
+	opt := core.Options{Workers: 4, TrackParents: true}
+	k5 := core.Goal{MaxDepth: 5}
+	bounded, err := core.RunGoal(context.Background(), g, 0, core.BFSWL, opt, k5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := core.Run(g, 0, core.BFSWL, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var deep int32 = -1 // a settled vertex at depth 3
+	for v, d := range want {
+		if d == 3 {
+			deep = int32(v)
+			break
+		}
+	}
+	cases := []struct {
+		name, invariant string
+		goal            core.Goal
+		base            *core.Result
+		plant           func(r *core.Result)
+	}{
+		{"early stop", "goal-levels-match", k5, bounded, func(r *core.Result) { r.Levels -= 2 }},
+		{"false truncated", "goal-truncation-honest", k5, bounded, func(r *core.Result) { r.Truncated = false }},
+		{"unbounded marked truncated", "goal-truncation-honest", core.Goal{}, full, func(r *core.Result) { r.Truncated = true }},
+		{"prefix parent at wrong depth", "parents-valid", k5, bounded, func(r *core.Result) {
+			r.Parent = append([]int32(nil), r.Parent...)
+			r.Parent[deep] = 0
+		}},
+		{"reached off by one", "reach-matches-oracle", core.Goal{}, full, func(r *core.Result) { r.Reached++ }},
+		{"edges off by one", "reach-matches-oracle", core.Goal{}, full, func(r *core.Result) { r.EdgesTraversed-- }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if vs := core.AuditAnswer(g, 0, want, c.goal, c.base); len(vs) != 0 {
+				t.Fatalf("clean run flagged: %v", vs)
+			}
+			bad := *c.base
+			c.plant(&bad)
+			vs := core.AuditAnswer(g, 0, want, c.goal, &bad)
+			if len(vs) != 1 || vs[0].Invariant != c.invariant {
+				t.Fatalf("want exactly %s, got %v", c.invariant, vs)
+			}
+		})
 	}
 }
 
 // TestSoakGoalDimension sweeps a deep layered graph so the derived
 // goals (targets and shallow depth bounds) genuinely truncate runs:
-// the sweep must come back clean under the goal-aware audit, some
+// the sweep must come back clean under core.Audit, some
 // cells must actually have terminated early, and the report line must
 // say so. The engine sweep reuses one engine per pair across bounded
 // and unbounded cells — a leaked truncation (stale goal surviving into
@@ -146,7 +202,7 @@ func TestSoakGoalDimension(t *testing.T) {
 
 // TestReplayGoalRun round-trips a goal through a repro artifact: the
 // replayed run terminates where the recorded one did and the replay
-// audits it by the goal-aware contract (a full-oracle audit would
+// audits it under that goal (a full-oracle audit would
 // flag every Unreached vertex past the bound).
 func TestReplayGoalRun(t *testing.T) {
 	r := Repro{

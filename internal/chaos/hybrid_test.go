@@ -27,7 +27,7 @@ func TestInjectorDirectionFlipsHybridRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if vs := Audit(g, 0, nil, res); len(vs) != 0 {
+		if vs := core.Audit(g, 0, nil, core.Goal{}, res); len(vs) != 0 {
 			t.Fatalf("seed %d: audit violations under forced flips: %v", seed, vs)
 		}
 		if vs := levelViolations(inj); len(vs) != 0 {

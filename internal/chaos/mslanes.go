@@ -73,7 +73,7 @@ type MSLaneReport struct {
 	// Injections totals the injector's perturbations.
 	Injections int64
 	// Violations collects every lane-invariant violation observed.
-	Violations []Violation
+	Violations []core.Violation
 	// Elapsed is the sweep wall-clock time.
 	Elapsed time.Duration
 }
@@ -128,7 +128,7 @@ func MSLaneSoak(cfg MSLaneConfig) (*MSLaneReport, error) {
 				res, rerr := eng.Run(srcs)
 				rep.Runs++
 				rep.Injections += inj.Injections()
-				var vs []Violation
+				var vs []core.Violation
 				switch {
 				case rerr == nil:
 					for i := range srcs {
@@ -175,10 +175,9 @@ func MSLaneSoak(cfg MSLaneConfig) (*MSLaneReport, error) {
 // auditLane checks one lane against the oracle. Partial lanes (from
 // an aborted run) must understate exactly: every settled distance
 // matches the oracle and Reached equals the settled count. Complete
-// lanes must match the oracle everywhere, with a valid parent tree
-// and exact counters.
-func auditLane(g *graph.CSR, ref func(int32) []int32, lr *core.LaneResult, partial bool) []Violation {
-	var vs []Violation
+// lanes must pass the answer tier of the audit contract.
+func auditLane(g *graph.CSR, ref func(int32) []int32, lr *core.LaneResult, partial bool) []core.Violation {
+	var vs []core.Violation
 	want := ref(lr.Src)
 	if partial {
 		var settled int64
@@ -188,41 +187,23 @@ func auditLane(g *graph.CSR, ref func(int32) []int32, lr *core.LaneResult, parti
 			}
 			settled++
 			if d != want[v] {
-				vs = append(vs, Violation{
+				vs = append(vs, core.Violation{
 					Invariant: "ms-lane-partial-exact",
 					Detail:    fmt.Sprintf("lane src=%d: settled dist[%d]=%d, oracle %d", lr.Src, v, d, want[v]),
 				})
 			}
 		}
 		if settled != lr.Reached {
-			vs = append(vs, Violation{
+			vs = append(vs, core.Violation{
 				Invariant: "ms-lane-partial-count",
 				Detail:    fmt.Sprintf("lane src=%d: Reached=%d but %d settled", lr.Src, lr.Reached, settled),
 			})
 		}
 		return vs
 	}
-	if err := graph.EqualDistances(lr.Dist, want); err != nil {
-		vs = append(vs, Violation{
-			Invariant: "ms-lane-distances",
-			Detail:    fmt.Sprintf("lane src=%d: %v", lr.Src, err),
-		})
-	}
-	if lr.Parent != nil {
-		if err := graph.ValidateParents(g, lr.Src, lr.Dist, lr.Parent); err != nil {
-			vs = append(vs, Violation{
-				Invariant: "ms-lane-parents",
-				Detail:    fmt.Sprintf("lane src=%d: %v", lr.Src, err),
-			})
-		}
-	}
-	wantReach, wantEdges := graph.ReachedCount(g, want)
-	if lr.Reached != wantReach || lr.EdgesTraversed != wantEdges {
-		vs = append(vs, Violation{
-			Invariant: "ms-lane-counters",
-			Detail: fmt.Sprintf("lane src=%d: reached/edges %d/%d, oracle %d/%d",
-				lr.Src, lr.Reached, lr.EdgesTraversed, wantReach, wantEdges),
-		})
+	for _, v := range core.AuditAnswer(g, lr.Src, want, core.Goal{}, lr.AsResult()) {
+		v.Detail = fmt.Sprintf("lane src=%d: %s", lr.Src, v.Detail)
+		vs = append(vs, v)
 	}
 	return vs
 }

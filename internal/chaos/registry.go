@@ -107,7 +107,7 @@ type RegistrySoakReport struct {
 	// engines (allowed; distinguished from lifecycle bugs).
 	LeakedMappings int64
 	// Violations are the invariant breaks observed (empty = pass).
-	Violations []Violation
+	Violations []core.Violation
 	// Elapsed is wall-clock time.
 	Elapsed time.Duration
 }
@@ -140,13 +140,13 @@ func (h *sharedHook) At(point core.ChaosPoint, worker int, value int64) {
 // soakAudit collects violations and decisions concurrently.
 type soakAudit struct {
 	mu         sync.Mutex
-	violations []Violation
+	violations []core.Violation
 	decisions  []serve.AdmissionDecision
 }
 
 func (a *soakAudit) violate(invariant, format string, args ...any) {
 	a.mu.Lock()
-	a.violations = append(a.violations, Violation{Invariant: invariant, Detail: fmt.Sprintf(format, args...)})
+	a.violations = append(a.violations, core.Violation{Invariant: invariant, Detail: fmt.Sprintf(format, args...)})
 	a.mu.Unlock()
 }
 
@@ -379,7 +379,7 @@ func registryRound(cfg RegistrySoakConfig, dir string, round int, rep *RegistryS
 	audit.mu.Lock()
 	for i, d := range audit.decisions {
 		if err := serve.CheckDecision(d); err != nil {
-			audit.violations = append(audit.violations, Violation{
+			audit.violations = append(audit.violations, core.Violation{
 				Invariant: "shed-monotone",
 				Detail:    fmt.Sprintf("decision %d: %v (%+v)", i, err, d),
 			})
@@ -457,10 +457,9 @@ func registryQueryOp(reg *serve.Registry, name string, wr *rng.SplitMix64, audit
 	default:
 		audit.violate("query-typed-outcome", "%s src %d: unknown outcome %q", name, src, ans.Outcome)
 	}
-	// The answer must match a reference BFS on the exact CSR the lease
-	// pinned — a partially-loaded or evicted graph cannot pass this.
-	want := graph.ReferenceBFS(g, src)
-	if err := graph.EqualDistances(ans.Dist, want); err != nil {
-		audit.violate("answer-matches-leased-graph", "%s gen %d src %d: %v", name, lease.Gen(), src, err)
+	// The answer must pass the audit contract on the exact CSR the
+	// lease pinned — a partially-loaded or evicted graph cannot.
+	for _, v := range core.AuditAnswer(g, src, nil, core.Goal{}, ans.AsResult()) {
+		audit.violate("answer-matches-leased-graph", "%s gen %d src %d: %v", name, lease.Gen(), src, v)
 	}
 }

@@ -178,7 +178,7 @@ type Repro struct {
 	// leaked queue contents) get a chance to reappear.
 	EngineRun bool `json:"engine_run,omitempty"`
 	// Violations are the invariant violations observed at record time.
-	Violations []Violation `json:"violations"`
+	Violations []core.Violation `json:"violations"`
 }
 
 // WriteRepro writes the artifact into dir (created if needed) and
@@ -216,7 +216,7 @@ func LoadRepro(path string) (Repro, error) {
 // options, profile, and seeds — and re-audits it, returning the
 // violations observed this time (goroutine interleaving still varies,
 // so a racy violation may take several replays to reappear).
-func Replay(r Repro) ([]Violation, *core.Result, error) {
+func Replay(r Repro) ([]core.Violation, *core.Result, error) {
 	g, err := r.Graph.Generate()
 	if err != nil {
 		return nil, nil, err
@@ -226,8 +226,7 @@ func Replay(r Repro) ([]Violation, *core.Result, error) {
 		opt.Workers = runtime.GOMAXPROCS(0)
 	}
 	// Every replayed run takes the artifact's goal, so it terminates
-	// where the recorded one did; the audit judges it by the same
-	// goal-aware contract.
+	// where the recorded one did; core.Audit judges it under that goal.
 	goal := r.Options.goal()
 	if r.EngineRun {
 		// The failure was observed on a reused engine: replay the run
@@ -241,7 +240,7 @@ func Replay(r Repro) ([]Violation, *core.Result, error) {
 			return nil, nil, err
 		}
 		defer func() { e.Close() }()
-		var all []Violation
+		var all []core.Violation
 		var res *core.Result
 		for i := 0; i < 3; i++ {
 			inj := NewInjector(r.Profile, r.InjectionSeed, r.Options.injectorWorkers())
@@ -259,7 +258,7 @@ func Replay(r Repro) ([]Violation, *core.Result, error) {
 				}
 				continue
 			}
-			vs := AuditGoal(g, r.Source, nil, goal, res)
+			vs := core.Audit(g, r.Source, nil, goal, res)
 			vs = append(vs, levelViolations(inj)...)
 			all = append(all, vs...)
 		}
@@ -279,7 +278,7 @@ func Replay(r Repro) ([]Violation, *core.Result, error) {
 		}
 		return nil, nil, err
 	}
-	vs := AuditGoal(g, r.Source, nil, goal, res)
+	vs := core.Audit(g, r.Source, nil, goal, res)
 	vs = append(vs, levelViolations(inj)...)
 	return vs, res, nil
 }
@@ -296,14 +295,14 @@ func recoveryAbort(err error) bool {
 // levelViolations converts the injector's per-level audit findings:
 // unconsumed input-queue slots from the slot audit, unpublished
 // discoveries from the flush audit.
-func levelViolations(in *Injector) []Violation {
-	var vs []Violation
+func levelViolations(in *Injector) []core.Violation {
+	var vs []core.Violation
 	for _, s := range in.Violations() {
 		inv := "queue-slots-consumed"
 		if strings.Contains(s, "unpublished") {
 			inv = "publication-flushed"
 		}
-		vs = append(vs, Violation{Invariant: inv, Detail: s})
+		vs = append(vs, core.Violation{Invariant: inv, Detail: s})
 	}
 	return vs
 }
@@ -416,8 +415,8 @@ type SoakReport struct {
 	// optimistic runs absorbed.
 	Duplicates int64
 	// Truncated is how many runs a goal (target or depth bound)
-	// terminated early at a level barrier; those runs are audited by
-	// the goal-aware closed-level contract instead of the full oracle.
+	// terminated early at a level barrier; core.Audit holds those runs
+	// to the oracle's closed levels instead of the full oracle.
 	Truncated int
 	// Panics is how many runs aborted with a recovered worker panic
 	// (Disruptive profiles only; each one is a survived process crash).
@@ -709,7 +708,7 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 							rep.Duplicates += d
 						}
 
-						vs := AuditGoal(pg.g, 0, pg.want, goal, res)
+						vs := core.Audit(pg.g, 0, pg.want, goal, res)
 						vs = append(vs, levelViolations(inj)...)
 						publishSoakRun(cfg.Registry, algo, prof, inj, res, len(vs))
 						if cfg.Verbose {

@@ -218,7 +218,7 @@ func TestSoakMinimalConfig(t *testing.T) {
 		Algorithm: core.BFSWL,
 		Options:   RunOptions{Workers: 2, Seed: 1},
 		Profile:   Profile{Name: "baseline"},
-		Violations: []Violation{
+		Violations: []core.Violation{
 			{Invariant: "distances-match-oracle", Detail: "synthetic"},
 		},
 	}

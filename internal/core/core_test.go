@@ -40,34 +40,23 @@ func testGraphs(t testing.TB) map[string]*graph.CSR {
 
 var parallelAlgos = []Algorithm{BFSC, BFSCL, BFSDL, BFSW, BFSWL, BFSWS, BFSWSL, BFSEL}
 
-// checkRun executes algo and verifies its distances against the serial
-// oracle plus the structural validator, and its bookkeeping invariants.
+// requireClean fails the test when the audit contract reports any
+// violation; format and args name the run.
+func requireClean(t testing.TB, vs []Violation, format string, args ...any) {
+	t.Helper()
+	if err := AuditError(vs); err != nil {
+		t.Fatalf("%s: %v", fmt.Sprintf(format, args...), err)
+	}
+}
+
+// checkRun executes algo and holds its result to the audit contract.
 func checkRun(t *testing.T, g *graph.CSR, src int32, algo Algorithm, opt Options) *Result {
 	t.Helper()
 	res, err := Run(g, src, algo, opt)
 	if err != nil {
 		t.Fatalf("%s: %v", algo, err)
 	}
-	want := graph.ReferenceBFS(g, src)
-	if err := graph.EqualDistances(res.Dist, want); err != nil {
-		t.Fatalf("%s (workers=%d): wrong distances: %v", algo, opt.Workers, err)
-	}
-	if err := graph.ValidateDistances(g, src, res.Dist); err != nil {
-		t.Fatalf("%s: structural validation: %v", algo, err)
-	}
-	if res.Levels != graph.Eccentricity(want)+1 {
-		t.Fatalf("%s: Levels=%d, want %d", algo, res.Levels, graph.Eccentricity(want)+1)
-	}
-	wantReached, wantEdges := graph.ReachedCount(g, want)
-	if res.Reached != wantReached || res.EdgesTraversed != wantEdges {
-		t.Fatalf("%s: reached=%d edges=%d, want %d/%d", algo, res.Reached, res.EdgesTraversed, wantReached, wantEdges)
-	}
-	if res.Pops < res.Reached {
-		t.Fatalf("%s: pops %d < reached %d (missed work)", algo, res.Pops, res.Reached)
-	}
-	if res.Duplicates() < 0 {
-		t.Fatalf("%s: negative duplicates", algo)
-	}
+	requireClean(t, Audit(g, src, nil, Goal{}, res), "%s (workers=%d)", algo, opt.Workers)
 	return res
 }
 

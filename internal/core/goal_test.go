@@ -9,93 +9,6 @@ import (
 	"optibfs/internal/graph"
 )
 
-// goalExpectation derives, from the full serial oracle, where a
-// goal-directed run must stop: the closed-level count and whether the
-// run counts as truncated. Whichever goal fires first wins; a depth
-// bound truncates only when a vertex at that depth exists, and a
-// target only when it is reachable.
-func goalExpectation(want []int32, goal Goal) (levels int32, truncated bool) {
-	ecc := graph.Eccentricity(want)
-	levels = ecc + 1
-	if d := goal.MaxDepth; d > 0 && ecc >= d {
-		levels = d
-		truncated = true
-	}
-	if tv := goal.TargetVertex(); tv >= 0 && tv < int32(len(want)) {
-		if dt := want[tv]; dt != graph.Unreached && dt < levels {
-			levels = dt
-			truncated = true
-		}
-	}
-	return levels, truncated
-}
-
-// checkGoalResult verifies a goal-directed Result bit-for-bit against
-// the serial oracle's closed levels: every vertex at oracle distance
-// <= levels must hold exactly that distance (the final frontier is
-// settled too), and everything deeper must read Unreached.
-func checkGoalResult(t *testing.T, g *graph.CSR, src int32, goal Goal, res *Result) {
-	t.Helper()
-	want := graph.ReferenceBFS(g, src)
-	wantLevels, wantTrunc := goalExpectation(want, goal)
-	if res.Levels != wantLevels {
-		t.Fatalf("goal %+v: Levels=%d, want %d", goal, res.Levels, wantLevels)
-	}
-	if res.Truncated != wantTrunc {
-		t.Fatalf("goal %+v: Truncated=%v, want %v", goal, res.Truncated, wantTrunc)
-	}
-	for v := range res.Dist {
-		if d := want[v]; d != graph.Unreached && d <= wantLevels {
-			if res.Dist[v] != d {
-				t.Fatalf("goal %+v: dist[%d]=%d, oracle %d (closed level)", goal, v, res.Dist[v], d)
-			}
-		} else if res.Dist[v] != graph.Unreached {
-			t.Fatalf("goal %+v: dist[%d]=%d, want Unreached past level %d", goal, v, res.Dist[v], wantLevels)
-		}
-	}
-	if res.Parent != nil {
-		checkGoalParents(t, src, goal, res)
-	}
-	var sizes, settled int64
-	for _, s := range res.LevelSizes {
-		sizes += s
-	}
-	for _, d := range res.Dist {
-		if d != graph.Unreached && d < res.Levels {
-			settled++
-		}
-	}
-	if sizes != settled {
-		t.Fatalf("goal %+v: level sizes sum %d != closed-level vertices %d", goal, sizes, settled)
-	}
-}
-
-// checkGoalParents validates the BFS-tree property over the settled
-// prefix only — graph.ValidateParents expects a complete tree, which a
-// truncated run deliberately does not have.
-func checkGoalParents(t *testing.T, src int32, goal Goal, res *Result) {
-	t.Helper()
-	for v, p := range res.Parent {
-		d := res.Dist[v]
-		if d == graph.Unreached {
-			if p != -1 {
-				t.Fatalf("goal %+v: unreached %d has parent %d", goal, v, p)
-			}
-			continue
-		}
-		if int32(v) == src {
-			if p != src {
-				t.Fatalf("goal %+v: source parent %d", goal, p)
-			}
-			continue
-		}
-		if p < 0 || res.Dist[p] != d-1 {
-			t.Fatalf("goal %+v: vertex %d at depth %d has parent %d at depth %d",
-				goal, v, d, p, res.Dist[p])
-		}
-	}
-}
-
 // goalCases picks the interesting goals for one (graph, source) pair:
 // the source itself, near/mid/far targets, an unreachable target when
 // one exists, depth bounds straddling the eccentricity, and combined
@@ -188,7 +101,7 @@ func TestGoalDirectedMatrix(t *testing.T) {
 								t.Logf("graph %s", name)
 							}
 						}()
-						checkGoalResult(t, g, src, goal, res)
+						requireClean(t, Audit(g, src, nil, goal, res), "goal %+v", goal)
 					}()
 				}
 				// The per-run override must not leak: an unbounded run
@@ -198,15 +111,9 @@ func TestGoalDirectedMatrix(t *testing.T) {
 					be.Close()
 					t.Fatalf("%s: post-goal run: %v", name, err)
 				}
-				if err := graph.EqualDistances(res.Dist, graph.ReferenceBFS(g, src)); err != nil {
-					be.Close()
-					t.Fatalf("%s: goal leaked into later run: %v", name, err)
-				}
-				if res.Truncated {
-					be.Close()
-					t.Fatalf("%s: unbounded run marked truncated", name)
-				}
+				vs := Audit(g, src, nil, Goal{}, res)
 				be.Close()
+				requireClean(t, vs, "%s: goal leaked into later run", name)
 			}
 		})
 	}
@@ -261,7 +168,7 @@ func TestGoalPersistentWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatalf("src %d goal %+v: %v", src, goal, err)
 			}
-			checkGoalResult(t, g, src, goal, res)
+			requireClean(t, Audit(g, src, nil, goal, res), "src %d goal %+v", src, goal)
 		}
 	}
 }

@@ -25,39 +25,18 @@ func soloGoalOracle(t *testing.T, g *graph.CSR, src int32, goal Goal) *Result {
 	return res
 }
 
-// checkLaneGoal verifies one lane of a goal-directed fused run against
-// its solo serial twin: identical distances everywhere (both settle
-// exactly the closed levels plus the final frontier) and matching
-// truncation verdicts.
+// checkLaneGoal holds one lane of a goal-directed fused run to the
+// answer tier of the audit contract and to its solo serial twin:
+// identical distances everywhere and matching truncation verdicts.
 func checkLaneGoal(t *testing.T, g *graph.CSR, lane int, goal Goal, lr *LaneResult, want *Result) {
 	t.Helper()
-	if lr.Truncated != want.Truncated {
-		t.Fatalf("lane %d goal %+v: Truncated=%v, solo %v", lane, goal, lr.Truncated, want.Truncated)
+	requireClean(t, AuditAnswer(g, lr.Src, nil, goal, lr.AsResult()), "lane %d goal %+v", lane, goal)
+	if lr.Truncated != want.Truncated || lr.Levels != want.Levels {
+		t.Fatalf("lane %d goal %+v: Levels=%d Truncated=%v, solo %d/%v",
+			lane, goal, lr.Levels, lr.Truncated, want.Levels, want.Truncated)
 	}
-	if lr.Levels != want.Levels {
-		t.Fatalf("lane %d goal %+v: Levels=%d, solo %d", lane, goal, lr.Levels, want.Levels)
-	}
-	for v := range lr.Dist {
-		if lr.Dist[v] != want.Dist[v] {
-			t.Fatalf("lane %d goal %+v: dist[%d]=%d, solo %d", lane, goal, v, lr.Dist[v], want.Dist[v])
-		}
-	}
-	for v, p := range lr.Parent {
-		d := lr.Dist[v]
-		switch {
-		case d == graph.Unreached:
-			if p != -1 {
-				t.Fatalf("lane %d: unreached %d has parent %d", lane, v, p)
-			}
-		case int32(v) == lr.Src:
-			if p != lr.Src {
-				t.Fatalf("lane %d: source parent %d", lane, p)
-			}
-		default:
-			if p < 0 || lr.Dist[p] != d-1 {
-				t.Fatalf("lane %d: vertex %d depth %d parent %d depth %d", lane, v, d, p, lr.Dist[p])
-			}
-		}
+	if err := graph.EqualDistances(lr.Dist, want.Dist); err != nil {
+		t.Fatalf("lane %d goal %+v: differs from solo: %v", lane, goal, err)
 	}
 }
 

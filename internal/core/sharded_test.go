@@ -31,37 +31,6 @@ func newShardedForTest(t *testing.T, g *graph.CSR, shards int, algo Algorithm, o
 	return e
 }
 
-// checkShardedResult verifies a sharded Result against the serial
-// oracle plus the same structural and accounting invariants checkRun
-// applies to plain engines.
-func checkShardedResult(t *testing.T, g *graph.CSR, src int32, res *Result) {
-	t.Helper()
-	want := graph.ReferenceBFS(g, src)
-	if err := graph.EqualDistances(res.Dist, want); err != nil {
-		t.Fatalf("wrong distances: %v", err)
-	}
-	if err := graph.ValidateDistances(g, src, res.Dist); err != nil {
-		t.Fatalf("structural validation: %v", err)
-	}
-	if res.Levels != graph.Eccentricity(want)+1 {
-		t.Fatalf("Levels=%d, want %d", res.Levels, graph.Eccentricity(want)+1)
-	}
-	wantReached, wantEdges := graph.ReachedCount(g, want)
-	if res.Reached != wantReached || res.EdgesTraversed != wantEdges {
-		t.Fatalf("reached=%d edges=%d, want %d/%d", res.Reached, res.EdgesTraversed, wantReached, wantEdges)
-	}
-	if res.Pops < res.Reached {
-		t.Fatalf("pops %d < reached %d (missed work)", res.Pops, res.Reached)
-	}
-	var sizes int64
-	for _, s := range res.LevelSizes {
-		sizes += s
-	}
-	if sizes != res.Reached {
-		t.Fatalf("level sizes sum %d != reached %d", sizes, res.Reached)
-	}
-}
-
 func TestShardedMatchesOracleEverywhere(t *testing.T) {
 	graphs := testGraphs(t)
 	for _, shards := range shardCounts {
@@ -81,7 +50,7 @@ func TestShardedMatchesOracleEverywhere(t *testing.T) {
 								t.Logf("graph %s shards %d", name, shards)
 							}
 						}()
-						checkShardedResult(t, g, 0, res)
+						requireClean(t, Audit(g, 0, nil, Goal{}, res), "%s/%s", algo, name)
 					}()
 				}
 			})
@@ -303,7 +272,7 @@ func TestShardedReseedReproduces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkShardedResult(t, g, 0, res)
+	requireClean(t, Audit(g, 0, nil, Goal{}, res), "reseeded sharded run")
 }
 
 func TestShardedConstructionErrors(t *testing.T) {

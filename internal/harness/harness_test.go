@@ -161,7 +161,9 @@ func checkOracleMatrix(t *testing.T, hybrid bool) {
 						if err != nil {
 							t.Fatalf("%s goal=%+v: %v", cell, goal, err)
 						}
-						checkClosedLevels(t, cell, goal, want, res)
+						if err := core.AuditError(core.Audit(g, 0, want, goal, res)); err != nil {
+							t.Fatalf("%s goal=%+v: %v", cell, goal, err)
+						}
 						if got := res.Counters.TopDownLevels + res.Counters.BottomUpLevels; hybrid && got != int64(res.Levels) {
 							t.Fatalf("%s goal=%+v: direction levels %d != levels %d", cell, goal, got, res.Levels)
 						}
@@ -169,36 +171,6 @@ func checkOracleMatrix(t *testing.T, hybrid bool) {
 					r.Close()
 				}
 			}
-		}
-	}
-}
-
-// checkClosedLevels compares a (possibly goal-truncated) run with the
-// full oracle: an unbounded run must match it exactly; a run to a
-// target must stop at the target's level, exact up to and including
-// it and Unreached beyond.
-func checkClosedLevels(t *testing.T, cell string, goal core.Goal, want []int32, res *core.Result) {
-	t.Helper()
-	if !goal.Bounded() {
-		if err := graph.EqualDistances(res.Dist, want); err != nil {
-			t.Fatalf("%s: %v", cell, err)
-		}
-		if res.Truncated {
-			t.Fatalf("%s: unbounded run marked truncated", cell)
-		}
-		return
-	}
-	levels := want[goal.TargetVertex()]
-	if res.Levels != levels || !res.Truncated {
-		t.Fatalf("%s goal=%+v: Levels=%d Truncated=%v, want %d/true", cell, goal, res.Levels, res.Truncated, levels)
-	}
-	for v, d := range want {
-		if d != graph.Unreached && d <= levels {
-			if res.Dist[v] != d {
-				t.Fatalf("%s goal=%+v: dist[%d]=%d, oracle %d", cell, goal, v, res.Dist[v], d)
-			}
-		} else if res.Dist[v] != graph.Unreached {
-			t.Fatalf("%s goal=%+v: dist[%d]=%d past closed level %d", cell, goal, v, res.Dist[v], levels)
 		}
 	}
 }

@@ -14,18 +14,6 @@ import (
 	"optibfs/internal/obs"
 )
 
-// checkAnswerFrom validates an answer for an arbitrary source.
-func checkAnswerFrom(t *testing.T, g *graph.CSR, src int32, ans *Answer) {
-	t.Helper()
-	want := graph.ReferenceBFS(g, src)
-	if err := graph.EqualDistances(ans.Dist, want); err != nil {
-		t.Fatalf("src %d: %v", src, err)
-	}
-	if err := graph.ValidateParents(g, src, ans.Dist, ans.Parent); err != nil {
-		t.Fatalf("src %d: %v", src, err)
-	}
-}
-
 // holdFleet takes every solo slot so QueryFused finds the fleet busy
 // and must queue for fusion instead of taking the idle-fleet bypass.
 // The returned release puts the slots back; it is idempotent and must
@@ -101,7 +89,7 @@ func TestFusedBatchOK(t *testing.T) {
 		if anss[i].Algorithm != core.MSBFSL {
 			t.Fatalf("lane %d: algorithm %q, want %q", i, anss[i].Algorithm, core.MSBFSL)
 		}
-		checkAnswerFrom(t, g, int32(i*13), anss[i])
+		checkAnswer(t, g, int32(i*13), core.Goal{}, anss[i])
 	}
 	if n := reg.Counter("optibfs_serve_fused_lanes_total").Value(); n != lanes {
 		t.Fatalf("fused lanes counted = %d, want %d", n, lanes)
@@ -171,7 +159,7 @@ func TestFusedCanceledLaneMasked(t *testing.T) {
 	if n := reg.Counter("optibfs_serve_fused_solo_dispatch_total").Value(); n != 1 {
 		t.Fatalf("solo dispatches = %d, want 1", n)
 	}
-	checkAnswer(t, g, liveAns)
+	checkAnswer(t, g, 0, core.Goal{}, liveAns)
 }
 
 // TestFusedEngineFailureRerunsSolo: a worker panic inside the fused
@@ -221,7 +209,7 @@ func TestFusedEngineFailureRerunsSolo(t *testing.T) {
 		if anss[i].Fused {
 			t.Fatalf("lane %d: solo re-run still marked fused", i)
 		}
-		checkAnswerFrom(t, g, int32(i*11), anss[i])
+		checkAnswer(t, g, int32(i*11), core.Goal{}, anss[i])
 	}
 	if n := reg.Counter("optibfs_serve_fused_failures_total", obs.L("kind", "panic")).Value(); n != 1 {
 		t.Fatalf("fused panic failures = %d, want 1", n)
@@ -321,7 +309,7 @@ func TestFusedDisabledFallsBack(t *testing.T) {
 	if ans.Outcome != "ok" {
 		t.Fatalf("outcome = %q, want ok", ans.Outcome)
 	}
-	checkAnswer(t, g, ans)
+	checkAnswer(t, g, 0, core.Goal{}, ans)
 }
 
 // TestFusedCloseBetweenCheckAndEnqueue is the reload-hang regression: a
@@ -385,7 +373,7 @@ func TestFusedIdleFleetAnswersSolo(t *testing.T) {
 	if ans.Outcome != "ok" || ans.Algorithm != gd.Algorithm() {
 		t.Fatalf("outcome %q algorithm %q, want ok %q", ans.Outcome, ans.Algorithm, gd.Algorithm())
 	}
-	checkAnswer(t, g, ans)
+	checkAnswer(t, g, 0, core.Goal{}, ans)
 	if n := reg.Counter("optibfs_serve_requests_total", obs.L("outcome", "ok")).Value(); n != 1 {
 		t.Fatalf("ok requests = %d, want 1", n)
 	}
@@ -442,7 +430,7 @@ func TestFusedOverflowWhenFleetBusy(t *testing.T) {
 			t.Fatalf("lane %d: fused=%v lanes=%d, want fused in a %d-lane batch",
 				i, anss[i].Fused, anss[i].BatchLanes, lanes)
 		}
-		checkAnswerFrom(t, g, int32(i*31), anss[i])
+		checkAnswer(t, g, int32(i*31), core.Goal{}, anss[i])
 	}
 	if n := reg.Counter("optibfs_serve_fused_batches_total").Value(); n != 1 {
 		t.Fatalf("fused batches = %d, want 1", n)

@@ -13,40 +13,6 @@ import (
 	"optibfs/internal/obs"
 )
 
-// checkGoalAnswer verifies a goal-directed Answer against the serial
-// oracle's closed levels: exact distances up to Answer.Levels,
-// Unreached beyond, and a truthful Truncated flag.
-func checkGoalAnswer(t *testing.T, g *graph.CSR, src int32, goal core.Goal, ans *Answer) {
-	t.Helper()
-	want := graph.ReferenceBFS(g, src)
-	ecc := graph.Eccentricity(want)
-	wantLevels := ecc + 1
-	wantTrunc := false
-	if d := goal.MaxDepth; d > 0 && ecc >= d {
-		wantLevels = d
-		wantTrunc = true
-	}
-	if tv := goal.TargetVertex(); tv >= 0 {
-		if dt := want[tv]; dt != graph.Unreached && dt < wantLevels {
-			wantLevels = dt
-			wantTrunc = true
-		}
-	}
-	if ans.Levels != wantLevels || ans.Truncated != wantTrunc {
-		t.Fatalf("goal %+v: Levels=%d Truncated=%v, want %d/%v",
-			goal, ans.Levels, ans.Truncated, wantLevels, wantTrunc)
-	}
-	for v, d := range ans.Dist {
-		if wd := want[v]; wd != graph.Unreached && wd <= wantLevels {
-			if d != wd {
-				t.Fatalf("goal %+v: dist[%d]=%d, oracle %d", goal, v, d, wd)
-			}
-		} else if d != graph.Unreached {
-			t.Fatalf("goal %+v: dist[%d]=%d, want Unreached past level %d", goal, v, d, wantLevels)
-		}
-	}
-}
-
 // TestQueryGoal runs target, depth-bound, and combined goals through
 // solo Guards — plain and sharded — and checks the truncated answers
 // bit-for-bit against the oracle's closed levels.
@@ -87,7 +53,7 @@ func TestQueryGoal(t *testing.T) {
 				gd.Close()
 				t.Fatalf("shards=%d goal %+v: outcome %q", shards, goal, ans.Outcome)
 			}
-			checkGoalAnswer(t, g, 0, goal, ans)
+			checkAnswer(t, g, 0, goal, ans)
 		}
 		// The goal must not leak into the next unbounded query.
 		ans, err := gd.Query(context.Background(), 0)
@@ -99,7 +65,7 @@ func TestQueryGoal(t *testing.T) {
 			gd.Close()
 			t.Fatal("unbounded query after goals marked truncated")
 		}
-		checkAnswer(t, g, ans)
+		checkAnswer(t, g, 0, core.Goal{}, ans)
 		gd.Close()
 	}
 }
@@ -153,7 +119,7 @@ func TestQueryGoalDegraded(t *testing.T) {
 	if ans.Outcome != "degraded" || ans.Algorithm != core.Serial {
 		t.Fatalf("outcome %q algorithm %q, want degraded serial", ans.Outcome, ans.Algorithm)
 	}
-	checkGoalAnswer(t, g, 0, goal, ans)
+	checkAnswer(t, g, 0, goal, ans)
 }
 
 // TestFusedSingleLaneSoloDispatch is the regression pin for the 1-lane
@@ -199,7 +165,7 @@ func TestFusedSingleLaneSoloDispatch(t *testing.T) {
 	if ans.BatchLanes != 1 {
 		t.Fatalf("BatchLanes = %d, want 1", ans.BatchLanes)
 	}
-	checkAnswer(t, g, ans)
+	checkAnswer(t, g, 0, core.Goal{}, ans)
 	if n := reg.Counter("optibfs_serve_fused_solo_dispatch_total").Value(); n != 1 {
 		t.Fatalf("solo dispatches = %d, want 1", n)
 	}
@@ -258,7 +224,7 @@ func TestQueryFusedGoal(t *testing.T) {
 		if anss[i].Fused {
 			fusedLanes.Add(1)
 		}
-		checkGoalAnswer(t, g, srcs[i], goals[i], anss[i])
+		checkAnswer(t, g, srcs[i], goals[i], anss[i])
 	}
 	// All three seated in one window (MaxLanes 3 forces dispatch when
 	// full); a partial window would still be correct but wouldn't

@@ -158,6 +158,15 @@ type Answer struct {
 	Truncated bool
 }
 
+// AsResult views the answer fields as a core.Result, the shape the
+// audit contract (core.AuditAnswer) takes.
+func (a *Answer) AsResult() *core.Result {
+	return &core.Result{
+		Dist: a.Dist, Parent: a.Parent, Levels: a.Levels, Truncated: a.Truncated,
+		Reached: a.Reached, EdgesTraversed: a.EdgesTraversed,
+	}
+}
+
 // Guard is the hardened serving wrapper. Safe for concurrent use.
 type Guard struct {
 	g     *graph.CSR

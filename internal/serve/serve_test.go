@@ -27,14 +27,15 @@ func testGraph(t *testing.T) *graph.CSR {
 	return g
 }
 
-func checkAnswer(t *testing.T, g *graph.CSR, ans *Answer) {
+// checkAnswer holds an answer to the answer tier of the audit
+// contract. The Guard forces parent tracking, so parents are required.
+func checkAnswer(t *testing.T, g *graph.CSR, src int32, goal core.Goal, ans *Answer) {
 	t.Helper()
-	want := graph.ReferenceBFS(g, 0)
-	if err := graph.EqualDistances(ans.Dist, want); err != nil {
-		t.Fatal(err)
+	if ans.Parent == nil {
+		t.Fatalf("src %d: answer carries no parents", src)
 	}
-	if err := graph.ValidateParents(g, 0, ans.Dist, ans.Parent); err != nil {
-		t.Fatal(err)
+	if err := core.AuditError(core.AuditAnswer(g, src, nil, goal, ans.AsResult())); err != nil {
+		t.Fatalf("src %d goal %+v: %v", src, goal, err)
 	}
 }
 
@@ -52,7 +53,7 @@ func TestQueryOK(t *testing.T) {
 	if ans.Outcome != "ok" {
 		t.Fatalf("outcome = %q, want ok", ans.Outcome)
 	}
-	checkAnswer(t, g, ans)
+	checkAnswer(t, g, 0, core.Goal{}, ans)
 }
 
 func TestQueryBadSourceAndClosed(t *testing.T) {
@@ -101,7 +102,7 @@ func TestRecoveredAfterOnePanic(t *testing.T) {
 	if ans.Outcome != "recovered" {
 		t.Fatalf("outcome = %q, want recovered", ans.Outcome)
 	}
-	checkAnswer(t, g, ans)
+	checkAnswer(t, g, 0, core.Goal{}, ans)
 	if n := reg.Counter("optibfs_serve_failures_total", obs.L("kind", "panic")).Value(); n != 1 {
 		t.Fatalf("panic failures counted = %d, want 1", n)
 	}
@@ -151,7 +152,7 @@ func TestDegradedToSerial(t *testing.T) {
 			if ans.Algorithm != core.Serial {
 				t.Fatalf("algorithm = %q, want serial oracle", ans.Algorithm)
 			}
-			checkAnswer(t, g, ans)
+			checkAnswer(t, g, 0, core.Goal{}, ans)
 			if n := reg.Counter("optibfs_serve_failures_total", obs.L("kind", "panic")).Value(); n != 2 {
 				t.Fatalf("panic failures counted = %d, want 2 (primary + retry)", n)
 			}
@@ -194,7 +195,7 @@ func TestStallDegrades(t *testing.T) {
 	if ans.Outcome != "degraded" && ans.Outcome != "recovered" {
 		t.Fatalf("outcome = %q, want degraded or recovered", ans.Outcome)
 	}
-	checkAnswer(t, g, ans)
+	checkAnswer(t, g, 0, core.Goal{}, ans)
 	if n := reg.Counter("optibfs_serve_failures_total", obs.L("kind", "stall")).Value(); n < 1 {
 		t.Fatalf("stall failures counted = %d, want >= 1", n)
 	}

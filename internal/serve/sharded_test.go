@@ -31,7 +31,7 @@ func TestGuardShardedBackend(t *testing.T) {
 		if ans.Outcome != "ok" {
 			t.Fatalf("outcome = %q, want ok", ans.Outcome)
 		}
-		checkAnswer(t, g, ans)
+		checkAnswer(t, g, 0, core.Goal{}, ans)
 	}
 }
 
@@ -58,7 +58,7 @@ func TestGuardShardedRecoversFromPanic(t *testing.T) {
 	if ans.Outcome != "recovered" {
 		t.Fatalf("outcome = %q, want recovered", ans.Outcome)
 	}
-	checkAnswer(t, g, ans)
+	checkAnswer(t, g, 0, core.Goal{}, ans)
 	// The rebuilt engine serves cleanly from here on.
 	ans, err = gd.Query(context.Background(), 0)
 	if err != nil || ans.Outcome != "ok" {

@@ -99,7 +99,7 @@ func TestWedgeRaceKeepsAnswer(t *testing.T) {
 	if ans.Outcome != "ok" {
 		t.Fatalf("follow-up outcome = %q, want ok", ans.Outcome)
 	}
-	checkAnswer(t, g, ans)
+	checkAnswer(t, g, 0, core.Goal{}, ans)
 }
 
 // TestCloseIdempotent: double and concurrent Close must not panic or
