@@ -307,32 +307,11 @@ func BenchmarkAblationReorder(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPersistentWorkers compares per-level goroutine
-// spawning against long-lived workers with a reusable barrier (the Go
-// analogue of the paper's §IV-D cilk-vs-OpenMP question), on a
-// high-diameter graph where per-level overheads accumulate most.
-func BenchmarkAblationPersistentWorkers(b *testing.B) {
-	g := benchGraph(b, "freescale")
-	spec, err := harness.AlgoByName(string(core.BFSCL))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, cfg := range []struct {
-		name       string
-		persistent bool
-	}{{"spawn-per-level", false}, {"persistent", true}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			runBench(b, g, spec, 12, costmodel.Lonestar,
-				core.Options{PersistentWorkers: cfg.persistent})
-		})
-	}
-}
-
 // BenchmarkEngineSteadyState measures warm Engine.Run on the
 // wikipedia stand-in: after the warmup runs every per-run structure —
 // dist/parent/claim arrays, queue buffers, counters, RNG streams, and
-// (with PersistentWorkers) the worker goroutines — is pooled on the
-// engine and invalidated by the epoch bump, so allocs/op must be 0.
+// the crew of worker goroutines — is pooled on the engine and
+// invalidated by the epoch bump, so allocs/op must be 0.
 // The timeline variant additionally enables the per-level timeline and
 // dispatch tracing, whose buffers are pooled the same way — turning
 // observability on must not cost warm-path allocations.
@@ -345,11 +324,11 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 		algo optibfs.Algorithm
 		opt  optibfs.Options
 	}{
-		{string(optibfs.BFSCL), optibfs.BFSCL, optibfs.Options{Workers: 8, Seed: 1, PersistentWorkers: true}},
-		{string(optibfs.BFSWL), optibfs.BFSWL, optibfs.Options{Workers: 8, Seed: 1, PersistentWorkers: true}},
-		{string(optibfs.BFSWSL), optibfs.BFSWSL, optibfs.Options{Workers: 8, Seed: 1, PersistentWorkers: true}},
+		{string(optibfs.BFSCL), optibfs.BFSCL, optibfs.Options{Workers: 8, Seed: 1}},
+		{string(optibfs.BFSWL), optibfs.BFSWL, optibfs.Options{Workers: 8, Seed: 1}},
+		{string(optibfs.BFSWSL), optibfs.BFSWSL, optibfs.Options{Workers: 8, Seed: 1}},
 		{string(optibfs.BFSWSL) + "-timeline", optibfs.BFSWSL, optibfs.Options{
-			Workers: 8, Seed: 1, PersistentWorkers: true,
+			Workers: 8, Seed: 1,
 			LevelTimeline: true, TraceCapacity: 1 << 12,
 		}},
 	}
@@ -395,7 +374,7 @@ func BenchmarkHybridSteadyState(b *testing.B) {
 	for _, algo := range []optibfs.Algorithm{optibfs.BFSWL, optibfs.BFSWSL} {
 		b.Run(string(algo), func(b *testing.B) {
 			e, err := optibfs.NewEngine(g, algo, &optibfs.Options{
-				Workers: 8, Seed: 1, PersistentWorkers: true, Hybrid: true,
+				Workers: 8, Seed: 1, Hybrid: true,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -443,7 +422,7 @@ func BenchmarkGoalSteadyState(b *testing.B) {
 	src := harness.PickSources(g, 1, 0xbe7c)[0]
 	ctx := context.Background()
 	for _, algo := range []optibfs.Algorithm{optibfs.BFSWL, optibfs.BFSWSL} {
-		e, err := optibfs.NewEngine(g, algo, &optibfs.Options{Workers: 8, Seed: 1, PersistentWorkers: true})
+		e, err := optibfs.NewEngine(g, algo, &optibfs.Options{Workers: 8, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -507,7 +486,7 @@ func BenchmarkEngineRunMany(b *testing.B) {
 	g := benchGraph(b, "wikipedia")
 	sources := harness.PickSources(g, 32, 0x32)
 	b.Run("engine-32src", func(b *testing.B) {
-		e, err := optibfs.NewEngine(g, optibfs.BFSWSL, &optibfs.Options{Workers: 8, Seed: 1, PersistentWorkers: true})
+		e, err := optibfs.NewEngine(g, optibfs.BFSWSL, &optibfs.Options{Workers: 8, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -602,7 +581,7 @@ func BenchmarkDrainLocality(b *testing.B) {
 				name := fmt.Sprintf("%s/workers%d/block%d", gc.name, p, blk)
 				b.Run(name, func(b *testing.B) {
 					e, err := optibfs.NewEngine(g, optibfs.BFSWSL, &optibfs.Options{
-						Workers: p, Seed: 1, PersistentWorkers: true, PublishBlock: blk,
+						Workers: p, Seed: 1, PublishBlock: blk,
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -650,7 +629,7 @@ func BenchmarkShardedSteadyState(b *testing.B) {
 		for _, shards := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("%s/shards%d", algo, shards), func(b *testing.B) {
 				be, err := core.NewBackend(g, algo, core.Options{
-					Workers: 8, Seed: 1, PersistentWorkers: true,
+					Workers: 8, Seed: 1,
 					TrackParents: true, Shards: shards,
 				})
 				if err != nil {

@@ -533,7 +533,7 @@ func (d *daemon) handleQuery(w http.ResponseWriter, r *http.Request) {
 			resp := answerFields(src, ans)
 			resp["error"] = err.Error()
 			resp["partial"] = true
-			addProjection(resp, r, lease.Graph(), ans)
+			addProjection(resp, r, src, dst, ans)
 			writeJSON(w, http.StatusGatewayTimeout, resp)
 			return
 		}
@@ -559,22 +559,7 @@ func (d *daemon) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp["graph"] = name
 		resp["graph_gen"] = lease.Gen()
 	}
-	if dst >= 0 {
-		resp["dst"] = dst
-		resp["dist"] = ans.Dist[dst]
-		if ans.Parent != nil {
-			resp["parent"] = ans.Parent[dst]
-			if r.URL.Query().Get("path") == "1" && ans.Dist[dst] != graph.Unreached {
-				resp["path"] = walkPath(src, dst, ans)
-			}
-		}
-	}
-	if r.URL.Query().Get("full") == "1" {
-		resp["dist_all"] = ans.Dist
-		if ans.Parent != nil {
-			resp["parent_all"] = ans.Parent
-		}
-	}
+	addProjection(resp, r, src, dst, ans)
 	if r.URL.Query().Get("validate") == "1" {
 		if verr := validateAnswer(lease.Graph(), src, goal, ans); verr != nil {
 			writeJSON(w, http.StatusInternalServerError, map[string]any{"error": verr.Error(), "valid": false})
@@ -706,16 +691,18 @@ func answerFields(src int32, ans *serve.Answer) map[string]any {
 	return resp
 }
 
-// addProjection attaches the dst/full projections to a partial-answer
-// response; bad projection params are simply omitted (the request
-// already failed its deadline — the error field dominates).
-func addProjection(resp map[string]any, r *http.Request, g *graph.CSR, ans *serve.Answer) {
-	if dstS := r.URL.Query().Get("dst"); dstS != "" {
-		if dst64, derr := strconv.ParseInt(dstS, 10, 32); derr == nil && dst64 >= 0 && int32(dst64) < g.NumVertices() {
-			resp["dst"] = dst64
-			resp["dist"] = ans.Dist[dst64]
-			if ans.Parent != nil {
-				resp["parent"] = ans.Parent[dst64]
+// addProjection attaches the dst and full=1 projections to a complete
+// or a partial (504) answer: dst's distance, parent and, with path=1,
+// its path from src when settled; or the whole arrays. dst is the
+// vertex parseGoal validated, -1 when the query named none.
+func addProjection(resp map[string]any, r *http.Request, src, dst int32, ans *serve.Answer) {
+	if dst >= 0 {
+		resp["dst"] = dst
+		resp["dist"] = ans.Dist[dst]
+		if ans.Parent != nil {
+			resp["parent"] = ans.Parent[dst]
+			if r.URL.Query().Get("path") == "1" && ans.Dist[dst] != graph.Unreached {
+				resp["path"] = walkPath(src, dst, ans)
 			}
 		}
 	}

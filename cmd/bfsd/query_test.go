@@ -130,6 +130,33 @@ func TestPartialAnswerOn504(t *testing.T) {
 			t.Fatalf("mode %q: dist_all has %d entries, want 2000", mode, n)
 		}
 	}
+
+	// A dst query's 504 projects dst from the same partial answer: the
+	// farthest vertex from the source is still unsettled at the
+	// deadline, or settled at its exact distance.
+	g, _, err := generate("er", map[string][]string{"n": {"2000"}, "m": {"12000"}, "seed": {"7"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := graph.ReferenceBFS(g, 0)
+	var dst int32
+	for v, d := range want {
+		if d > want[dst] {
+			dst = int32(v)
+		}
+	}
+	for _, mode := range []string{"", "&batch=0"} {
+		q := getJSON(t, fmt.Sprintf("%s/query?src=0&dst=%d%s", ts.URL, dst, mode), http.StatusGatewayTimeout)
+		if q["partial"] != true {
+			t.Fatalf("mode %q: partial flag missing: %v", mode, q)
+		}
+		if q["dst"] != float64(dst) {
+			t.Fatalf("mode %q: dst = %v, want %d", mode, q["dst"], dst)
+		}
+		if d, ok := q["dist"].(float64); !ok || (d != float64(graph.Unreached) && d != float64(want[dst])) {
+			t.Fatalf("mode %q: dist = %v, want %d or %d", mode, q["dist"], graph.Unreached, want[dst])
+		}
+	}
 }
 
 // slowHook is a ChaosHook that sleeps at every level barrier.

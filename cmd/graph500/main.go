@@ -99,7 +99,7 @@ func run(w *os.File, scale int, edgefactor int64, algoName string, rounds, worke
 
 	sources := harness.PickSources(g, rounds, seed^0x9e3779b9)
 	opt := core.Options{
-		Workers: workers, TrackParents: !skipVal, PersistentWorkers: true,
+		Workers: workers, TrackParents: !skipVal,
 		Reorder: core.ReorderMode(reorderMode), Shards: shards, Hybrid: hybrid,
 	}
 	if shards > 1 {

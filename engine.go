@@ -133,9 +133,10 @@ func (e *Engine) Algorithm() Algorithm { return e.algo }
 // Graph returns the engine's bound graph.
 func (e *Engine) Graph() *Graph { return e.g }
 
-// Close releases the engine's resources (its persistent workers, when
-// Options.PersistentWorkers is set). Close is idempotent; a closed
-// engine's Run returns an error.
+// Close releases the engine's resources: it stops the long-lived
+// worker goroutines every parallel engine keeps from construction on,
+// which an engine dropped without Close leaks, parked. Close is
+// idempotent; a closed engine's Run returns an error.
 func (e *Engine) Close() {
 	e.closed = true
 	if e.ce != nil {

@@ -75,7 +75,9 @@ func DefaultGraphs() []GraphSpec {
 }
 
 // RunOptions is the JSON-serializable subset of core.Options a soak
-// run varies; it round-trips through repro artifacts.
+// run varies; it round-trips through repro artifacts. Decoding ignores
+// fields it no longer knows, so artifacts written by older builds (a
+// "persistent_workers" toggle, say) still replay.
 type RunOptions struct {
 	// Workers is the worker count (always explicit in artifacts).
 	Workers int `json:"workers"`
@@ -93,8 +95,6 @@ type RunOptions struct {
 	ParentClaim bool `json:"parent_claim,omitempty"`
 	// TrackParents records BFS parents for tree validation.
 	TrackParents bool `json:"track_parents,omitempty"`
-	// PersistentWorkers reuses long-lived worker goroutines.
-	PersistentWorkers bool `json:"persistent_workers,omitempty"`
 	// PublishBlock is the batched-publication block size; 0 = default.
 	PublishBlock int `json:"publish_block,omitempty"`
 	// Reorder names the vertex-relabeling mode ("" | "degree" | "bfs").
@@ -124,21 +124,20 @@ type RunOptions struct {
 // which is a run argument: see goal).
 func (o RunOptions) Core() core.Options {
 	return core.Options{
-		Workers:           o.Workers,
-		SegmentSize:       o.SegmentSize,
-		Pools:             o.Pools,
-		Sockets:           o.Sockets,
-		SameSocketBias:    o.SameSocketBias,
-		Phase2Stealing:    o.Phase2Stealing,
-		ParentClaim:       o.ParentClaim,
-		TrackParents:      o.TrackParents,
-		PersistentWorkers: o.PersistentWorkers,
-		PublishBlock:      o.PublishBlock,
-		Reorder:           core.ReorderMode(o.Reorder),
-		Shards:            o.Shards,
-		Hybrid:            o.Hybrid,
-		StallTimeout:      time.Duration(o.StallTimeoutMillis) * time.Millisecond,
-		Seed:              o.Seed,
+		Workers:        o.Workers,
+		SegmentSize:    o.SegmentSize,
+		Pools:          o.Pools,
+		Sockets:        o.Sockets,
+		SameSocketBias: o.SameSocketBias,
+		Phase2Stealing: o.Phase2Stealing,
+		ParentClaim:    o.ParentClaim,
+		TrackParents:   o.TrackParents,
+		PublishBlock:   o.PublishBlock,
+		Reorder:        core.ReorderMode(o.Reorder),
+		Shards:         o.Shards,
+		Hybrid:         o.Hybrid,
+		StallTimeout:   time.Duration(o.StallTimeoutMillis) * time.Millisecond,
+		Seed:           o.Seed,
 	}
 }
 
@@ -450,7 +449,7 @@ func (r *SoakReport) String() string {
 
 // deriveOptions expands one per-run seed into a full option set,
 // covering the configuration space (segment sizes, pools, NUMA
-// simulation, claim/parent/persistence toggles) deterministically.
+// simulation, claim/parent toggles) deterministically.
 // n is the graph's vertex count: about a third of the runs draw a
 // goal (a random termination target, a random depth bound, or both)
 // so barrier-time early termination is crossed with every other
@@ -479,7 +478,6 @@ func deriveOptions(r *rng.SplitMix64, maxWorkers int, n int32) RunOptions {
 	o.Phase2Stealing = r.Next()%2 == 0
 	o.ParentClaim = r.Next()%4 == 0
 	o.TrackParents = r.Next()%2 == 0
-	o.PersistentWorkers = r.Next()%4 == 0
 	// Batched publication block sizes, from the per-vertex ablation
 	// baseline through boundary-stressing tiny blocks to a full-size
 	// one; the remaining draws keep the default.
@@ -512,7 +510,7 @@ func deriveOptions(r *rng.SplitMix64, maxWorkers int, n int32) RunOptions {
 	}
 	// Hybrid: a quarter of the runs take bottom-up levels through the
 	// soak, crossing the direction machinery with every other dimension
-	// (claims, sharding, persistence, publication blocks).
+	// (claims, sharding, publication blocks).
 	o.Hybrid = r.Next()%4 == 0
 	// Goals: a third of the runs terminate early — at a random target
 	// vertex, a random (shallow) depth bound, or occasionally both, so

@@ -2,6 +2,9 @@ package chaos
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -113,6 +116,37 @@ func TestReproRoundTripAndReplay(t *testing.T) {
 	}
 	if len(vs) != 0 {
 		t.Fatalf("replay of a correct run reported violations: %v", vs)
+	}
+	// An artifact from a build whose options still carried the
+	// persistent-workers toggle must decode to the same run and replay.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]any
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	raw["options"].(map[string]any)["persistent_workers"] = true
+	if data, err = json.Marshal(raw); err != nil {
+		t.Fatal(err)
+	}
+	legacy := filepath.Join(dir, "legacy.json")
+	if err := os.WriteFile(legacy, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old, err := LoadRepro(legacy)
+	if err != nil {
+		t.Fatalf("legacy artifact: %v", err)
+	}
+	if old.Options != r.Options {
+		t.Fatalf("legacy artifact options: got %+v, want %+v", old.Options, r.Options)
+	}
+	if vs, res, err = Replay(old); err != nil {
+		t.Fatalf("legacy artifact replay: %v", err)
+	}
+	if res.Reached != 1500 || len(vs) != 0 {
+		t.Fatalf("legacy artifact replay: reached=%d violations=%v", res.Reached, vs)
 	}
 	if _, err := LoadRepro(path + ".missing"); err == nil {
 		t.Fatal("missing artifact loaded")

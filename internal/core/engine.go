@@ -3,9 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime/pprof"
-	"strconv"
-	"sync/atomic"
 
 	"optibfs/internal/graph"
 	"optibfs/internal/reorder"
@@ -15,9 +12,9 @@ import (
 // Engine is a reusable BFS handle bound to one graph and one resolved
 // option set. It owns every piece of per-run state — the dist/parent/
 // claim arrays, the p shared input queues and private output buffers,
-// per-worker counters, trace buffers, and the RNG streams — plus, with
-// Options.PersistentWorkers, the worker goroutines themselves, so that
-// repeated Run calls on a warm engine allocate nothing.
+// per-worker counters, trace buffers, and the RNG streams — plus the
+// crew of worker goroutines that runs its levels, so that repeated Run
+// calls on a warm engine allocate nothing. Close stops the crew.
 //
 // Sharing contract: the graph is immutable and may be shared by any
 // number of engines and goroutines; an Engine itself is single-caller —
@@ -64,7 +61,10 @@ type engineImpl interface {
 }
 
 // binding wires one runner family's per-level machinery onto pooled
-// state: setup/perLevel carry runLevels' contract, post (optional)
+// state: setup/perLevel carry runLevels' contract (setup resets the
+// family's shared dispatch state before each level; perLevel is one
+// worker's share of the level, run with ids 0..p-1 on the engine's
+// crew, returning when that worker is done), post (optional)
 // annotates the Result after finish, and rngs/rngSalt expose the
 // family's per-worker streams so Reseed can restart them in place.
 // A binding is built once per engine; its closures are reused by every
@@ -82,8 +82,8 @@ type binding struct {
 type bindFunc func(st *state) binding
 
 // NewEngine builds a reusable engine for algo over g. opt is resolved
-// with the same defaults as Run; with Options.PersistentWorkers the
-// worker goroutines are spawned here and live until Close.
+// with the same defaults as Run; the engine's crew of Workers
+// goroutines is spawned here and lives until Close.
 func NewEngine(g *graph.CSR, algo Algorithm, opt Options) (*Engine, error) {
 	if g == nil {
 		return nil, fmt.Errorf("core: nil graph")
@@ -302,9 +302,9 @@ func (e *Engine) Graph() *graph.CSR { return e.g }
 // Options returns the engine's resolved options (defaults applied).
 func (e *Engine) Options() Options { return e.opt }
 
-// Close releases the engine. With PersistentWorkers it terminates the
-// worker goroutines; in all cases further runs fail. Close is
-// idempotent.
+// Close releases the engine: it stops the crew's worker goroutines
+// (the serial baseline has none; an engine never closed leaks them,
+// parked) and makes further runs fail. Close is idempotent.
 func (e *Engine) Close() {
 	if e.closed {
 		return
@@ -313,17 +313,18 @@ func (e *Engine) Close() {
 	e.impl.close()
 }
 
-// parEngine backs every parallel variant: pooled state plus the
-// family's binding, and optionally a runPool of persistent workers.
-// poisoned is set when a run ends on a worker panic: the pooled state
-// a worker abandoned mid-mutation must not be reused, so every later
-// run fails fast with ErrPoisoned (the persistent workers themselves
-// survive — they recovered and parked at the gate — so Close still
-// drains them normally).
+// parEngine backs every parallel variant: pooled state, the family's
+// binding, and the crew that runs its levels. phase is the binding's
+// perLevel under workerLevel's recovery barrier, bound once so a level
+// allocates nothing. poisoned is set when a run ends on a worker
+// panic: the pooled state a worker abandoned mid-mutation must not be
+// reused, so every later run fails fast with ErrPoisoned (the crew
+// survives, parked at the gate, so Close still stops it).
 type parEngine struct {
 	st       *state
 	b        binding
-	pool     *runPool
+	crew     *crew
+	phase    func(id int)
 	poisoned bool
 }
 
@@ -333,13 +334,11 @@ func newParEngine(g *graph.CSR, opt Options, bf bindFunc, algo Algorithm) *parEn
 	e := &parEngine{st: st}
 	e.b = bf(st)
 	if opt.Hybrid {
-		// Wrap before the pool captures the binding so persistent
-		// workers run the direction-switched perLevel too.
 		e.b = wrapHybrid(st, e.b)
 	}
-	if opt.PersistentWorkers {
-		e.pool = newRunPool(st, e.b.setup, e.b.perLevel, algo)
-	}
+	perLevel := e.b.perLevel
+	e.phase = func(id int) { st.workerLevel(id, perLevel) }
+	e.crew = newCrew(opt.Workers, algo, 0)
 	return e
 }
 
@@ -351,11 +350,7 @@ func (e *parEngine) run(ctx context.Context, src int32, goal Goal) (*Result, err
 	st.ctx, st.goal = ctx, goal
 	st.beginRun(src)
 	stopWatch := st.startWatchdog(ctx)
-	if e.pool != nil {
-		e.pool.runSearch()
-	} else {
-		st.runLevels(e.b.setup, e.b.perLevel)
-	}
+	st.runLevels(e.crew, e.b.setup, e.phase)
 	if stopWatch != nil {
 		stopWatch()
 	}
@@ -394,127 +389,4 @@ func (e *parEngine) setChaos(h ChaosHook) {
 	}
 }
 
-func (e *parEngine) close() {
-	if e.pool != nil {
-		e.pool.close()
-	}
-}
-
-// runPool owns one long-lived goroutine per worker for the engine's
-// whole lifetime — the Go analogue of a persistent OpenMP parallel
-// region (§IV-D raises the cilk-vs-OpenMP question). Each search is one
-// pass through the gate: the caller and all p workers synchronize on a
-// (p+1)-party barrier at the start and end of a search, with the usual
-// two-pass level barrier in between (after the work, and after worker 0
-// publishes the swap/setup transition). Keeping the goroutines alive
-// removes the final steady-state allocations: every `go f(id)` spawn
-// heap-allocates its closure, once per level — or per run — otherwise.
-type runPool struct {
-	st       *state
-	setup    func()
-	perLevel func(id int)
-	algo     Algorithm // pprof label on the worker goroutines
-	gate     *barrier  // p workers + the caller
-	level    *barrier  // p workers
-	stop     bool      // set by close before its gate pass
-	done     bool      // current search finished; written by worker 0
-}
-
-func newRunPool(st *state, setup func(), perLevel func(id int), algo Algorithm) *runPool {
-	pw := &runPool{
-		st:       st,
-		setup:    setup,
-		perLevel: perLevel,
-		algo:     algo,
-		gate:     newBarrier(st.opt.Workers + 1),
-		level:    newBarrier(st.opt.Workers),
-	}
-	for id := 0; id < st.opt.Workers; id++ {
-		go pw.worker(id)
-	}
-	return pw
-}
-
-func (pw *runPool) worker(id int) {
-	st := pw.st
-	// Label the goroutine so CPU profiles attribute samples to the
-	// algorithm and worker, and split search time from gate parking.
-	// Both label sets are built once here; swapping between them is a
-	// pointer store in the runtime, so the per-search cost is two
-	// SetGoroutineLabels calls and the steady state allocates nothing.
-	idle := pprof.WithLabels(context.Background(), pprof.Labels(
-		"algo", string(pw.algo), "worker", strconv.Itoa(id), "level-phase", "idle"))
-	search := pprof.WithLabels(context.Background(), pprof.Labels(
-		"algo", string(pw.algo), "worker", strconv.Itoa(id), "level-phase", "search"))
-	pprof.SetGoroutineLabels(idle)
-	for {
-		pw.gate.wait() // park until a search arrives (or close)
-		if pw.stop {
-			return
-		}
-		pprof.SetGoroutineLabels(search)
-		for !pw.done {
-			st.workerLevel(id, pw.perLevel)
-			pw.level.wait() // all workers finished the level
-			if id == 0 {
-				pw.advance()
-				if st.aborted() {
-					// Catches a panic inside advance itself (recovered
-					// there before done could be set) as well as any
-					// worker abort: the search ends at this boundary.
-					pw.done = true
-				}
-			}
-			pw.level.wait() // transition published to everyone
-		}
-		pprof.SetGoroutineLabels(idle)
-		pw.gate.wait() // hand the state back to the caller
-	}
-}
-
-// advance is worker 0's between-barriers transition: audit (skipped
-// after an abort, which legitimately leaves queue slots unconsumed and
-// blocks unflushed), record, promote the next frontier, and prime the
-// next level's dispatch state. It runs under the recovery barrier too:
-// a panic in a binding's setup poisons the run instead of killing the
-// process, and the caller's abort check turns it into termination.
-func (pw *runPool) advance() {
-	st := pw.st
-	defer st.recoverWorker(0)
-	if !st.aborted() {
-		st.auditLevel()
-	}
-	st.recordLevel()
-	st.level++
-	atomic.StoreInt32(&st.levelA, st.level)
-	st.swap()
-	st.hybridAdvance()
-	if st.volume() == 0 || st.canceled() || st.aborted() || st.goalDone() {
-		pw.done = true
-		return
-	}
-	if pw.setup != nil {
-		pw.setup()
-	}
-}
-
-// runSearch drives one primed search through the pool; the caller
-// blocks until the workers hand the state back. The flag writes below
-// are ordered by the gate barrier's lock, so plain fields suffice.
-func (pw *runPool) runSearch() {
-	st := pw.st
-	if st.volume() == 0 || st.canceled() || st.goalDone() {
-		return
-	}
-	pw.done = false
-	if pw.setup != nil {
-		pw.setup()
-	}
-	pw.gate.wait() // release the workers into the search
-	pw.gate.wait() // wait for the search to finish
-}
-
-func (pw *runPool) close() {
-	pw.stop = true
-	pw.gate.wait()
-}
+func (e *parEngine) close() { e.crew.close() }

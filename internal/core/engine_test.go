@@ -32,23 +32,21 @@ func TestEngineReuseMatchesOracle(t *testing.T) {
 			oracle[s] = graph.ReferenceBFS(g, s)
 		}
 	}
-	for _, persistent := range []bool{false, true} {
-		for _, algo := range Algorithms {
-			e, err := NewEngine(g, algo, Options{Workers: 4, Seed: 42, PersistentWorkers: persistent})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, s := range sources {
-				res, err := e.Run(s)
-				if err != nil {
-					t.Fatalf("%s persistent=%v run %d: %v", algo, persistent, i, err)
-				}
-				if err := graph.EqualDistances(res.Dist, oracle[s]); err != nil {
-					t.Fatalf("%s persistent=%v run %d from %d: %v", algo, persistent, i, s, err)
-				}
-			}
-			e.Close()
+	for _, algo := range Algorithms {
+		e, err := NewEngine(g, algo, Options{Workers: 4, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
 		}
+		for i, s := range sources {
+			res, err := e.Run(s)
+			if err != nil {
+				t.Fatalf("%s run %d: %v", algo, i, err)
+			}
+			if err := graph.EqualDistances(res.Dist, oracle[s]); err != nil {
+				t.Fatalf("%s run %d from %d: %v", algo, i, s, err)
+			}
+		}
+		e.Close()
 	}
 }
 
@@ -74,7 +72,7 @@ func TestOneShotFreshArrays(t *testing.T) {
 // Close is idempotent.
 func TestEngineClosed(t *testing.T) {
 	g := engineTestGraph(t)
-	e, err := NewEngine(g, BFSWSL, Options{Workers: 4, PersistentWorkers: true})
+	e, err := NewEngine(g, BFSWSL, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,29 +110,27 @@ func TestEngineCancelMidLevelThenReuse(t *testing.T) {
 	}
 	want := graph.ReferenceBFS(g, 0)
 	for _, algo := range []Algorithm{BFSCL, BFSDL, BFSWL, BFSWSL} {
-		for _, persistent := range []bool{false, true} {
-			e, err := NewEngine(g, algo, Options{Workers: 4, Seed: 9, PersistentWorkers: persistent})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			e.SetChaos(&cancelAfterHook{remaining: 40, cancel: cancel})
-			if _, err := e.RunContext(ctx, 0); err != context.Canceled {
-				// A fast run may drain before the 40th hook fires; the
-				// reuse check below is still meaningful either way.
-				t.Logf("%s persistent=%v: cancellation not observed (err=%v)", algo, persistent, err)
-			}
-			cancel()
-			e.SetChaos(nil)
-			res, err := e.Run(0)
-			if err != nil {
-				t.Fatalf("%s persistent=%v: run after cancel: %v", algo, persistent, err)
-			}
-			if err := graph.EqualDistances(res.Dist, want); err != nil {
-				t.Fatalf("%s persistent=%v: engine not reusable after cancel: %v", algo, persistent, err)
-			}
-			e.Close()
+		e, err := NewEngine(g, algo, Options{Workers: 4, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
 		}
+		ctx, cancel := context.WithCancel(context.Background())
+		e.SetChaos(&cancelAfterHook{remaining: 40, cancel: cancel})
+		if _, err := e.RunContext(ctx, 0); err != context.Canceled {
+			// A fast run may drain before the 40th hook fires; the
+			// reuse check below is still meaningful either way.
+			t.Logf("%s: cancellation not observed (err=%v)", algo, err)
+		}
+		cancel()
+		e.SetChaos(nil)
+		res, err := e.Run(0)
+		if err != nil {
+			t.Fatalf("%s: run after cancel: %v", algo, err)
+		}
+		if err := graph.EqualDistances(res.Dist, want); err != nil {
+			t.Fatalf("%s: engine not reusable after cancel: %v", algo, err)
+		}
+		e.Close()
 	}
 }
 
@@ -221,7 +217,7 @@ func TestEnginesConcurrentOnSharedGraph(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			e, err := NewEngine(g, BFSWSL, Options{Workers: 3, Seed: uint64(k + 1), PersistentWorkers: k == 0})
+			e, err := NewEngine(g, BFSWSL, Options{Workers: 3, Seed: uint64(k + 1)})
 			if err != nil {
 				errs <- err
 				return
@@ -291,15 +287,16 @@ func TestBeginRunReusesBuffers(t *testing.T) {
 }
 
 // TestEngineRunAllocs asserts the tentpole's steady-state property at
-// test time (the benchmarks report it too): a warm persistent-worker
-// engine allocates nothing per Run.
+// test time (the benchmarks report it too): a warm engine, whose crew
+// parks between levels instead of respawning, allocates nothing per
+// Run.
 func TestEngineRunAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting is noisy under -short race runs")
 	}
 	g := engineTestGraph(t)
 	for _, algo := range []Algorithm{BFSCL, BFSWL, BFSWSL} {
-		e, err := NewEngine(g, algo, Options{Workers: 4, Seed: 3, PersistentWorkers: true})
+		e, err := NewEngine(g, algo, Options{Workers: 4, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

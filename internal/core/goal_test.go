@@ -149,14 +149,14 @@ func TestGoalValidation(t *testing.T) {
 	}
 }
 
-// Goal-directed persistent-worker engines exercise the runPool's
-// advance/runSearch termination sites rather than runLevels'.
+// A warm engine serves many goal-directed runs in a row: each stops at
+// runLevels' single termination check with the crew parked in between.
 func TestGoalPersistentWorkers(t *testing.T) {
 	g, err := gen.ChungLu(3000, 20000, 2.1, 5, gen.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(g, BFSWSL, Options{Workers: 4, PersistentWorkers: true, TrackParents: true})
+	e, err := NewEngine(g, BFSWSL, Options{Workers: 4, TrackParents: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -626,8 +626,8 @@ func hybridDecide(bu bool, nf, mf, unexplored, prevNf, n, alpha, beta, goalBound
 // a top-down one), update the edge budget, decide the next level's
 // direction, and convert the frontier representation if the direction
 // changed. Runs single-threaded between level barriers on the driver
-// goroutine — NOT under a worker recovery barrier, which is why chaos
-// injectors must not panic or stall at ChaosDirectionFlip. No-op
+// goroutine, inside closeLevel's recovery barrier: a panic here (a
+// chaos hook at ChaosDirectionFlip, say) poisons the run. No-op
 // without Options.Hybrid; skipped after an abort (the queues and
 // bitmap are then legitimately inconsistent, and the next resetHybrid
 // re-primes everything).

@@ -20,6 +20,11 @@ func checkHybridRun(t *testing.T, g *graph.CSR, src int32, res *Result) {
 	}
 }
 
+// TestHybridMatchesOracleEverywhere audits three hybrid runs per family
+// and test graph. The persistent axis is the crew's lifetime:
+// persistent=false runs each search on the one-shot path (a fresh
+// engine, crew spawned and stopped per run), persistent=true reuses
+// one engine, so its crew persists across the runs.
 func TestHybridMatchesOracleEverywhere(t *testing.T) {
 	graphs := testGraphs(t)
 	for _, algo := range parallelAlgos {
@@ -27,18 +32,24 @@ func TestHybridMatchesOracleEverywhere(t *testing.T) {
 			algo, persistent := algo, persistent
 			t.Run(fmt.Sprintf("%s/persistent=%v", algo, persistent), func(t *testing.T) {
 				t.Parallel()
+				opt := Options{Workers: 4, Seed: 7, Hybrid: true, TrackParents: true}
 				for name, g := range graphs {
-					e, err := NewEngine(g, algo, Options{
-						Workers: 4, Seed: 7, Hybrid: true,
-						TrackParents: true, PersistentWorkers: persistent,
-					})
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
+					var e *Engine
+					if persistent {
+						var err error
+						if e, err = NewEngine(g, algo, opt); err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
 					}
 					for run := 0; run < 3; run++ {
-						res, err := e.Run(0)
+						var res *Result
+						var err error
+						if e != nil {
+							res, err = e.Run(0)
+						} else {
+							res, err = Run(g, 0, algo, opt)
+						}
 						if err != nil {
-							e.Close()
 							t.Fatalf("%s run %d: %v", name, run, err)
 						}
 						func() {
@@ -50,7 +61,9 @@ func TestHybridMatchesOracleEverywhere(t *testing.T) {
 							checkHybridRun(t, g, 0, res)
 						}()
 					}
-					e.Close()
+					if e != nil {
+						e.Close()
+					}
 				}
 			})
 		}
@@ -138,7 +151,7 @@ func TestHybridForcedDirectionFlips(t *testing.T) {
 			ctl := &flipController{state: 0xf11b}
 			e, err := NewEngine(g, algo, Options{
 				Workers: 4, Seed: 3, Hybrid: true, TrackParents: true,
-				PersistentWorkers: true, Chaos: ctl,
+				Chaos: ctl,
 			})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", algo, name, err)
@@ -176,7 +189,6 @@ func TestHybridSharded(t *testing.T) {
 				for name, g := range graphs {
 					e := newShardedForTest(t, g, shards, algo, Options{
 						Workers: 4, Seed: 11, Hybrid: true, TrackParents: true,
-						PersistentWorkers: true,
 					})
 					for run := 0; run < 3; run++ {
 						res, err := e.Run(0)

@@ -191,6 +191,13 @@ type MSEngine struct {
 	chaos ChaosHook
 	yield bool // oversubscribed: Gosched at segment boundaries
 
+	// crew runs the expansion phases; expandFn is expandPhase bound
+	// once, so a warm fused level allocates nothing. ctx is the current
+	// run's, read by the workers after the gate releases them.
+	crew     *crew
+	expandFn func(id int)
+	ctx      context.Context
+
 	level    int32 // completed levels
 	closed   bool
 	poisoned bool
@@ -225,6 +232,8 @@ func NewMSEngine(g *graph.CSR, opt Options) (*MSEngine, error) {
 	for i := range e.out {
 		e.out[i] = make([]msEntry, 0, 256)
 	}
+	e.expandFn = e.expandPhase
+	e.crew = newCrew(opt.Workers, MSBFSL, 0)
 	return e, nil
 }
 
@@ -234,8 +243,14 @@ func (e *MSEngine) Graph() *graph.CSR { return e.g }
 // SetChaos installs (or removes) a chaos hook between runs.
 func (e *MSEngine) SetChaos(h ChaosHook) { e.chaos = h }
 
-// Close releases the engine; further runs fail. Idempotent.
-func (e *MSEngine) Close() { e.closed = true }
+// Close stops the engine's crew; further runs fail. Idempotent.
+func (e *MSEngine) Close() {
+	if e.closed {
+		return
+	}
+	e.closed = true
+	e.crew.close()
+}
 
 // growLanes ensures both per-lane layouts hold at least lanes lanes.
 // The vertex-major working stride is laneCap, so growth invalidates
@@ -312,7 +327,8 @@ func (e *MSEngine) RunGoals(ctx context.Context, sources []int32, goals []Goal) 
 	// A target that is its own source is settled by seeding; retire it
 	// before the first level rather than traversing for it.
 	e.retireLanes()
-	err := e.runLevels(ctx)
+	e.ctx = ctx
+	err := e.runLevels()
 	res := e.finish(sources)
 	if err != nil {
 		return res, err
@@ -376,52 +392,21 @@ func (e *MSEngine) beginRun(sources []int32) {
 	}
 }
 
-// aborted reports whether a worker panic has aborted the run.
+// msAborted reports whether a worker panic has aborted the run.
 func (e *MSEngine) msAborted() bool {
 	return atomic.LoadInt32(&e.abortFlag) != abortNone
 }
 
-// recordMSPanic captures the first worker panic, mirroring
-// state.recordPanic.
-func (e *MSEngine) recordMSPanic(id int, v any, stack []byte) {
-	e.abortMu.Lock()
-	if e.wpanic == nil {
-		e.wpanic = &WorkerPanicError{
-			Worker: id,
-			Algo:   MSBFSL,
-			Level:  e.level,
-			Value:  v,
-			Stack:  stack,
-		}
-	}
-	atomic.StoreInt32(&e.abortFlag, abortPanic)
-	e.abortMu.Unlock()
-}
-
-// runLevels drives the fused level loop: parallel expansion, then the
-// single-threaded barrier commit. Returns the abort error, if any.
-func (e *MSEngine) runLevels(ctx context.Context) error {
-	p := e.opt.Workers
+// runLevels drives the fused level loop: one crew phase of parallel
+// expansion, then the single-threaded barrier commit. Returns the
+// abort error, if any.
+func (e *MSEngine) runLevels() error {
 	for len(e.cfr) > 0 {
-		if ctx != nil && ctx.Err() != nil {
+		if e.ctx != nil && e.ctx.Err() != nil {
 			break
 		}
 		atomic.StoreInt64(&e.front, 0)
-		var wg sync.WaitGroup
-		wg.Add(p)
-		for id := 0; id < p; id++ {
-			go func(id int) {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						e.recordMSPanic(id, r, debug.Stack())
-					}
-				}()
-				e.chaosAt(ChaosStall, id, int64(e.level))
-				e.expand(ctx, id)
-			}(id)
-		}
-		wg.Wait()
+		e.crew.run(e.expandFn)
 		if e.msAborted() {
 			e.poisoned = true
 			return e.wpanic
@@ -430,6 +415,30 @@ func (e *MSEngine) runLevels(ctx context.Context) error {
 		e.retireLanes()
 	}
 	return nil
+}
+
+// expandPhase is one worker's fused level under the recovery barrier:
+// ChaosStall first, as in workerLevel, then the expansion.
+func (e *MSEngine) expandPhase(id int) {
+	defer e.recoverMS(id)
+	e.chaosAt(ChaosStall, id, int64(e.level))
+	e.expand(id)
+}
+
+// recoverMS captures the first worker panic as the run's abort,
+// mirroring state.recoverWorker; a method so the defer stays
+// open-coded.
+func (e *MSEngine) recoverMS(id int) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	e.abortMu.Lock()
+	if e.wpanic == nil {
+		e.wpanic = &WorkerPanicError{Worker: id, Algo: MSBFSL, Level: e.level, Value: r, Stack: debug.Stack()}
+	}
+	atomic.StoreInt32(&e.abortFlag, abortPanic)
+	e.abortMu.Unlock()
 }
 
 // retireLanes is the barrier-time per-lane goal check, run after each
@@ -498,8 +507,8 @@ func (e *MSEngine) filterFrontier() {
 // scan each entry's adjacency, and append discoveries to the private
 // buffer. Duplicated segments (torn advances) and lost advisory-mask
 // bits both surface as duplicate entries for the barrier to collapse.
-func (e *MSEngine) expand(ctx context.Context, id int) {
-	g := e.g
+func (e *MSEngine) expand(id int) {
+	g, ctx := e.g, e.ctx
 	cur := e.cur
 	buf := e.out[id][:0]
 	total := int64(len(e.cfr))
@@ -572,7 +581,7 @@ func (e *MSEngine) expand(ctx context.Context, id int) {
 // commitLevel is the barrier: dedup every discovery entry against the
 // committed masks, write per-lane dist/parent for newly set bits, and
 // build the next frontier. Single-threaded, so the compaction needs no
-// atomics — the wg.Wait() edge orders it after every worker store.
+// atomics — the crew's join edge orders it after every worker store.
 //
 // The next frontier is merged PER VERTEX: a vertex whose new lanes
 // arrive through several discovery entries (distinct parents, or

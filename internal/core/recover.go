@@ -16,7 +16,7 @@ package core
 //   - Every worker executes its level under recover() (workerLevel).
 //     The first captured panic is recorded as a *WorkerPanicError and
 //     the run is aborted; the recovering worker keeps participating in
-//     the level/gate barriers so the persistent-pool protocol stays in
+//     the crew's gate barrier so the phase protocol stays in
 //     lockstep, and the scale-free phase barrier — the only barrier a
 //     dead worker could strand peers at — is poisoned open.
 //   - Aborts are published through one atomic int32 (abortFlag),
@@ -200,7 +200,8 @@ func (st *state) recordPanic(id int, v any, stack []byte) {
 // worker's level: it converts a panic into an abort and lets the
 // worker return normally so it keeps meeting its barriers. Deferred as
 // a method call (not a closure) so the defer stays open-coded and the
-// persistent-worker hot loop allocates nothing.
+// crew's hot loop allocates nothing. The driver's barrier step
+// (nextLevel, closeLevel) runs under it too, charged to worker 0.
 func (st *state) recoverWorker(id int) {
 	if r := recover(); r != nil {
 		st.recordPanic(id, r, debug.Stack())
@@ -218,7 +219,7 @@ func (st *state) recoverWorker(id int) {
 // left in the worker's private remote blocks is published before the
 // global barrier, the cross-shard analogue of the bindings' own
 // endLevelOut — placed here because it is the one point every family's
-// worker passes on both the spawn and the persistent-pool path.
+// worker passes in every phase.
 func (st *state) workerLevel(id int, perLevel func(id int)) {
 	defer st.recoverWorker(id)
 	st.chaosAt(ChaosStall, id, int64(st.level))

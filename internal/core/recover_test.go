@@ -30,10 +30,11 @@ func (h *sleepHook) At(point ChaosPoint, worker int, value int64) {
 }
 
 // TestWorkerPanicRecovery drives an injected panic through every
-// lockfree family, with and without persistent workers: the panic
-// must never crash the process, must surface as a typed
-// *WorkerPanicError with a partial result, must poison the engine,
-// and a fresh engine must then answer exactly.
+// lockfree family: the panic must never crash the process, must
+// surface as a typed *WorkerPanicError with a partial result, must
+// poison the engine, and a fresh engine must then answer exactly. The
+// plain subtests panic on a fresh engine's first run; the /persistent
+// ones on a warm engine whose crew already served a clean search.
 func TestWorkerPanicRecovery(t *testing.T) {
 	g, err := gen.ErdosRenyi(3000, 18000, 3, gen.Options{})
 	if err != nil {
@@ -47,12 +48,17 @@ func TestWorkerPanicRecovery(t *testing.T) {
 				name += "/persistent"
 			}
 			t.Run(name, func(t *testing.T) {
-				opt := Options{Workers: 4, PersistentWorkers: persistent, Chaos: &panicOnceHook{}}
-				e, err := NewEngine(g, algo, opt)
+				e, err := NewEngine(g, algo, Options{Workers: 4})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer e.Close()
+				if persistent {
+					if _, err := e.Run(0); err != nil {
+						t.Fatalf("clean warm-up run: %v", err)
+					}
+				}
+				e.SetChaos(&panicOnceHook{})
 				res, err := e.Run(0)
 				if err == nil {
 					t.Fatal("injected panic surfaced no error")
@@ -76,7 +82,7 @@ func TestWorkerPanicRecovery(t *testing.T) {
 					t.Fatalf("second run on poisoned engine: got %v, want ErrPoisoned", err)
 				}
 				// A fresh engine over the same graph is unaffected.
-				e2, err := NewEngine(g, algo, Options{Workers: 4, PersistentWorkers: persistent})
+				e2, err := NewEngine(g, algo, Options{Workers: 4})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -90,6 +96,52 @@ func TestWorkerPanicRecovery(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// flipPanicHook panics at the first ChaosDirectionFlip, the chaos
+// point inside the driver's barrier step rather than a worker's level.
+type flipPanicHook struct{ fired int32 }
+
+func (h *flipPanicHook) At(point ChaosPoint, worker int, value int64) {
+	if point == ChaosDirectionFlip && atomic.CompareAndSwapInt32(&h.fired, 0, 1) {
+		panic("recover test: injected barrier-step panic")
+	}
+}
+
+// TestBarrierStepPanicPoisons drives a panic through the barrier step
+// the driver runs between levels (audit, swap, hybrid direction step):
+// it must be recovered like a worker panic — a *WorkerPanicError with
+// a partial result, then ErrPoisoned — not crash the process, on the
+// plain and the sharded engine alike.
+func TestBarrierStepPanicPoisons(t *testing.T) {
+	g, err := gen.ErdosRenyi(3000, 18000, 3, gen.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			hook := &flipPanicHook{}
+			e, err := NewBackend(g, BFSWSL, Options{Hybrid: true, Shards: shards, Chaos: hook})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			res, err := e.Run(0)
+			var wp *WorkerPanicError
+			if !errors.As(err, &wp) {
+				t.Fatalf("got %v, want *WorkerPanicError", err)
+			}
+			if atomic.LoadInt32(&hook.fired) == 0 {
+				t.Fatal("hook never reached ChaosDirectionFlip")
+			}
+			if res == nil {
+				t.Fatal("poisoned run returned no partial result")
+			}
+			if _, err := e.Run(0); !errors.Is(err, ErrPoisoned) {
+				t.Fatalf("second run: got %v, want ErrPoisoned", err)
+			}
+		})
 	}
 }
 
@@ -173,16 +225,20 @@ func TestPanicAfterStallReleasesPeers(t *testing.T) {
 	}
 	for _, persistent := range []bool{false, true} {
 		t.Run(fmt.Sprintf("persistent=%v", persistent), func(t *testing.T) {
-			opt := Options{
-				Workers:           3,
-				PersistentWorkers: persistent,
-				StallTimeout:      20 * time.Millisecond,
-				Chaos:             &stallThenPanicHook{d: 300 * time.Millisecond},
-			}
-			e, err := NewEngine(g, BFSWSL, opt)
+			e, err := NewEngine(g, BFSWSL, Options{Workers: 3, StallTimeout: 20 * time.Millisecond})
 			if err != nil {
 				t.Fatal(err)
 			}
+			if persistent {
+				// Warm the crew on a clean search first. A false stall
+				// on a loaded host is tolerable here: stalls leave the
+				// engine reusable.
+				var se *StallError
+				if _, err := e.Run(0); err != nil && !errors.As(err, &se) {
+					t.Fatalf("clean warm-up run: %v", err)
+				}
+			}
+			e.SetChaos(&stallThenPanicHook{d: 300 * time.Millisecond})
 			done := make(chan error, 1)
 			go func() {
 				_, err := e.Run(0)

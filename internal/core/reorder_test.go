@@ -156,7 +156,7 @@ func TestBatchedPublicationUnderRace(t *testing.T) {
 				e, err := NewEngine(g, algo, Options{
 					Workers: 4, Seed: uint64(block), PublishBlock: block,
 					LevelTimeline: true, TraceCapacity: 512,
-					PersistentWorkers: true, Phase2Stealing: true,
+					Phase2Stealing: true,
 				})
 				if err != nil {
 					errs <- err

@@ -37,7 +37,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -192,91 +191,17 @@ func (st *state) drainRemote(id int) {
 	st.blk[id] = st.endLevelOut(id, out)
 }
 
-// shardPool owns one long-lived goroutine per worker of one shard —
-// runPool's gate protocol reduced to single phases: the driver installs
-// a phase function and passes the gate to release the workers, the
-// workers run it under workerLevel's recovery barrier, and a second
-// gate pass hands the state back. One search is many gate round-trips
-// (explore and drain per level) instead of runPool's one, because the
-// level transition is global — the ShardedEngine must see every shard
-// quiesce before draining the exchange and advancing.
-type shardPool struct {
-	st    *state
-	phase func(id int)
-	gate  *barrier // p workers + the driver
-	stop  bool
-}
-
-func newShardPool(st *state) *shardPool {
-	sp := &shardPool{st: st, gate: newBarrier(st.opt.Workers + 1)}
-	for id := 0; id < st.opt.Workers; id++ {
-		go sp.worker(id)
-	}
-	return sp
-}
-
-func (sp *shardPool) worker(id int) {
-	for {
-		sp.gate.wait() // park until a phase arrives (or close)
-		if sp.stop {
-			return
-		}
-		sp.st.workerLevel(id, sp.phase)
-		sp.gate.wait() // hand the state back to the driver
-	}
-}
-
-// release starts one phase on all workers; the phase write is ordered
-// by the gate barrier's lock, so a plain field suffices.
-func (sp *shardPool) release(phase func(id int)) {
-	sp.phase = phase
-	sp.gate.wait()
-}
-
-// join blocks until the released phase has quiesced.
-func (sp *shardPool) join() { sp.gate.wait() }
-
-func (sp *shardPool) close() {
-	sp.stop = true
-	sp.gate.wait()
-}
-
 // shardEngine is one shard's execution slice: pooled state bound to
-// the family's machinery, plus (with PersistentWorkers) a shardPool.
-// drainFn caches the bound drainRemote method value so releasing the
-// drain phase allocates nothing.
+// the family's machinery, plus the crew that runs the shard's phases.
+// explore and drain are the crew's two per-worker phase bodies — the
+// binding's perLevel and drainRemote under workerLevel's recovery
+// barrier — bound once so releasing a phase allocates nothing.
 type shardEngine struct {
 	st      *state
 	b       binding
-	pool    *shardPool
-	drainFn func(id int)
-	wg      sync.WaitGroup
-}
-
-// start releases one phase on the shard's workers; every start must be
-// matched by a wait before the next start on the same shard.
-func (se *shardEngine) start(phase func(id int)) {
-	if se.pool != nil {
-		se.pool.release(phase)
-		return
-	}
-	p := se.st.opt.Workers
-	se.wg.Add(p)
-	for id := 0; id < p; id++ {
-		go func(id int) {
-			defer se.wg.Done()
-			se.st.workerLevel(id, phase)
-		}(id)
-	}
-}
-
-// wait joins the phase released by the last start.
-func (se *shardEngine) wait() {
-	if se.pool != nil {
-		se.pool.join()
-		return
-	}
-	se.wg.Wait()
+	crew    *crew
+	explore func(id int)
+	drain   func(id int)
 }
 
 // shardSeed derives shard s's RNG seed. Shard 0 keeps the caller's
@@ -410,10 +335,10 @@ func NewShardedEngine(sg *graph.ShardedCSR, algo Algorithm, opt Options) (*Shard
 			st.hy.lo, st.hy.hi = hybridRanges(lo, hi, opt.Workers)
 			se.b = wrapHybrid(st, se.b)
 		}
-		se.drainFn = st.drainRemote
-		if opt.PersistentWorkers {
-			se.pool = newShardPool(st)
-		}
+		perLevel := se.b.perLevel
+		se.explore = func(id int) { st.workerLevel(id, perLevel) }
+		se.drain = func(id int) { st.workerLevel(id, st.drainRemote) }
+		se.crew = newCrew(opt.Workers, algo, s*opt.Workers)
 		e.shards[s] = se
 	}
 	n := sg.Full.NumVertices()
@@ -498,10 +423,10 @@ func (e *ShardedEngine) RunGoal(ctx context.Context, src int32, goal Goal) (*Res
 // explore phase (every shard with a non-empty frontier runs its
 // family's perLevel over its own queues, concurrently across shards),
 // a drain phase (every shard with inbound exchange entries feeds them
-// through discover), and a per-shard advance (audit, level bump,
-// frontier swap). An abort observed after the explore join skips the
-// drain — its invariants assume a completed explore — and the audit,
-// which legitimately sees unconsumed state then.
+// through discover), and the barrier step (closeLevel). An abort
+// observed after the explore join skips the drain — its invariants
+// assume a completed explore — and the audit, which legitimately sees
+// unconsumed state then.
 func (e *ShardedEngine) runLoop() {
 	for {
 		if e.volume() == 0 || e.canceled() || e.anyAborted() || e.goalDone() {
@@ -517,7 +442,7 @@ func (e *ShardedEngine) runLoop() {
 				if se.b.setup != nil {
 					se.b.setup()
 				}
-				se.start(se.b.perLevel)
+				se.crew.start(se.explore)
 				e.running[s] = true
 			}
 		}
@@ -525,26 +450,35 @@ func (e *ShardedEngine) runLoop() {
 		if e.ex != nil && !e.anyAborted() {
 			for s, se := range e.shards {
 				if e.ex.inboundVolume(s) > 0 {
-					se.start(se.drainFn)
+					se.crew.start(se.drain)
 					e.running[s] = true
 				}
 			}
 			e.joinRunning()
 		}
-		aborted := e.anyAborted()
-		for _, se := range e.shards {
-			st := se.st
-			if !aborted {
-				st.auditLevel()
-			}
-			st.recordLevel()
-			st.level++
-			atomic.StoreInt32(&st.levelA, st.level)
-			st.swap()
-		}
-		atomic.StoreInt32(&e.levelA, e.shards[0].st.level)
-		e.hybridAdvance()
+		e.closeLevel()
 	}
+}
+
+// closeLevel is the sharded barrier step: per shard audit, record,
+// level bump and frontier swap, then the global direction step. Like
+// the Engine's it runs under the recovery barrier (charged to shard 0,
+// worker 0), so a panic here poisons the run instead of the process.
+func (e *ShardedEngine) closeLevel() {
+	defer e.shards[0].st.recoverWorker(0)
+	aborted := e.anyAborted()
+	for _, se := range e.shards {
+		st := se.st
+		if !aborted {
+			st.auditLevel()
+		}
+		st.recordLevel()
+		st.level++
+		atomic.StoreInt32(&st.levelA, st.level)
+		st.swap()
+	}
+	atomic.StoreInt32(&e.levelA, e.shards[0].st.level)
+	e.hybridAdvance()
 }
 
 // goalDone is the sharded barrier-time termination predicate: the
@@ -573,7 +507,7 @@ func (e *ShardedEngine) goalDone() bool {
 func (e *ShardedEngine) joinRunning() {
 	for s, se := range e.shards {
 		if e.running[s] {
-			se.wait()
+			se.crew.join()
 			e.running[s] = false
 		}
 	}
@@ -825,17 +759,15 @@ func (e *ShardedEngine) Sharded() *graph.ShardedCSR { return e.sg }
 // sharded-mode strips included).
 func (e *ShardedEngine) Options() Options { return e.opt }
 
-// Close releases every shard's worker pool; further runs fail. Close
-// is idempotent.
+// Close stops every shard's crew; further runs fail. Close is
+// idempotent.
 func (e *ShardedEngine) Close() {
 	if e.closed {
 		return
 	}
 	e.closed = true
 	for _, se := range e.shards {
-		if se.pool != nil {
-			se.pool.close()
-		}
+		se.crew.close()
 	}
 }
 

@@ -83,23 +83,21 @@ func TestShardedRepeatedRunsStayCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, persistent := range []bool{false, true} {
-		e := newShardedForTest(t, g, 3, BFSWSL, Options{Workers: 4, PersistentWorkers: persistent, TrackParents: true})
-		for i := 0; i < 12; i++ {
-			src := int32(i*211) % g.NumVertices()
-			res, err := e.Run(src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := graph.EqualDistances(res.Dist, graph.ReferenceBFS(g, src)); err != nil {
-				t.Fatalf("persistent=%v run %d src %d: %v", persistent, i, src, err)
-			}
-			if err := graph.ValidateParents(g, src, res.Dist, res.Parent); err != nil {
-				t.Fatalf("persistent=%v run %d: %v", persistent, i, err)
-			}
+	e := newShardedForTest(t, g, 3, BFSWSL, Options{Workers: 4, TrackParents: true})
+	for i := 0; i < 12; i++ {
+		src := int32(i*211) % g.NumVertices()
+		res, err := e.Run(src)
+		if err != nil {
+			t.Fatal(err)
 		}
-		e.Close()
+		if err := graph.EqualDistances(res.Dist, graph.ReferenceBFS(g, src)); err != nil {
+			t.Fatalf("run %d src %d: %v", i, src, err)
+		}
+		if err := graph.ValidateParents(g, src, res.Dist, res.Parent); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
 	}
+	e.Close()
 }
 
 // shardFlushCounter counts ChaosShardFlush firings and records the
@@ -177,32 +175,30 @@ func TestShardedWorkerPanicPoisons(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := graph.ReferenceBFS(g, 0)
-	for _, persistent := range []bool{false, true} {
-		e := newShardedForTest(t, g, 2, BFSWL,
-			Options{Workers: 4, PersistentWorkers: persistent, Chaos: &panicOnceHook{}})
-		res, err := e.Run(0)
-		var wp *WorkerPanicError
-		if !errors.As(err, &wp) {
-			t.Fatalf("persistent=%v: got %v, want *WorkerPanicError", persistent, err)
-		}
-		if res == nil {
-			t.Fatal("poisoned run returned no partial result")
-		}
-		if _, err := e.Run(0); !errors.Is(err, ErrPoisoned) {
-			t.Fatalf("second run: got %v, want ErrPoisoned", err)
-		}
-		e.Close()
-		// A fresh sharded engine over the same partition still answers.
-		e2 := newShardedForTest(t, g, 2, BFSWL, Options{Workers: 4, PersistentWorkers: persistent})
-		res2, err := e2.Run(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := graph.EqualDistances(res2.Dist, want); err != nil {
-			t.Fatal(err)
-		}
-		e2.Close()
+	e := newShardedForTest(t, g, 2, BFSWL,
+		Options{Workers: 4, Chaos: &panicOnceHook{}})
+	res, err := e.Run(0)
+	var wp *WorkerPanicError
+	if !errors.As(err, &wp) {
+		t.Fatalf("got %v, want *WorkerPanicError", err)
 	}
+	if res == nil {
+		t.Fatal("poisoned run returned no partial result")
+	}
+	if _, err := e.Run(0); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("second run: got %v, want ErrPoisoned", err)
+	}
+	e.Close()
+	// A fresh sharded engine over the same partition still answers.
+	e2 := newShardedForTest(t, g, 2, BFSWL, Options{Workers: 4})
+	res2, err := e2.Run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := graph.EqualDistances(res2.Dist, want); err != nil {
+		t.Fatal(err)
+	}
+	e2.Close()
 }
 
 func TestShardedStallDetection(t *testing.T) {
@@ -366,14 +362,15 @@ func TestNewBackendRouting(t *testing.T) {
 	}
 }
 
-// Warm sharded runs on persistent workers must not allocate: every
-// queue, block, exchange buffer, and merged-result array is pooled.
+// Warm sharded runs must not allocate: every queue, block, exchange
+// buffer, and merged-result array is pooled, and the crews park
+// between phases instead of respawning.
 func TestShardedWarmRunsDoNotAllocate(t *testing.T) {
 	g, err := gen.Graph500RMAT(4096, 32768, 23, gen.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := newShardedForTest(t, g, 4, BFSWL, Options{Workers: 4, PersistentWorkers: true, TrackParents: true})
+	e := newShardedForTest(t, g, 4, BFSWL, Options{Workers: 4, TrackParents: true})
 	defer e.Close()
 	for i := 0; i < 4; i++ { // warm every growth path
 		if _, err := e.Run(0); err != nil {
@@ -385,7 +382,7 @@ func TestShardedWarmRunsDoNotAllocate(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// The persistent-pool gate protocol allocates nothing; allow the
+	// The crews' gate protocol allocates nothing; allow the
 	// same small slack the Engine steady-state benchmark enforces for
 	// runtime-internal noise.
 	if avg > 8 {

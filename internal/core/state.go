@@ -340,15 +340,6 @@ func (st *state) seedSource(src int32) {
 	}
 }
 
-// newState allocates state and primes it for a search from src — the
-// single-run construction path shared by the one-shot wrapper's engine
-// and the protocol-level tests.
-func newState(g *graph.CSR, src int32, opt Options) *state {
-	st := allocState(g, opt)
-	st.beginRun(src)
-	return st
-}
-
 // volume returns the total number of valid entries across input
 // queues — or, during a bottom-up hybrid level, the bitmap frontier's
 // owned-vertex count (the queues are then deliberately empty).
@@ -586,48 +577,48 @@ func (st *state) goalDone() bool {
 	return false
 }
 
-// runLevels drives the level-synchronous loop: setup (optional) resets
-// the algorithm's shared dispatch state before each level's workers
-// start; perLevel must explore every input-queue entry (with the
-// algorithm's own load balancing) and fill the private output buffers.
-// It is invoked with worker ids 0..p-1 on separate goroutines and must
-// return only when the worker is done with the level. The spawn/wait
-// pair is the level-synchronization barrier every algorithm in the
-// paper requires; the load balancing *within* a level is where the
-// locked and lockfree variants differ. (Engines built with
-// PersistentWorkers route searches through a runPool instead, which
-// runs the same loop on engine-lifetime goroutines.) Each worker runs
-// under workerLevel's recovery barrier; an aborted run stops at the
-// next level boundary, with the slot audit skipped (an abort
-// legitimately leaves slots unconsumed). The caller assembles the
-// (possibly partial) Result via finish.
-func (st *state) runLevels(setup func(), perLevel func(id int)) {
-	p := st.opt.Workers
-	for {
-		if st.volume() == 0 || st.canceled() || st.aborted() || st.goalDone() {
-			break
-		}
-		if setup != nil {
-			setup()
-		}
-		var wg sync.WaitGroup
-		wg.Add(p)
-		for id := 0; id < p; id++ {
-			go func(id int) {
-				defer wg.Done()
-				st.workerLevel(id, perLevel)
-			}(id)
-		}
-		wg.Wait()
-		if !st.aborted() {
-			st.auditLevel()
-		}
-		st.recordLevel()
-		st.level++
-		atomic.StoreInt32(&st.levelA, st.level)
-		st.swap()
-		st.hybridAdvance()
+// runLevels drives one search on the caller's goroutine: each level
+// is one crew phase, every worker running its share of the level to
+// completion — the level barrier every algorithm in the paper requires
+// — followed by the barrier step. The caller assembles the (possibly
+// partial) Result via finish.
+func (st *state) runLevels(c *crew, setup func(), phase func(id int)) {
+	for st.nextLevel(setup) {
+		c.run(phase)
+		st.closeLevel()
 	}
+}
+
+// nextLevel is the run's single termination check — frontier drained,
+// context canceled, run aborted, or goal reached — and otherwise primes
+// the family's dispatch state via setup (optional). It runs under the
+// recovery barrier: a panic in setup poisons the run and ends it.
+func (st *state) nextLevel(setup func()) (more bool) {
+	defer st.recoverWorker(0)
+	if st.volume() == 0 || st.canceled() || st.aborted() || st.goalDone() {
+		return false
+	}
+	if setup != nil {
+		setup()
+	}
+	return true
+}
+
+// closeLevel is the barrier step after a level's phase: audit (skipped
+// after an abort, which legitimately leaves slots unconsumed), record,
+// promote the next frontier and take the hybrid direction step. Under
+// the recovery barrier, a panic here (a chaos hook at
+// ChaosDirectionFlip, say) poisons the run like a worker panic.
+func (st *state) closeLevel() {
+	defer st.recoverWorker(0)
+	if !st.aborted() {
+		st.auditLevel()
+	}
+	st.recordLevel()
+	st.level++
+	atomic.StoreInt32(&st.levelA, st.level)
+	st.swap()
+	st.hybridAdvance()
 }
 
 // finish assembles the Result after the final barrier, reusing the

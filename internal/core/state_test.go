@@ -11,6 +11,14 @@ import (
 	"optibfs/internal/rng"
 )
 
+// newState allocates state and primes it for a search from src, for
+// the protocol-level tests that drive one state without an engine.
+func newState(g *graph.CSR, src int32, opt Options) *state {
+	st := allocState(g, opt)
+	st.beginRun(src)
+	return st
+}
+
 func newTestState(t *testing.T, workers int) (*state, *graph.CSR) {
 	t.Helper()
 	g, err := gen.Grid2D(8, 8, false)

@@ -12,56 +12,54 @@ import (
 // accounting must reconcile with LevelSizes.
 func TestLevelTimelineConsistency(t *testing.T) {
 	g := engineTestGraph(t)
-	for _, persistent := range []bool{false, true} {
-		for _, algo := range []Algorithm{BFSC, BFSCL, BFSDL, BFSWL, BFSWSL, BFSEL} {
-			e, err := NewEngine(g, algo, Options{
-				Workers: 4, Seed: 9, PersistentWorkers: persistent, LevelTimeline: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Two runs so the second exercises the pooled-timeline reset.
-			for run := 0; run < 2; run++ {
-				res, err := e.Run(0)
-				if err != nil {
-					t.Fatalf("%s persistent=%v: %v", algo, persistent, err)
-				}
-				if int32(len(res.LevelStats)) != res.Levels {
-					t.Fatalf("%s persistent=%v run %d: %d timeline entries for %d levels",
-						algo, persistent, run, len(res.LevelStats), res.Levels)
-				}
-				var pops, edges, discovered, dups int64
-				for i, ls := range res.LevelStats {
-					if ls.Level != int32(i) {
-						t.Fatalf("%s: entry %d has level %d", algo, i, ls.Level)
-					}
-					if ls.Frontier <= 0 {
-						t.Fatalf("%s: level %d frontier %d", algo, i, ls.Frontier)
-					}
-					if ls.WallNanos < 0 {
-						t.Fatalf("%s: level %d wall %d", algo, i, ls.WallNanos)
-					}
-					pops += ls.Pops
-					edges += ls.EdgesScanned
-					discovered += ls.Discovered
-					dups += ls.Duplicates
-				}
-				if pops != res.Pops {
-					t.Fatalf("%s: timeline pops %d, run pops %d", algo, pops, res.Pops)
-				}
-				if edges != res.Counters.EdgesScanned {
-					t.Fatalf("%s: timeline edges %d, counters %d", algo, edges, res.Counters.EdgesScanned)
-				}
-				// Discovery excludes the source, which beginRun seeds.
-				if discovered != res.Counters.Discovered {
-					t.Fatalf("%s: timeline discovered %d, counters %d", algo, discovered, res.Counters.Discovered)
-				}
-				if dups != res.Duplicates() {
-					t.Fatalf("%s: timeline duplicates %d, run duplicates %d", algo, dups, res.Duplicates())
-				}
-			}
-			e.Close()
+	for _, algo := range []Algorithm{BFSC, BFSCL, BFSDL, BFSWL, BFSWSL, BFSEL} {
+		e, err := NewEngine(g, algo, Options{
+			Workers: 4, Seed: 9, LevelTimeline: true,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		// Two runs so the second exercises the pooled-timeline reset.
+		for run := 0; run < 2; run++ {
+			res, err := e.Run(0)
+			if err != nil {
+				t.Fatalf("%s: %v", algo, err)
+			}
+			if int32(len(res.LevelStats)) != res.Levels {
+				t.Fatalf("%s run %d: %d timeline entries for %d levels",
+					algo, run, len(res.LevelStats), res.Levels)
+			}
+			var pops, edges, discovered, dups int64
+			for i, ls := range res.LevelStats {
+				if ls.Level != int32(i) {
+					t.Fatalf("%s: entry %d has level %d", algo, i, ls.Level)
+				}
+				if ls.Frontier <= 0 {
+					t.Fatalf("%s: level %d frontier %d", algo, i, ls.Frontier)
+				}
+				if ls.WallNanos < 0 {
+					t.Fatalf("%s: level %d wall %d", algo, i, ls.WallNanos)
+				}
+				pops += ls.Pops
+				edges += ls.EdgesScanned
+				discovered += ls.Discovered
+				dups += ls.Duplicates
+			}
+			if pops != res.Pops {
+				t.Fatalf("%s: timeline pops %d, run pops %d", algo, pops, res.Pops)
+			}
+			if edges != res.Counters.EdgesScanned {
+				t.Fatalf("%s: timeline edges %d, counters %d", algo, edges, res.Counters.EdgesScanned)
+			}
+			// Discovery excludes the source, which beginRun seeds.
+			if discovered != res.Counters.Discovered {
+				t.Fatalf("%s: timeline discovered %d, counters %d", algo, discovered, res.Counters.Discovered)
+			}
+			if dups != res.Duplicates() {
+				t.Fatalf("%s: timeline duplicates %d, run duplicates %d", algo, dups, res.Duplicates())
+			}
+		}
+		e.Close()
 	}
 }
 

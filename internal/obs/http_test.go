@@ -80,7 +80,7 @@ func TestLiveExpositionDuringRuns(t *testing.T) {
 	base := "http://" + srv.Addr
 
 	e, err := core.NewEngine(g, core.BFSWSL, core.Options{
-		Workers: 4, Seed: 1, PersistentWorkers: true, LevelTimeline: true,
+		Workers: 4, Seed: 1, LevelTimeline: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -128,11 +128,10 @@ func TestDegradedToSerial(t *testing.T) {
 				Concurrency: 1,
 				Registry:    reg,
 				Options: core.Options{
-					Workers:           4,
-					PersistentWorkers: true,
+					Workers: 4,
 					Chaos: hookFunc(func(p core.ChaosPoint, _ int, _ int64) {
 						if p == core.ChaosStall {
-							panic("serve test: persistent injected panic")
+							panic("serve test: injected panic")
 						}
 					}),
 				},

@@ -17,7 +17,7 @@ func TestGuardShardedBackend(t *testing.T) {
 	g := testGraph(t)
 	gd, err := New(g, Config{
 		Concurrency: 2,
-		Options:     core.Options{Workers: 4, Shards: 2, PersistentWorkers: true},
+		Options:     core.Options{Workers: 4, Shards: 2},
 	})
 	if err != nil {
 		t.Fatal(err)

