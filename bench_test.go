@@ -18,6 +18,7 @@ import (
 	"os"
 	"sync"
 	"testing"
+	"time"
 
 	"optibfs"
 	"optibfs/internal/core"
@@ -415,65 +416,72 @@ func BenchmarkHybridSteadyState(b *testing.B) {
 // predicate is evaluated only at level barriers on pooled state, so
 // allocs/op must be 0 exactly like the plain steady-state engines, and
 // the truncated partial sweep must traverse strictly fewer edges than
-// the full run it short-circuits. scripts/benchsmoke.sh gates CI on
-// these numbers.
+// the full run it short-circuits. The st-parents rows run the s-t
+// search under the options a serving Guard builds (parent tracking, a
+// 1 s stall watchdog), the configuration every bfsd query runs.
+// scripts/benchsmoke.sh gates CI on these numbers.
 func BenchmarkGoalSteadyState(b *testing.B) {
 	g := benchGraph(b, "wikipedia")
 	src := harness.PickSources(g, 1, 0xbe7c)[0]
 	ctx := context.Background()
 	for _, algo := range []optibfs.Algorithm{optibfs.BFSWL, optibfs.BFSWSL} {
-		e, err := optibfs.NewEngine(g, algo, &optibfs.Options{Workers: 8, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer e.Close()
-		full, err := e.Run(src) // picks the mid-depth target
-		if err != nil {
-			b.Fatal(err)
-		}
-		fullEdges := full.EdgesTraversed
-		wantDepth := full.Levels / 2
-		if wantDepth < 1 {
-			wantDepth = 1
-		}
-		dst := src
-		for v, d := range full.Dist {
-			if d == int32(wantDepth) {
-				dst = int32(v)
-				break
-			}
-		}
-		for _, gc := range []struct {
-			name string
-			goal optibfs.Goal
+		for _, ec := range []struct {
+			suffix string
+			opt    optibfs.Options
+			goals  []string
 		}{
-			{"st", optibfs.GoalTo(dst)},
-			{"depth2", optibfs.Goal{MaxDepth: 2}},
+			{"", optibfs.Options{Workers: 8, Seed: 1}, []string{"st", "depth2"}},
+			{"-parents", optibfs.Options{Workers: 8, Seed: 1, TrackParents: true, StallTimeout: time.Second}, []string{"st"}},
 		} {
-			b.Run(fmt.Sprintf("%s/%s", algo, gc.name), func(b *testing.B) {
-				for i := 0; i < 8; i++ { // warm the pooled buffers
-					if _, err := e.RunGoal(ctx, src, gc.goal); err != nil {
-						b.Fatal(err)
-					}
+			e, err := optibfs.NewEngine(g, algo, &ec.opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer e.Close()
+			full, err := e.Run(src) // picks the mid-depth target
+			if err != nil {
+				b.Fatal(err)
+			}
+			fullEdges := full.EdgesTraversed
+			wantDepth := full.Levels / 2
+			if wantDepth < 1 {
+				wantDepth = 1
+			}
+			dst := src
+			for v, d := range full.Dist {
+				if d == int32(wantDepth) {
+					dst = int32(v)
+					break
 				}
-				var edges int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := e.RunGoal(ctx, src, gc.goal)
-					if err != nil {
-						b.Fatal(err)
+			}
+			goals := map[string]optibfs.Goal{"st": optibfs.GoalTo(dst), "depth2": {MaxDepth: 2}}
+			for _, name := range ec.goals {
+				goal := goals[name]
+				b.Run(fmt.Sprintf("%s/%s%s", algo, name, ec.suffix), func(b *testing.B) {
+					for i := 0; i < 8; i++ { // warm the pooled buffers
+						if _, err := e.RunGoal(ctx, src, goal); err != nil {
+							b.Fatal(err)
+						}
 					}
-					if !res.Truncated {
-						b.Fatal("goal run was not truncated; the benchmark would measure a full sweep")
+					var edges int64
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						res, err := e.RunGoal(ctx, src, goal)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if !res.Truncated {
+							b.Fatal("goal run was not truncated; the benchmark would measure a full sweep")
+						}
+						edges += res.EdgesTraversed
 					}
-					edges += res.EdgesTraversed
-				}
-				b.StopTimer()
-				if b.N > 0 {
-					b.ReportMetric(float64(edges)/float64(b.N)/float64(fullEdges)*100, "edge-%")
-				}
-			})
+					b.StopTimer()
+					if b.N > 0 {
+						b.ReportMetric(float64(edges)/float64(b.N)/float64(fullEdges)*100, "edge-%")
+					}
+				})
+			}
 		}
 	}
 }

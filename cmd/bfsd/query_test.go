@@ -194,14 +194,23 @@ func parkedDaemon(t *testing.T, load string, batch serve.BatchConfig) (d *daemon
 	park := &parkHook{entered: make(chan struct{}), open: make(chan struct{})}
 	park.armed.Store(true)
 	batch.Enabled = true
-	d = newDaemon(serve.Config{
+	// Admission must hold every query a caller fires at once: a query
+	// alone in its batch window dispatches solo and keeps its admission
+	// slot while it waits for the held engine, so at the default cap
+	// (8 on a 2-vCPU host) seven such singletons plus the held query
+	// fill admission and later arrivals shed instead of seating.
+	d = newDaemonFull(serve.Config{
 		Algo:        core.BFSWL,
 		Concurrency: 1,
-		Deadline:    10 * time.Second,
+		// The held query stays parked for as long as a caller's own
+		// wait loop runs (up to 10 s), so its deadline must outlast
+		// that budget with room to spare, or a slow host returns it as
+		// a 504 partial.
+		Deadline: time.Minute,
 		// The hook parks a worker on purpose: not a stall.
 		Options: core.Options{Workers: 2, StallTimeout: time.Minute, Chaos: park},
 		Batch:   batch,
-	}, obs.New(), 1<<20)
+	}, serve.AdmissionConfig{MaxInFlight: 128}, 0, obs.New(), 1<<20)
 	ts = httptest.NewServer(d.handler())
 	t.Cleanup(func() {
 		ts.Close()

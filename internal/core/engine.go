@@ -325,13 +325,14 @@ type parEngine struct {
 	b        binding
 	crew     *crew
 	phase    func(id int)
+	wd       *watchdog
 	poisoned bool
 }
 
 func newParEngine(g *graph.CSR, opt Options, bf bindFunc, algo Algorithm) *parEngine {
 	st := allocState(g, opt)
 	st.algo = algo
-	e := &parEngine{st: st}
+	e := &parEngine{st: st, wd: newWatchdog(st, algo, &st.levelA, opt.StallTimeout)}
 	e.b = bf(st)
 	if opt.Hybrid {
 		e.b = wrapHybrid(st, e.b)
@@ -349,11 +350,9 @@ func (e *parEngine) run(ctx context.Context, src int32, goal Goal) (*Result, err
 	st := e.st
 	st.ctx, st.goal = ctx, goal
 	st.beginRun(src)
-	stopWatch := st.startWatchdog(ctx)
+	e.wd.start(ctx)
 	st.runLevels(e.crew, e.b.setup, e.phase)
-	if stopWatch != nil {
-		stopWatch()
-	}
+	e.wd.end()
 	res := st.finish()
 	if e.b.post != nil {
 		e.b.post(res)

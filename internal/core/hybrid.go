@@ -777,7 +777,7 @@ func (e *ShardedEngine) mergeShardFrontiers() {
 // vertices whose in-neighbors sit in other shards' global bits.
 func (e *ShardedEngine) hybridAdvance() {
 	hy := e.hy
-	if hy == nil || e.canceled() || e.anyAborted() {
+	if hy == nil || e.canceled() || e.aborted() {
 		return
 	}
 	st0 := e.shards[0].st

@@ -251,43 +251,85 @@ func (st *state) abortPoisons() bool {
 	return atomic.LoadInt32(&st.abortFlag) == abortPanic
 }
 
-// startWatchdog launches the per-run stall monitor when
-// Options.StallTimeout is set, returning a stop function the run calls
-// at its end (nil when disabled — the default — so runs without a
-// timeout spawn nothing and stay allocation-free after warmup is
-// irrelevant here since the watchdog is per-run by design). The
-// watchdog also observes ctx so cancellation takes effect mid-level
-// instead of waiting for the next level boundary.
-func (st *state) startWatchdog(ctx context.Context) func() {
-	if st.opt.StallTimeout <= 0 {
+// watched is what a stall watchdog samples and aborts: a plain
+// engine's state, or a sharded engine as a whole. A sharded engine has
+// one watchdog over the summed heartbeats of all shards, because a
+// global level barrier couples the shards: one wedged shard starves
+// every other, so per-shard watchdogs would fire S spurious aborts
+// where one global verdict is wanted.
+type watched interface {
+	beatSum() int64
+	aborted() bool
+	abortRun(reason int32, stall *StallError)
+}
+
+// watchdog is an engine's stall monitor, armed by
+// Options.StallTimeout (a nil watchdog — the default — watches
+// nothing). Each run starts one goroutine that samples the heartbeat
+// sum at window/8 granularity and declares a stall when the sum stays
+// unchanged for a full window; it also observes the run's ctx so
+// cancellation takes effect mid-level instead of waiting for the next
+// level boundary. The channels and the ticker are allocated once and
+// reused, so a warm watched run allocates only the goroutine's launch
+// closure. The heartbeat sites sit at dispatch boundaries, so the
+// window must exceed the time one dispatch unit (a segment of at most
+// 1024 vertices, one publication batch, or one hot-vertex chunk) can
+// legitimately take; the default serving configuration uses seconds
+// against micro- to millisecond units.
+type watchdog struct {
+	target     watched
+	algo       Algorithm
+	level      *int32 // the target's atomic level mirror
+	window     time.Duration
+	stop, done chan struct{}
+	ticker     *time.Ticker // owned by the running watch goroutine
+}
+
+func newWatchdog(target watched, algo Algorithm, level *int32, window time.Duration) *watchdog {
+	if window <= 0 {
 		return nil
 	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go st.watch(ctx, stop, done)
-	return func() {
-		close(stop)
-		<-done
+	return &watchdog{
+		target: target,
+		algo:   algo,
+		level:  level,
+		window: window,
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 }
 
-// watch samples the heartbeat sum at StallTimeout/8 granularity and
-// declares a stall when the sum stays unchanged for a full window.
-// The heartbeat sites sit at dispatch boundaries, so StallTimeout must
-// exceed the time one dispatch unit (a segment of at most 1024
-// vertices, one publication batch, or one hot-vertex chunk) can
-// legitimately take; the default serving configuration uses seconds
-// against micro- to millisecond units.
-func (st *state) watch(ctx context.Context, stop, done chan struct{}) {
-	defer close(done)
-	window := st.opt.StallTimeout
-	tick := window / 8
+// start launches the monitor for one run; end stops it and returns
+// once it has exited. Both are no-ops on a nil watchdog.
+func (wd *watchdog) start(ctx context.Context) {
+	if wd != nil {
+		go wd.watch(ctx)
+	}
+}
+
+func (wd *watchdog) end() {
+	if wd != nil {
+		wd.stop <- struct{}{}
+		<-wd.done
+	}
+}
+
+func (wd *watchdog) watch(ctx context.Context) {
+	tick := wd.window / 8
 	if tick < time.Millisecond {
 		tick = time.Millisecond
 	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	last := st.beatSum()
+	// A tick left over from the previous run only samples early.
+	if wd.ticker == nil {
+		wd.ticker = time.NewTicker(tick)
+	} else {
+		wd.ticker.Reset(tick)
+	}
+	defer func() {
+		wd.ticker.Stop()
+		wd.done <- struct{}{}
+	}()
+	last := wd.target.beatSum()
 	lastChange := time.Now()
 	var ctxDone <-chan struct{}
 	if ctx != nil {
@@ -295,30 +337,30 @@ func (st *state) watch(ctx context.Context, stop, done chan struct{}) {
 	}
 	for {
 		select {
-		case <-stop:
+		case <-wd.stop:
 			return
 		case <-ctxDone:
-			st.abortRun(abortCancel, nil)
+			wd.target.abortRun(abortCancel, nil)
 			ctxDone = nil
-		case <-ticker.C:
-			if st.aborted() {
+		case <-wd.ticker.C:
+			if wd.target.aborted() {
 				// Wind-down after any abort is progress-free by nature;
 				// keep ticking only to honor stop.
 				continue
 			}
-			cur := st.beatSum()
+			cur := wd.target.beatSum()
 			if cur != last {
 				last = cur
 				lastChange = time.Now()
 				continue
 			}
-			if time.Since(lastChange) < window {
+			if time.Since(lastChange) < wd.window {
 				continue
 			}
-			st.abortRun(abortStall, &StallError{
-				Algo:     st.algo,
-				Level:    atomic.LoadInt32(&st.levelA),
-				Window:   window,
+			wd.target.abortRun(abortStall, &StallError{
+				Algo:     wd.algo,
+				Level:    atomic.LoadInt32(wd.level),
+				Window:   wd.window,
 				Progress: cur,
 			})
 		}

@@ -38,7 +38,6 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"optibfs/internal/graph"
 	"optibfs/internal/rng"
@@ -233,8 +232,9 @@ type ShardedEngine struct {
 	closed   bool
 	poisoned bool
 
-	levelA  int32  // atomic; global level mirror for the watchdog
-	running []bool // per-shard released-phase flags, pooled
+	levelA  int32     // atomic; global level mirror for the watchdog
+	wd      *watchdog // nil unless Options.StallTimeout
+	running []bool    // per-shard released-phase flags, pooled
 
 	// Goal-directed termination. The goal lives at the engine level
 	// only — each shard's own state gets a zero goal — because a shard's
@@ -295,6 +295,7 @@ func NewShardedEngine(sg *graph.ShardedCSR, algo Algorithm, opt Options) (*Shard
 		shards:  make([]*shardEngine, S),
 		running: make([]bool, S),
 	}
+	e.wd = newWatchdog(e, algo, &e.levelA, opt.StallTimeout)
 	if S > 1 {
 		e.ex = newExchange(sg, opt.Workers)
 	}
@@ -404,11 +405,9 @@ func (e *ShardedEngine) RunGoal(ctx context.Context, src int32, goal Goal) (*Res
 		e.ex.reset()
 	}
 	atomic.StoreInt32(&e.levelA, 0)
-	stopWatch := e.startWatchdog(ctx)
+	e.wd.start(ctx)
 	e.runLoop()
-	if stopWatch != nil {
-		stopWatch()
-	}
+	e.wd.end()
 	res := e.mergedFinish()
 	if err := e.abortError(); err != nil {
 		return res, err
@@ -429,7 +428,7 @@ func (e *ShardedEngine) RunGoal(ctx context.Context, src int32, goal Goal) (*Res
 // unconsumed state then.
 func (e *ShardedEngine) runLoop() {
 	for {
-		if e.volume() == 0 || e.canceled() || e.anyAborted() || e.goalDone() {
+		if e.volume() == 0 || e.canceled() || e.aborted() || e.goalDone() {
 			return
 		}
 		bu := e.hy != nil && e.hy.bottomUp
@@ -447,7 +446,7 @@ func (e *ShardedEngine) runLoop() {
 			}
 		}
 		e.joinRunning()
-		if e.ex != nil && !e.anyAborted() {
+		if e.ex != nil && !e.aborted() {
 			for s, se := range e.shards {
 				if e.ex.inboundVolume(s) > 0 {
 					se.crew.start(se.drain)
@@ -466,7 +465,7 @@ func (e *ShardedEngine) runLoop() {
 // worker 0), so a panic here poisons the run instead of the process.
 func (e *ShardedEngine) closeLevel() {
 	defer e.shards[0].st.recoverWorker(0)
-	aborted := e.anyAborted()
+	aborted := e.aborted()
 	for _, se := range e.shards {
 		st := se.st
 		if !aborted {
@@ -525,8 +524,8 @@ func (e *ShardedEngine) volume() int64 {
 // canceled reports whether the run's context has fired.
 func (e *ShardedEngine) canceled() bool { return e.shards[0].st.canceled() }
 
-// anyAborted reports whether any shard's run has been aborted.
-func (e *ShardedEngine) anyAborted() bool {
+// aborted reports whether any shard's run has been aborted.
+func (e *ShardedEngine) aborted() bool {
 	for _, se := range e.shards {
 		if se.st.aborted() {
 			return true
@@ -535,9 +534,9 @@ func (e *ShardedEngine) anyAborted() bool {
 	return false
 }
 
-// abortAll publishes an abort on every shard (first reason wins within
+// abortRun publishes an abort on every shard (first reason wins within
 // each; a shard that already aborted for its own cause keeps it).
-func (e *ShardedEngine) abortAll(reason int32, stall *StallError) {
+func (e *ShardedEngine) abortRun(reason int32, stall *StallError) {
 	for _, se := range e.shards {
 		se.st.abortRun(reason, stall)
 	}
@@ -582,71 +581,6 @@ func (e *ShardedEngine) abortError() error {
 		return stall
 	}
 	return nil
-}
-
-// startWatchdog launches the engine-level stall monitor when
-// Options.StallTimeout is set — one goroutine watching the summed
-// heartbeats of all shards, because a global level barrier couples the
-// shards: one wedged shard starves every other, so per-shard watchdogs
-// would fire S spurious aborts where one global verdict is wanted.
-func (e *ShardedEngine) startWatchdog(ctx context.Context) func() {
-	if e.opt.StallTimeout <= 0 {
-		return nil
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go e.watch(ctx, stop, done)
-	return func() {
-		close(stop)
-		<-done
-	}
-}
-
-// watch mirrors state.watch over the merged heartbeat sum, aborting
-// every shard on a stall or mid-level cancellation.
-func (e *ShardedEngine) watch(ctx context.Context, stop, done chan struct{}) {
-	defer close(done)
-	window := e.opt.StallTimeout
-	tick := window / 8
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	last := e.beatSum()
-	lastChange := time.Now()
-	var ctxDone <-chan struct{}
-	if ctx != nil {
-		ctxDone = ctx.Done()
-	}
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ctxDone:
-			e.abortAll(abortCancel, nil)
-			ctxDone = nil
-		case <-ticker.C:
-			if e.anyAborted() {
-				continue
-			}
-			cur := e.beatSum()
-			if cur != last {
-				last = cur
-				lastChange = time.Now()
-				continue
-			}
-			if time.Since(lastChange) < window {
-				continue
-			}
-			e.abortAll(abortStall, &StallError{
-				Algo:     e.algo,
-				Level:    atomic.LoadInt32(&e.levelA),
-				Window:   window,
-				Progress: cur,
-			})
-		}
-	}
 }
 
 // mergedFinish assembles the run's Result from the shards' owned

@@ -413,7 +413,10 @@ func (st *state) endLevelOut(id int, block []int32) []int32 {
 // the same values, and w appears in (at most) both their output queues.
 // The stamp is published after the payload stores so a racer that
 // observes epoch[w] == cur is ordered after the payload it would
-// otherwise have written itself.
+// otherwise have written itself. This is the general claim, for states
+// that fail lean(): it carries the shard routing and the ParentClaim
+// store. scanNeighborsLean and drainOwnLean inline the same claim
+// (dist, parent, then epoch) for every other state.
 func (st *state) discover(id int, u, w int32, out []int32) []int32 {
 	// Owner-compute routing (sharded engines only): a target another
 	// shard owns is forwarded through the exchange instead of claimed
@@ -451,16 +454,19 @@ func (st *state) discover(id int, u, w int32, out []int32) []int32 {
 const prefetchWindow = 8
 
 // scanNeighbors scans u's adjacency slice nb, discovering targets into
-// out, with a software-prefetched lookahead: before discover runs its
-// epoch check on nb[i], the loop has already touched the epoch line of
-// nb[i+prefetchWindow], turning the dependent random-access load into
-// an in-flight one. The touch is an atomic load because the epoch word
-// is concurrently stored by racing discoverers — a plain read would be
-// a data race — and because Go never eliminates an atomic op, so the
-// prefetch cannot be dead-code-eliminated out of the loop.
+// out. A state that passes lean() takes scanNeighborsLean; the loop
+// here serves chaos hooks, ParentClaim and sharded exchange, calling
+// discover per edge with a software-prefetched lookahead: before
+// discover runs its epoch check on nb[i], the loop has already touched
+// the epoch line of nb[i+prefetchWindow], turning the dependent
+// random-access load into an in-flight one. The touch is an atomic
+// load because the epoch word is concurrently stored by racing
+// discoverers — a plain read would be a data race — and because Go
+// never eliminates an atomic op, so the prefetch cannot be
+// dead-code-eliminated out of the loop.
 func (st *state) scanNeighbors(id int, u int32, nb []int32, out []int32) []int32 {
-	if st.shardEx == nil && st.claim == nil && st.parent == nil {
-		return st.scanNeighborsLean(id, nb, out)
+	if st.lean() {
+		return st.scanNeighborsLean(id, u, nb, out)
 	}
 	n := len(nb)
 	for i := 0; i < prefetchWindow && i < n; i++ {
@@ -477,18 +483,28 @@ func (st *state) scanNeighbors(id int, u int32, nb []int32, out []int32) []int32
 	return out
 }
 
-// scanNeighborsLean is scanNeighbors for the common configuration — no
-// shard exchange, no claim filter, no parent tracking. discover's
-// generality costs a function call plus three dead branches per
+// lean reports whether a state's claims can run inline: no chaos hook,
+// no ParentClaim filter and no shard exchange. drainOwn and
+// scanNeighbors both route on it, so the fused drain and the lean scan
+// always serve the same configurations. Parent tracking passes: the
+// inline claim stores parent[w] itself.
+func (st *state) lean() bool {
+	return st.chaos == nil && st.claim == nil && st.shardEx == nil
+}
+
+// scanNeighborsLean is scanNeighbors for states that pass lean().
+// discover's generality costs a function call plus dead branches per
 // scanned edge; at one or two claims per edge that overhead rivals the
 // useful work, and on low-degree high-diameter graphs it dominated
 // whole searches. This copy hoists every loop-invariant load and
 // inlines the claim, and skips the prefetch lookahead entirely on
 // short adjacency rows, where the warm-up touches would nearly double
-// the epoch traffic without covering any memory latency. Claim
-// protocol and counter semantics are identical to discover's.
-func (st *state) scanNeighborsLean(id int, nb []int32, out []int32) []int32 {
-	epoch, dist := st.epoch, st.dist
+// the epoch traffic without covering any memory latency. With parent
+// tracking on, a claim stores parent[w] = u between the dist and epoch
+// stores, as discover does. Claim protocol and counter semantics are
+// identical to discover's.
+func (st *state) scanNeighborsLean(id int, u int32, nb []int32, out []int32) []int32 {
+	epoch, dist, parent := st.epoch, st.dist, st.parent
 	cur, lvl := st.cur, st.level+1
 	c := &st.counters[id]
 	n := len(nb)
@@ -502,6 +518,9 @@ func (st *state) scanNeighborsLean(id int, nb []int32, out []int32) []int32 {
 			w := nb[i]
 			if atomic.LoadUint32(&epoch[w]) != cur {
 				storeRelaxed32(&dist[w], lvl)
+				if parent != nil {
+					storeRelaxed32(&parent[w], u)
+				}
 				storeRelaxedU32(&epoch[w], cur)
 				c.Discovered++
 				out = append(out, w+1)
@@ -515,6 +534,9 @@ func (st *state) scanNeighborsLean(id int, nb []int32, out []int32) []int32 {
 		w := nb[i]
 		if atomic.LoadUint32(&epoch[w]) != cur {
 			storeRelaxed32(&dist[w], lvl)
+			if parent != nil {
+				storeRelaxed32(&parent[w], u)
+			}
 			storeRelaxedU32(&epoch[w], cur)
 			c.Discovered++
 			out = append(out, w+1)

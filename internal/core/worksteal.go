@@ -222,8 +222,9 @@ const stealCheckPeriod = 32
 // clear it, publish the advanced front, explore; stop only at a 0 slot
 // — never by checking the (possibly thief-modified) rear — so stolen-
 // ahead regions produce at most duplicate work and nothing is skipped.
-// Plain configurations run it as the fused drainOwnLean; the loop here
-// serves chaos hooks, ParentClaim, TrackParents and sharded engines.
+// States that pass lean() — parent tracking included — run it as the
+// fused drainOwnLean; the loop here serves chaos hooks, ParentClaim and
+// sharded engines.
 // Locked mode lives in drainOwnLocked, so this function's machine code
 // holds no locked instruction at all (normw_amd64_test.go checks it).
 func (w *wsWorker) drainOwn(d *segDesc) {
@@ -235,7 +236,7 @@ func (w *wsWorker) drainOwn(d *segDesc) {
 	qi := atomic.LoadInt64(&d.q)
 	buf := w.st.in[qi].buf
 	j := atomic.LoadInt64(&d.f)
-	if w.st.claim == nil && w.st.parent == nil && w.st.shardEx == nil && w.st.chaos == nil {
+	if w.st.lean() {
 		storeRelaxed64(&d.f, w.drainOwnLean(d, buf, j))
 		return
 	}
@@ -326,17 +327,18 @@ func (w *wsWorker) drainOwnLocked(d *segDesc) {
 }
 
 // drainOwnLean is drainOwn's fused loop, the lockfree drain at every
-// worker count when no claim or parent array, shard exchange or chaos
-// hook is bound (the caller checks). It keeps the general loop's slot
-// ledger, publication cadence, heartbeats, abort checks and hot-vertex
-// deferral, but inlines the pop → scan → claim chain that the general
+// worker count for states that pass lean() (the caller checks). It
+// keeps the general loop's slot ledger, publication cadence,
+// heartbeats, abort checks and hot-vertex deferral, but inlines the pop → scan → claim chain that the general
 // loop pays three calls for per vertex; long rows still go through
-// scanNeighborsLean's prefetch pipeline. Every lookaheadBatch slots it
+// scanNeighborsLean's prefetch pipeline. Its inline claim stores the
+// popped vertex as parent between the dist and epoch stores when parent
+// tracking is on, as discover does. Every lookaheadBatch slots it
 // touches the offsets of the batch after next and the row heads of the
 // next batch. Returns the final front, which the caller publishes.
 func (w *wsWorker) drainOwnLean(d *segDesc, buf []int32, j int64) int64 {
 	st := w.st
-	epoch, dist := st.epoch, st.dist
+	epoch, dist, parent := st.epoch, st.dist, st.parent
 	cur, lvl := st.cur, st.level+1
 	goff, gedges := st.g.Offsets, st.g.Edges
 	threshold := w.threshold
@@ -378,15 +380,18 @@ func (w *wsWorker) drainOwnLean(d *segDesc, buf []int32, j int64) int64 {
 			c.HotVertices++
 		case o1-o0 > 2*prefetchWindow:
 			c.EdgesScanned += o1 - o0
-			out = st.scanNeighborsLean(w.id, gedges[o0:o1], out)
+			out = st.scanNeighborsLean(w.id, v, gedges[o0:o1], out)
 		default:
 			c.EdgesScanned += o1 - o0
-			for _, u := range gedges[o0:o1] {
-				if atomic.LoadUint32(&epoch[u]) != cur {
-					storeRelaxed32(&dist[u], lvl)
-					storeRelaxedU32(&epoch[u], cur)
+			for _, x := range gedges[o0:o1] {
+				if atomic.LoadUint32(&epoch[x]) != cur {
+					storeRelaxed32(&dist[x], lvl)
+					if parent != nil {
+						storeRelaxed32(&parent[x], v)
+					}
+					storeRelaxedU32(&epoch[x], cur)
 					c.Discovered++
-					out = append(out, u+1)
+					out = append(out, x+1)
 					if len(out) >= blk {
 						out = st.flushBlock(w.id, out)
 					}
