@@ -18,10 +18,12 @@
 // admitted (200), shed (429 — the admission controller's deliberate
 // backpressure), and hard errors (everything else); sheds are reported
 // separately and never count as errors. Goodput is admitted-and-valid
-// QPS. Latencies are recorded per template and reported as exact
-// percentiles from the raw samples; admitted-only percentiles ride
-// along so backpressure can't hide behind fast 429s. -json writes a
-// machine-readable report.
+// QPS. Latencies are recorded per template and reported as percentiles
+// of the raw samples; admitted-only percentiles ride along so
+// backpressure can't hide behind fast 429s. -json writes a
+// machine-readable report whose p50/p90/p99 fields use stats.Quantile:
+// linear interpolation between the two nearest order statistics
+// (earlier versions took the lower one, without interpolating).
 //
 // -overload-sweep runs the closed loop once per listed concurrency
 // level and emits a goodput/p99 curve — the overload test: past
@@ -48,6 +50,7 @@ import (
 
 	"optibfs/internal/obs"
 	"optibfs/internal/rng"
+	"optibfs/internal/stats"
 )
 
 // kinds is the template order used everywhere (stable output).
@@ -211,14 +214,6 @@ type queryResp struct {
 	Truncated bool   `json:"truncated"`
 }
 
-func percentile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
-}
-
 // kindStats is the per-template block of the JSON report (times in
 // milliseconds).
 type kindStats struct {
@@ -242,9 +237,9 @@ func summarize(samples []float64, count int64) kindStats {
 		return ks
 	}
 	ks.MeanMS = sum / float64(len(s)) * 1e3
-	ks.P50MS = percentile(s, 0.50) * 1e3
-	ks.P90MS = percentile(s, 0.90) * 1e3
-	ks.P99MS = percentile(s, 0.99) * 1e3
+	ks.P50MS = stats.Quantile(s, 0.50) * 1e3
+	ks.P90MS = stats.Quantile(s, 0.90) * 1e3
+	ks.P99MS = stats.Quantile(s, 0.99) * 1e3
 	ks.MaxMS = s[len(s)-1] * 1e3
 	return ks
 }

@@ -89,9 +89,12 @@ func (r *MSLaneReport) String() string {
 // engine, auditing every lane of every run against graph.ReferenceBFS.
 // Completed runs must be exact per lane (distances, parents, levels,
 // reached/edge counters). Aborted runs — injected panics, which poison
-// the engine, are the expected abort class — must leave every settled
-// per-lane distance exact and the lane's Reached equal to its settled
-// count: partial results understate, never lie.
+// the engine, and forced stalls, which the 50ms watchdog armed for
+// Disruptive profiles converts into typed StallErrors — must leave
+// every settled per-lane distance exact and the lane's Reached equal
+// to its settled count: partial results understate, never lie. A
+// stalled engine stays in service, as the core contract promises; a
+// panicked one is replaced.
 func MSLaneSoak(cfg MSLaneConfig) (*MSLaneReport, error) {
 	cfg = cfg.withDefaults()
 	rep := &MSLaneReport{}
@@ -113,7 +116,14 @@ func MSLaneSoak(cfg MSLaneConfig) (*MSLaneReport, error) {
 			return d
 		}
 		for _, prof := range cfg.Profiles {
-			eng, err := core.NewMSEngine(g, core.Options{Workers: cfg.Workers, Seed: r.Next()})
+			opt := core.Options{Workers: cfg.Workers}
+			if prof.Disruptive() {
+				// As in Soak: forced stalls abort with a typed
+				// StallError; 50ms is well under StallMillis.
+				opt.StallTimeout = 50 * time.Millisecond
+			}
+			opt.Seed = r.Next()
+			eng, err := core.NewMSEngine(g, opt)
 			if err != nil {
 				return nil, err
 			}
@@ -137,7 +147,8 @@ func MSLaneSoak(cfg MSLaneConfig) (*MSLaneReport, error) {
 					}
 				case recoveryAbort(rerr):
 					var wp *core.WorkerPanicError
-					if errors.As(rerr, &wp) {
+					panicked := errors.As(rerr, &wp)
+					if panicked {
 						rep.Panics++
 					} else {
 						rep.Stalls++
@@ -148,11 +159,14 @@ func MSLaneSoak(cfg MSLaneConfig) (*MSLaneReport, error) {
 							rep.PartialLanes++
 						}
 					}
-					// A panic poisons the engine; replace it like the
-					// serve layer would.
-					eng.Close()
-					if eng, err = core.NewMSEngine(g, core.Options{Workers: cfg.Workers, Seed: r.Next()}); err != nil {
-						return nil, err
+					if panicked {
+						// A panic poisons the engine; replace it like the
+						// serve layer would.
+						eng.Close()
+						opt.Seed = r.Next()
+						if eng, err = core.NewMSEngine(g, opt); err != nil {
+							return nil, err
+						}
 					}
 				default:
 					eng.Close()

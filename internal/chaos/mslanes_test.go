@@ -21,10 +21,11 @@ func TestMSLaneSoak(t *testing.T) {
 			{Name: "jitter", Prob: uniformProb(0.05), Yields: 1},
 			{Name: "front-races", Prob: prob(core.ChaosFrontStore, 0.7), Yields: 3, Spin: 32},
 			// Malign faults: perturbations at the level barrier either
-			// panic a worker (the run must abort into a typed error with
-			// understate-only partial lanes) or stall it briefly.
+			// panic a worker or stall it past the soak's 50ms watchdog;
+			// both must abort into a typed error with understate-only
+			// partial lanes.
 			{Name: "ms-faults", Prob: prob(core.ChaosStall, 0.4), Yields: 1,
-				PanicProb: 0.5, StallMillis: 5},
+				PanicProb: 0.5, StallMillis: 150},
 		},
 		Rounds:  3,
 		Workers: 4,
@@ -48,5 +49,8 @@ func TestMSLaneSoak(t *testing.T) {
 	}
 	if rep.Panics == 0 {
 		t.Fatal("fault profile injected no panics (audit under faults unexercised)")
+	}
+	if rep.Stalls == 0 {
+		t.Fatal("fault profile produced no detected stalls (fused watchdog unexercised)")
 	}
 }

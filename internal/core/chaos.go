@@ -85,9 +85,10 @@ const (
 	// driver goroutine, in the barrier step between levels; that step
 	// runs under the same recovery barrier as the workers, so a panic
 	// here poisons the run like a worker panic. A stall here holds up
-	// the driver, not a worker, so the watchdog's heartbeats cannot
-	// attribute it (the standard internal/chaos injector skips its
-	// malign faults for this point).
+	// the driver, not a worker, and the watchdog suspends its window
+	// while the driver holds the barrier, so it is never declared (the
+	// standard internal/chaos injector skips its malign faults for this
+	// point).
 	ChaosDirectionFlip
 	// NumChaosPoints is the number of instrumented points, not a
 	// point itself; it sizes per-point tables.

@@ -217,14 +217,17 @@ type Options struct {
 	// the frontier shrinks below n/Beta vertices. Larger values switch
 	// back later. Default 18. Ignored unless Hybrid is set.
 	Beta int64
-	// StallTimeout arms the per-run stall watchdog: if no worker makes
-	// dispatch progress (segment fetches, steal-drain publications,
-	// hot-vertex chunks) for this long, the run aborts with a
-	// *StallError and a partial Result. The window must comfortably
-	// exceed one dispatch unit's legitimate duration — serving
-	// deployments use seconds. 0 (the default) disables the watchdog;
-	// runs then also lose the watchdog's mid-level cancellation assist
-	// and notice ctx only at level boundaries, as before.
+	// StallTimeout arms the per-run stall watchdog of every engine —
+	// plain, sharded and fused (MSEngine): if no worker makes dispatch
+	// progress (segment fetches, steal-drain publications, hot-vertex
+	// chunks) for this long while a level's phase is running, the run
+	// aborts with a *StallError and a partial Result. The window is
+	// suspended while the driver holds the level barrier, so a long
+	// single-threaded barrier step is never a stall. The window must
+	// comfortably exceed one dispatch unit's legitimate duration —
+	// serving deployments use seconds. 0 (the default) disables the
+	// watchdog; runs then also lose the watchdog's mid-level
+	// cancellation assist and notice ctx only at level boundaries.
 	StallTimeout time.Duration
 
 	// Chaos, when non-nil, receives a callback at each of the

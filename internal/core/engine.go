@@ -313,26 +313,20 @@ func (e *Engine) Close() {
 	e.impl.close()
 }
 
-// parEngine backs every parallel variant: pooled state, the family's
-// binding, and the crew that runs its levels. phase is the binding's
-// perLevel under workerLevel's recovery barrier, bound once so a level
-// allocates nothing. poisoned is set when a run ends on a worker
-// panic: the pooled state a worker abandoned mid-mutation must not be
-// reused, so every later run fails fast with ErrPoisoned (the crew
-// survives, parked at the gate, so Close still stops it).
+// parEngine backs every parallel variant: pooled state (with its
+// run-control), the family's binding, and the crew that runs its
+// levels. phase is the binding's perLevel under workerLevel's recovery
+// barrier, bound once so a level allocates nothing.
 type parEngine struct {
-	st       *state
-	b        binding
-	crew     *crew
-	phase    func(id int)
-	wd       *watchdog
-	poisoned bool
+	st    *state
+	b     binding
+	crew  *crew
+	phase func(id int)
 }
 
 func newParEngine(g *graph.CSR, opt Options, bf bindFunc, algo Algorithm) *parEngine {
-	st := allocState(g, opt)
-	st.algo = algo
-	e := &parEngine{st: st, wd: newWatchdog(st, algo, &st.levelA, opt.StallTimeout)}
+	st := allocState(g, opt, newRunCtl(algo, opt.Workers, opt.StallTimeout), 0)
+	e := &parEngine{st: st}
 	e.b = bf(st)
 	if opt.Hybrid {
 		e.b = wrapHybrid(st, e.b)
@@ -344,26 +338,20 @@ func newParEngine(g *graph.CSR, opt Options, bf bindFunc, algo Algorithm) *parEn
 }
 
 func (e *parEngine) run(ctx context.Context, src int32, goal Goal) (*Result, error) {
-	if e.poisoned {
+	st := e.st
+	if st.ctl.poisoned {
 		return nil, ErrPoisoned
 	}
-	st := e.st
-	st.ctx, st.goal = ctx, goal
+	st.goal = goal
+	st.ctl.begin(ctx)
 	st.beginRun(src)
-	e.wd.start(ctx)
 	st.runLevels(e.crew, e.b.setup, e.phase)
-	e.wd.end()
+	err := st.ctl.end()
 	res := st.finish()
 	if e.b.post != nil {
 		e.b.post(res)
 	}
-	if err := st.abortError(); err != nil {
-		if st.abortPoisons() {
-			e.poisoned = true
-		}
-		return res, err
-	}
-	return res, nil
+	return res, err
 }
 
 func (e *parEngine) reseed(seed uint64) {
@@ -373,19 +361,6 @@ func (e *parEngine) reseed(seed uint64) {
 	}
 }
 
-func (e *parEngine) setChaos(h ChaosHook) {
-	e.st.opt.Chaos = h
-	e.st.chaos = h
-	if a, ok := h.(ChaosLevelAuditor); ok {
-		e.st.levelAudit = a
-	} else {
-		e.st.levelAudit = nil
-	}
-	if a, ok := h.(ChaosFlushAuditor); ok {
-		e.st.flushAudit = a
-	} else {
-		e.st.flushAudit = nil
-	}
-}
+func (e *parEngine) setChaos(h ChaosHook) { e.st.setChaos(h) }
 
 func (e *parEngine) close() { e.crew.close() }

@@ -633,7 +633,7 @@ func hybridDecide(bu bool, nf, mf, unexplored, prevNf, n, alpha, beta, goalBound
 // re-primes everything).
 func (st *state) hybridAdvance() {
 	hy := st.hy
-	if hy == nil || st.aborted() || st.canceled() {
+	if hy == nil || st.aborted() || st.ctl.canceled() {
 		return
 	}
 	wasBU := hy.bottomUp
@@ -777,7 +777,7 @@ func (e *ShardedEngine) mergeShardFrontiers() {
 // vertices whose in-neighbors sit in other shards' global bits.
 func (e *ShardedEngine) hybridAdvance() {
 	hy := e.hy
-	if hy == nil || e.canceled() || e.aborted() {
+	if hy == nil || e.ctl.canceled() || e.ctl.aborted() {
 		return
 	}
 	st0 := e.shards[0].st

@@ -46,8 +46,6 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"runtime/debug"
-	"sync"
 	"sync/atomic"
 
 	"optibfs/internal/graph"
@@ -192,27 +190,23 @@ type MSEngine struct {
 	yield bool // oversubscribed: Gosched at segment boundaries
 
 	// crew runs the expansion phases; expandFn is expandPhase bound
-	// once, so a warm fused level allocates nothing. ctx is the current
-	// run's, read by the workers after the gate releases them.
+	// once, so a warm fused level allocates nothing. ctl is the
+	// run-control every engine shares (recover.go): abort word,
+	// heartbeats, poisoned bit and the optional stall watchdog.
 	crew     *crew
 	expandFn func(id int)
-	ctx      context.Context
+	ctl      *runCtl
 
-	level    int32 // completed levels
-	closed   bool
-	poisoned bool
-
-	// First-panic capture, mirroring state's recover machinery.
-	abortFlag int32 // atomic
-	abortMu   sync.Mutex
-	wpanic    *WorkerPanicError
+	level  int32 // completed levels
+	closed bool
 
 	res MSResult
 }
 
-// NewMSEngine builds a fused engine over g. Only Options.Workers,
-// Seed, and Chaos are honored; parents are always tracked (the fused
-// engine exists to serve per-query answers).
+// NewMSEngine builds a fused engine over g. Options.Workers, Seed,
+// Chaos and StallTimeout are honored — the last arms the same stall
+// watchdog (and mid-level ctx assist) as Engine's; parents are always
+// tracked (the fused engine exists to serve per-query answers).
 func NewMSEngine(g *graph.CSR, opt Options) (*MSEngine, error) {
 	if g == nil {
 		return nil, fmt.Errorf("core: nil graph")
@@ -233,6 +227,7 @@ func NewMSEngine(g *graph.CSR, opt Options) (*MSEngine, error) {
 		e.out[i] = make([]msEntry, 0, 256)
 	}
 	e.expandFn = e.expandPhase
+	e.ctl = newRunCtl(MSBFSL, opt.Workers, opt.StallTimeout)
 	e.crew = newCrew(opt.Workers, MSBFSL, 0)
 	return e, nil
 }
@@ -275,10 +270,12 @@ func (e *MSEngine) Run(sources []int32) (*MSResult, error) {
 }
 
 // RunContext fuses len(sources) BFS searches (1..MaxLanes, duplicates
-// allowed) into one bit-parallel traversal. Cancellation is observed
-// at segment-dispatch and level boundaries; a canceled run commits the
-// level in flight and returns the partial per-lane results alongside
-// ctx's error, with the engine fully reusable. A worker panic poisons
+// allowed) into one bit-parallel traversal, under Engine.RunContext's
+// contract: cancellation is observed at level boundaries (mid-level
+// too with Options.StallTimeout set, through the watchdog's ctx
+// assist); a canceled or stalled run commits the level in flight and
+// returns the partial per-lane results alongside ctx's error or a
+// *StallError, with the engine fully reusable. A worker panic poisons
 // the engine (see ErrPoisoned) and returns a *WorkerPanicError with
 // the partial results.
 func (e *MSEngine) RunContext(ctx context.Context, sources []int32) (*MSResult, error) {
@@ -297,7 +294,7 @@ func (e *MSEngine) RunGoals(ctx context.Context, sources []int32, goals []Goal) 
 	if e.closed {
 		return nil, fmt.Errorf("core: ms engine is closed")
 	}
-	if e.poisoned {
+	if e.ctl.poisoned {
 		return nil, ErrPoisoned
 	}
 	if len(sources) == 0 || len(sources) > MaxLanes {
@@ -322,21 +319,15 @@ func (e *MSEngine) RunGoals(ctx context.Context, sources []int32, goals []Goal) 
 			e.hasGoals = true
 		}
 	}
+	e.ctl.begin(ctx)
 	e.growLanes(len(sources))
 	e.beginRun(sources)
 	// A target that is its own source is settled by seeding; retire it
 	// before the first level rather than traversing for it.
 	e.retireLanes()
-	e.ctx = ctx
-	err := e.runLevels()
-	res := e.finish(sources)
-	if err != nil {
-		return res, err
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		return res, cerr
-	}
-	return res, nil
+	e.runLevels()
+	err := e.ctl.end()
+	return e.finish(sources), err
 }
 
 // beginRun primes pooled state: epoch bump invalidates every mask in
@@ -355,8 +346,6 @@ func (e *MSEngine) beginRun(sources []int32) {
 		e.cur = 1
 	}
 	e.level = 0
-	atomic.StoreInt32(&e.abortFlag, abortNone)
-	e.wpanic = nil
 	atomic.StoreInt64(&e.front, 0)
 	for i := range e.scanned {
 		e.scanned[i] = 0
@@ -392,53 +381,31 @@ func (e *MSEngine) beginRun(sources []int32) {
 	}
 }
 
-// msAborted reports whether a worker panic has aborted the run.
-func (e *MSEngine) msAborted() bool {
-	return atomic.LoadInt32(&e.abortFlag) != abortNone
-}
-
 // runLevels drives the fused level loop: one crew phase of parallel
-// expansion, then the single-threaded barrier commit. Returns the
-// abort error, if any.
-func (e *MSEngine) runLevels() error {
-	for len(e.cfr) > 0 {
-		if e.ctx != nil && e.ctx.Err() != nil {
-			break
-		}
+// expansion, then the single-threaded barrier commit, until the
+// frontier drains or the run is canceled or aborted. A cooperative
+// abort (stall, cancel) still commits the level in flight — every
+// entry a worker appended names a genuine next-level discovery, so the
+// partial lanes understate and never lie — while a panic leaves the
+// abandoned buffers uncommitted.
+func (e *MSEngine) runLevels() {
+	for len(e.cfr) > 0 && !e.ctl.aborted() && !e.ctl.canceled() {
 		atomic.StoreInt64(&e.front, 0)
-		e.crew.run(e.expandFn)
-		if e.msAborted() {
-			e.poisoned = true
-			return e.wpanic
+		e.ctl.run(e.crew, e.expandFn)
+		if e.ctl.panicked() {
+			return
 		}
 		e.commitLevel()
 		e.retireLanes()
 	}
-	return nil
 }
 
 // expandPhase is one worker's fused level under the recovery barrier:
 // ChaosStall first, as in workerLevel, then the expansion.
 func (e *MSEngine) expandPhase(id int) {
-	defer e.recoverMS(id)
+	defer e.ctl.recoverWorker(id)
 	e.chaosAt(ChaosStall, id, int64(e.level))
 	e.expand(id)
-}
-
-// recoverMS captures the first worker panic as the run's abort,
-// mirroring state.recoverWorker; a method so the defer stays
-// open-coded.
-func (e *MSEngine) recoverMS(id int) {
-	r := recover()
-	if r == nil {
-		return
-	}
-	e.abortMu.Lock()
-	if e.wpanic == nil {
-		e.wpanic = &WorkerPanicError{Worker: id, Algo: MSBFSL, Level: e.level, Value: r, Stack: debug.Stack()}
-	}
-	atomic.StoreInt32(&e.abortFlag, abortPanic)
-	e.abortMu.Unlock()
 }
 
 // retireLanes is the barrier-time per-lane goal check, run after each
@@ -507,18 +474,20 @@ func (e *MSEngine) filterFrontier() {
 // scan each entry's adjacency, and append discoveries to the private
 // buffer. Duplicated segments (torn advances) and lost advisory-mask
 // bits both surface as duplicate entries for the barrier to collapse.
+// Each segment fetch beats the worker's heartbeat and checks the abort
+// word — one load each, and no context call, whose mutex would put a
+// locked instruction on every segment.
 func (e *MSEngine) expand(id int) {
-	g, ctx := e.g, e.ctx
+	g, ctl := e.g, e.ctl
+	beat := &ctl.beats[id]
 	cur := e.cur
 	buf := e.out[id][:0]
 	total := int64(len(e.cfr))
 	cfr, marks := e.cfr, e.marks
 	var scanned int64
 	for {
-		if e.msAborted() {
-			break
-		}
-		if ctx != nil && ctx.Err() != nil {
+		beat.bump()
+		if ctl.aborted() {
 			break
 		}
 		f := atomic.LoadInt64(&e.front)
@@ -634,6 +603,7 @@ func (e *MSEngine) commitLevel() {
 	e.nfr = e.cfr
 	e.cfr = next
 	e.level = d
+	e.ctl.setLevel(d)
 }
 
 // finish demuxes the committed vertex-major working state into the

@@ -1,6 +1,6 @@
 package core
 
-// Failure model: panic isolation and the stall watchdog.
+// Failure model: one run-control per engine.
 //
 // The paper's optimistic protocols tolerate *benign* failure — torn
 // descriptor reads, duplicate exploration — by construction. This file
@@ -10,22 +10,27 @@ package core
 // goroutine is fatal in Go), and a run that stops making progress
 // (which would otherwise wedge the caller forever).
 //
-// The machinery follows the protocols' own discipline — no atomic
-// read-modify-write on any per-vertex or per-edge path:
+// Every engine — Engine, ShardedEngine (one control shared by all its
+// shards) and MSEngine — stops through one runCtl, which follows the
+// protocols' own discipline: no atomic read-modify-write on any
+// per-vertex or per-edge path.
 //
-//   - Every worker executes its level under recover() (workerLevel).
+//   - Every worker executes its phase under recover() (recoverWorker).
 //     The first captured panic is recorded as a *WorkerPanicError and
 //     the run is aborted; the recovering worker keeps participating in
 //     the crew's gate barrier so the phase protocol stays in
 //     lockstep, and the scale-free phase barrier — the only barrier a
 //     dead worker could strand peers at — is poisoned open.
-//   - Aborts are published through one atomic int32 (abortFlag),
-//     written once under abortMu and read with plain atomic loads at
-//     dispatch-loop boundaries (per segment, per steal attempt, per
+//   - Aborts are published through one atomic int32 (the abort word),
+//     written once under a small mutex and read with plain atomic loads
+//     at dispatch-loop boundaries (per segment, per steal attempt, per
 //     publication batch — never per vertex or edge).
 //   - Progress heartbeats are one padded counter per worker, bumped
 //     with a single-writer atomic Load+Store at the same dispatch
 //     boundaries; the watchdog samples their sum. No RMW, no locks.
+//     While the driver holds the barrier between phases (the commit,
+//     audit and frontier swap, which no worker beats through) the
+//     stall window is suspended.
 //
 // A panic poisons the engine: pooled state that a worker abandoned
 // mid-mutation (half-appended discovery blocks, unconsumed queue
@@ -39,7 +44,7 @@ package core
 // workers never block each other. In the locked variants a panic while
 // holding a mutex (impossible from the chaos hooks, which all fire
 // outside critical sections, but possible from a genuine bug under
-// one) can still strand peers in mu.Lock, where no abort flag can
+// one) can still strand peers in mu.Lock, where no abort word can
 // reach them.
 
 import (
@@ -47,6 +52,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -120,201 +126,222 @@ func (e *StallError) Error() string {
 
 // beatLane is one worker's progress heartbeat, padded so the watchdog's
 // sampling never bounces a cache line a worker is writing. The counter
-// is single-writer: only worker id bumps beats[id], with a load and a
-// relaxed store (no RMW), and the watchdog reads with atomic loads.
+// is single-writer: only its worker bumps it, with a load and a relaxed
+// store (no RMW), and the watchdog reads with atomic loads.
 type beatLane struct {
 	n int64 // atomic
 	_ [56]byte
 }
 
-// beat bumps worker id's heartbeat. Called at dispatch boundaries —
-// segment fetches, steal-drain publication batches, hot-vertex chunks —
-// never per vertex or edge.
-func (st *state) beat(id int) {
-	b := &st.beats[id]
+// bump advances the lane. Called at dispatch boundaries — segment
+// fetches, steal-drain publication batches, hot-vertex chunks — never
+// per vertex or edge.
+func (b *beatLane) bump() {
 	storeRelaxed64(&b.n, atomic.LoadInt64(&b.n)+1)
 }
 
-// beatSum samples the run's total progress.
-func (st *state) beatSum() int64 {
-	var n int64
-	for i := range st.beats {
-		n += atomic.LoadInt64(&st.beats[i].n)
+// runCtl is an engine's one run-control: the abort word and its typed
+// cause, the heartbeat lanes, the level mirror, the poisoned bit and
+// the optional stall watchdog. A ShardedEngine shares one runCtl
+// across its shards — S·p beat lanes, each shard state holding its own
+// [base, base+p) slice — so a panic on any shard aborts all of them
+// and the run has one verdict.
+type runCtl struct {
+	algo Algorithm
+	ctx  context.Context // the current run's; checked at level boundaries
+
+	flag   int32 // atomic; abort reason, abortNone while running
+	level  int32 // atomic; level mirror for readers outside the barrier protocol
+	driver int32 // relaxed store; 1 while the driver holds the barrier
+
+	abortMu sync.Mutex // serializes abort writers
+	wpanic  *WorkerPanicError
+	stall   *StallError
+	// hooks are the poison callbacks the bindings register for barriers
+	// a dead worker could strand peers at.
+	hooks []func()
+	beats []beatLane
+
+	// poisoned outlives the run: set when a run ends on a worker panic,
+	// it makes every later run fail fast with ErrPoisoned (the crew
+	// survives, parked at the gate, so Close still stops it).
+	poisoned bool
+
+	wd *watchdog // nil unless Options.StallTimeout
+}
+
+// newRunCtl builds the control for an engine of the given variant with
+// lanes heartbeat lanes, armed with a stall watchdog when window > 0.
+func newRunCtl(algo Algorithm, lanes int, window time.Duration) *runCtl {
+	c := &runCtl{algo: algo, beats: make([]beatLane, lanes)}
+	if window > 0 {
+		c.wd = &watchdog{window: window, stop: make(chan struct{}), done: make(chan struct{})}
 	}
-	return n
+	return c
+}
+
+// begin primes the control for one run with the driver holding the
+// barrier, and starts the watchdog if armed.
+func (c *runCtl) begin(ctx context.Context) {
+	c.ctx = ctx
+	atomic.StoreInt32(&c.flag, abortNone)
+	c.wpanic, c.stall = nil, nil
+	c.setLevel(0)
+	c.hold(true)
+	for i := range c.beats {
+		atomic.StoreInt64(&c.beats[i].n, 0)
+	}
+	if c.wd != nil {
+		go c.watch(ctx)
+	}
+}
+
+// end stops the watchdog and returns the run's error: the
+// *WorkerPanicError (poisoning the engine) or *StallError that aborted
+// it, else the context's error if it fired — a canceled run returns
+// ctx.Err() — else nil.
+func (c *runCtl) end() error {
+	if c.wd != nil {
+		c.wd.stop <- struct{}{}
+		<-c.wd.done
+	}
+	switch atomic.LoadInt32(&c.flag) {
+	case abortPanic:
+		c.poisoned = true
+		return c.wpanic
+	case abortStall:
+		return c.stall
+	}
+	if c.ctx != nil {
+		return c.ctx.Err()
+	}
+	return nil
 }
 
 // aborted reports whether the run has been aborted for any reason.
-// One atomic load; checked at the same dispatch boundaries as beat.
-func (st *state) aborted() bool {
-	return atomic.LoadInt32(&st.abortFlag) != abortNone
+// One atomic load; checked at the same dispatch boundaries as the
+// heartbeats.
+func (c *runCtl) aborted() bool {
+	return atomic.LoadInt32(&c.flag) != abortNone
 }
 
-// abortRun publishes an abort. Between stalls and cancellations the
-// first reason wins: whichever landed first is the one that actually
-// stopped the run. A panic always takes over, even after a stall or
-// cancel abort: the dead worker skips every barrier still ahead of it,
-// so the registered poison hooks must run (under abortMu, exactly once)
-// to release peers waiting there, and the engine must be poisoned
-// because the worker abandoned its state mid-level. Stall/cancel aborts
-// wind down cooperatively through the normal barriers, so poisoning —
-// which would race the next level's barrier re-arm — is neither needed
-// nor safe there.
-func (st *state) abortRun(reason int32, stall *StallError) {
-	st.abortMu.Lock()
-	defer st.abortMu.Unlock()
-	cur := st.abortFlag
+// panicked reports whether the run ended on a worker panic, whose
+// abandoned buffers must not be committed.
+func (c *runCtl) panicked() bool {
+	return atomic.LoadInt32(&c.flag) == abortPanic
+}
+
+// canceled reports whether the run's context (if any) has fired.
+// Checked by the driver at level boundaries only; mid-level
+// cancellation is the watchdog's ctx assist.
+func (c *runCtl) canceled() bool {
+	return c.ctx != nil && c.ctx.Err() != nil
+}
+
+// setLevel publishes the level in flight for the watchdog and panic
+// reports; the driver calls it at each level barrier.
+func (c *runCtl) setLevel(l int32) { atomic.StoreInt32(&c.level, l) }
+
+// hold marks the driver as holding (true) or releasing (false) the
+// barrier. While held, no worker is running and none can beat, so the
+// watchdog suspends its stall window: a barrier step that outlasts the
+// window (a large fused commit, say) is driver work, not a stall.
+func (c *runCtl) hold(on bool) {
+	var v int32
+	if on {
+		v = 1
+	}
+	storeRelaxed32(&c.driver, v)
+}
+
+// run releases one crew phase with the stall window open and takes the
+// barrier back when it joins.
+func (c *runCtl) run(cr *crew, phase func(id int)) {
+	c.hold(false)
+	cr.run(phase)
+	c.hold(true)
+}
+
+// abort publishes an abort. Between stalls and cancellations the first
+// reason wins: whichever landed first is the one that actually stopped
+// the run. A panic always takes over, even after a stall or cancel
+// abort: the dead worker skips every barrier still ahead of it, so the
+// registered poison hooks must run (under abortMu, exactly once) to
+// release peers waiting there, and the engine must be poisoned because
+// the worker abandoned its state mid-level. Stall/cancel aborts wind
+// down cooperatively through the normal barriers, so poisoning — which
+// would race the next level's barrier re-arm — is neither needed nor
+// safe there.
+func (c *runCtl) abort(reason int32, stall *StallError) {
+	c.abortMu.Lock()
+	defer c.abortMu.Unlock()
+	cur := c.flag
 	if cur == abortPanic || (cur != abortNone && reason != abortPanic) {
 		return
 	}
 	if cur == abortNone {
-		st.stall = stall
+		c.stall = stall
 	}
-	atomic.StoreInt32(&st.abortFlag, reason)
+	atomic.StoreInt32(&c.flag, reason)
 	if reason == abortPanic {
-		for _, poison := range st.abortHooks {
+		for _, poison := range c.hooks {
 			poison()
 		}
 	}
 }
 
-// recordPanic captures a worker panic as the run's abort cause. Only
-// the first panic is kept (concurrent panics from several workers
-// race; one error is enough to poison the run).
-func (st *state) recordPanic(id int, v any, stack []byte) {
-	st.abortMu.Lock()
-	if st.wpanic == nil {
-		st.wpanic = &WorkerPanicError{
-			Worker: id,
-			Algo:   st.algo,
-			Level:  st.level,
-			Value:  v,
-			Stack:  stack,
-		}
-	}
-	st.abortMu.Unlock()
-	st.abortRun(abortPanic, nil)
-}
-
 // recoverWorker is the deferred recovery barrier at the top of every
-// worker's level: it converts a panic into an abort and lets the
+// worker's phase: it converts a panic into an abort and lets the
 // worker return normally so it keeps meeting its barriers. Deferred as
 // a method call (not a closure) so the defer stays open-coded and the
-// crew's hot loop allocates nothing. The driver's barrier step
-// (nextLevel, closeLevel) runs under it too, charged to worker 0.
-func (st *state) recoverWorker(id int) {
-	if r := recover(); r != nil {
-		st.recordPanic(id, r, debug.Stack())
+// crew's hot loop allocates nothing. The driver's barrier step runs
+// under it too, charged to worker 0. Only the first panic is kept
+// (concurrent panics from several workers race; one error is enough to
+// poison the run).
+func (c *runCtl) recoverWorker(id int) {
+	r := recover()
+	if r == nil {
+		return
 	}
-}
-
-// workerLevel runs one worker's share of one level under the recovery
-// barrier. ChaosStall fires first — once per worker per level, in
-// every parallel family — giving the chaos harness a uniform place to
-// inject panics and forced stalls. perLevel always runs, even when the
-// run is already aborted: the bindings' own abort checks make it
-// cheap, and skipping it here would strand peers at the scale-free
-// phase barrier, which expects all p parties.
-// Sharded engines add a trailing exchange flush: whatever the binding
-// left in the worker's private remote blocks is published before the
-// global barrier, the cross-shard analogue of the bindings' own
-// endLevelOut — placed here because it is the one point every family's
-// worker passes in every phase.
-func (st *state) workerLevel(id int, perLevel func(id int)) {
-	defer st.recoverWorker(id)
-	st.chaosAt(ChaosStall, id, int64(st.level))
-	perLevel(id)
-	if st.shardEx != nil {
-		st.endLevelRemote(id)
+	stack := debug.Stack()
+	c.abortMu.Lock()
+	if c.wpanic == nil {
+		c.wpanic = &WorkerPanicError{Worker: id, Algo: c.algo, Level: atomic.LoadInt32(&c.level), Value: r, Stack: stack}
 	}
+	c.abortMu.Unlock()
+	c.abort(abortPanic, nil)
 }
 
-// abortError maps the abort flag to the error the run surfaces.
-// Cancellation returns nil here: RunContext reports ctx.Err() itself,
-// preserving the pre-watchdog contract that a canceled run returns the
-// context's error.
-func (st *state) abortError() error {
-	switch atomic.LoadInt32(&st.abortFlag) {
-	case abortPanic:
-		return st.wpanic
-	case abortStall:
-		return st.stall
+// beatSum samples the run's total progress.
+func (c *runCtl) beatSum() int64 {
+	var n int64
+	for i := range c.beats {
+		n += atomic.LoadInt64(&c.beats[i].n)
 	}
-	return nil
+	return n
 }
 
-// abortPoisons reports whether the abort leaves the pooled state
-// unsafe to reuse. Only panics do: the dead worker may have abandoned
-// half-published queues and a poisoned phase barrier. Stalls and
-// cancellations wind down through the normal barriers.
-func (st *state) abortPoisons() bool {
-	return atomic.LoadInt32(&st.abortFlag) == abortPanic
-}
-
-// watched is what a stall watchdog samples and aborts: a plain
-// engine's state, or a sharded engine as a whole. A sharded engine has
-// one watchdog over the summed heartbeats of all shards, because a
-// global level barrier couples the shards: one wedged shard starves
-// every other, so per-shard watchdogs would fire S spurious aborts
-// where one global verdict is wanted.
-type watched interface {
-	beatSum() int64
-	aborted() bool
-	abortRun(reason int32, stall *StallError)
-}
-
-// watchdog is an engine's stall monitor, armed by
-// Options.StallTimeout (a nil watchdog — the default — watches
-// nothing). Each run starts one goroutine that samples the heartbeat
-// sum at window/8 granularity and declares a stall when the sum stays
-// unchanged for a full window; it also observes the run's ctx so
-// cancellation takes effect mid-level instead of waiting for the next
-// level boundary. The channels and the ticker are allocated once and
-// reused, so a warm watched run allocates only the goroutine's launch
-// closure. The heartbeat sites sit at dispatch boundaries, so the
-// window must exceed the time one dispatch unit (a segment of at most
-// 1024 vertices, one publication batch, or one hot-vertex chunk) can
-// legitimately take; the default serving configuration uses seconds
-// against micro- to millisecond units.
+// watchdog is a run-control's stall monitor, armed by
+// Options.StallTimeout. Each run starts one goroutine that samples the
+// heartbeat sum at window/8 granularity and declares a stall when the
+// sum stays unchanged for a full window of open phases; it also
+// observes the run's ctx so cancellation takes effect mid-level
+// instead of waiting for the next level boundary (the ctx assist). The
+// channels and the ticker are allocated once and reused, so a warm
+// watched run allocates only the goroutine's launch. The heartbeat
+// sites sit at dispatch boundaries, so the window must exceed the time
+// one dispatch unit (a segment of at most 1024 vertices, one
+// publication batch, or one hot-vertex chunk) can legitimately take;
+// the default serving configuration uses seconds against micro- to
+// millisecond units.
 type watchdog struct {
-	target     watched
-	algo       Algorithm
-	level      *int32 // the target's atomic level mirror
 	window     time.Duration
 	stop, done chan struct{}
 	ticker     *time.Ticker // owned by the running watch goroutine
 }
 
-func newWatchdog(target watched, algo Algorithm, level *int32, window time.Duration) *watchdog {
-	if window <= 0 {
-		return nil
-	}
-	return &watchdog{
-		target: target,
-		algo:   algo,
-		level:  level,
-		window: window,
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-}
-
-// start launches the monitor for one run; end stops it and returns
-// once it has exited. Both are no-ops on a nil watchdog.
-func (wd *watchdog) start(ctx context.Context) {
-	if wd != nil {
-		go wd.watch(ctx)
-	}
-}
-
-func (wd *watchdog) end() {
-	if wd != nil {
-		wd.stop <- struct{}{}
-		<-wd.done
-	}
-}
-
-func (wd *watchdog) watch(ctx context.Context) {
+func (c *runCtl) watch(ctx context.Context) {
+	wd := c.wd
 	tick := wd.window / 8
 	if tick < time.Millisecond {
 		tick = time.Millisecond
@@ -329,7 +356,7 @@ func (wd *watchdog) watch(ctx context.Context) {
 		wd.ticker.Stop()
 		wd.done <- struct{}{}
 	}()
-	last := wd.target.beatSum()
+	last := c.beatSum()
 	lastChange := time.Now()
 	var ctxDone <-chan struct{}
 	if ctx != nil {
@@ -340,16 +367,16 @@ func (wd *watchdog) watch(ctx context.Context) {
 		case <-wd.stop:
 			return
 		case <-ctxDone:
-			wd.target.abortRun(abortCancel, nil)
+			c.abort(abortCancel, nil)
 			ctxDone = nil
 		case <-wd.ticker.C:
-			if wd.target.aborted() {
+			if c.aborted() {
 				// Wind-down after any abort is progress-free by nature;
 				// keep ticking only to honor stop.
 				continue
 			}
-			cur := wd.target.beatSum()
-			if cur != last {
+			cur := c.beatSum()
+			if cur != last || atomic.LoadInt32(&c.driver) != 0 {
 				last = cur
 				lastChange = time.Now()
 				continue
@@ -357,9 +384,9 @@ func (wd *watchdog) watch(ctx context.Context) {
 			if time.Since(lastChange) < wd.window {
 				continue
 			}
-			wd.target.abortRun(abortStall, &StallError{
-				Algo:     wd.algo,
-				Level:    atomic.LoadInt32(wd.level),
+			c.abort(abortStall, &StallError{
+				Algo:     c.algo,
+				Level:    atomic.LoadInt32(&c.level),
 				Window:   wd.window,
 				Progress: cur,
 			})

@@ -148,51 +148,101 @@ func TestBarrierStepPanicPoisons(t *testing.T) {
 // TestStallDetection wedges worker 0 far past StallTimeout and
 // requires a typed *StallError within the window (with slack), a
 // partial result, and — unlike a panic — an engine that stays fully
-// reusable once the fault source is removed.
+// reusable once the fault source is removed, on every engine that
+// shares the run-control: plain, sharded (one watchdog over both
+// shards) and fused.
 func TestStallDetection(t *testing.T) {
 	g, err := gen.ErdosRenyi(3000, 18000, 3, gen.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := graph.ReferenceBFS(g, 0)
-	for _, algo := range []Algorithm{BFSCL, BFSWSL} {
-		t.Run(string(algo), func(t *testing.T) {
-			opt := Options{
-				Workers:      4,
-				StallTimeout: 100 * time.Millisecond,
-				Chaos:        &sleepHook{d: 800 * time.Millisecond},
-			}
-			e, err := NewEngine(g, algo, opt)
+	opt := Options{
+		Workers:      4,
+		StallTimeout: 100 * time.Millisecond,
+		Chaos:        &sleepHook{d: 800 * time.Millisecond},
+	}
+	for _, c := range []struct {
+		name   string
+		algo   Algorithm
+		shards int
+	}{
+		{"BFS_CL", BFSCL, 1},
+		{"BFS_WSL", BFSWSL, 1},
+		{"BFS_WSL-shards=2", BFSWSL, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			o := opt
+			o.Shards = c.shards
+			e, err := NewBackend(g, c.algo, o)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer e.Close()
-			start := time.Now()
-			res, err := e.Run(0)
-			elapsed := time.Since(start)
-			var se *StallError
-			if !errors.As(err, &se) {
-				t.Fatalf("got %v, want *StallError", err)
-			}
-			if res == nil {
-				t.Fatal("stalled run returned no partial result")
-			}
-			// Detection must happen within the sleep (the stalled
-			// worker wakes at ~800ms; the watchdog window is 100ms).
-			if elapsed >= 3*time.Second {
-				t.Fatalf("stall detected only after %s", elapsed)
-			}
-			// A stall abort does not poison: disarm the fault and the
-			// same engine must answer exactly.
-			e.SetChaos(nil)
-			res2, err := e.Run(0)
-			if err != nil {
-				t.Fatalf("stalled engine not reusable: %v", err)
-			}
-			if err := graph.EqualDistances(res2.Dist, want); err != nil {
-				t.Fatal(err)
-			}
+			checkStall(t, func() (bool, error) {
+				res, err := e.Run(0)
+				return res != nil, err
+			}, func() error {
+				e.SetChaos(nil)
+				res, err := e.Run(0)
+				if err != nil {
+					return err
+				}
+				return graph.EqualDistances(res.Dist, want)
+			})
 		})
+	}
+	t.Run(string(MSBFSL), func(t *testing.T) {
+		e, err := NewMSEngine(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		srcs := []int32{0, 17, 1500, 2999}
+		checkStall(t, func() (bool, error) {
+			res, err := e.Run(srcs)
+			return res != nil, err
+		}, func() error {
+			e.SetChaos(nil)
+			res, err := e.Run(srcs)
+			if err != nil {
+				return err
+			}
+			for i, src := range srcs {
+				if err := graph.EqualDistances(res.Lane(i).Dist, graph.ReferenceBFS(g, src)); err != nil {
+					return fmt.Errorf("lane %d: %w", i, err)
+				}
+			}
+			return nil
+		})
+	})
+}
+
+// checkStall runs a stalled search and holds it to the stall contract:
+// a typed *StallError with a partial result well before the stalled
+// worker would have woken a few times over, then an exact rerun on the
+// same engine once the fault is disarmed.
+func checkStall(t *testing.T, run func() (partial bool, err error), rerun func() error) {
+	t.Helper()
+	start := time.Now()
+	partial, err := run()
+	elapsed := time.Since(start)
+	var se *StallError
+	if !errors.As(err, &se) {
+		t.Fatalf("got %v, want *StallError", err)
+	}
+	if !partial {
+		t.Fatal("stalled run returned no partial result")
+	}
+	// Detection must happen within the sleep (the stalled worker wakes
+	// at ~800ms; the watchdog window is 100ms).
+	if elapsed >= 3*time.Second {
+		t.Fatalf("stall detected only after %s", elapsed)
+	}
+	// A stall abort does not poison: the same engine must answer
+	// exactly.
+	if err := rerun(); err != nil {
+		t.Fatalf("stalled engine not reusable: %v", err)
 	}
 }
 

@@ -224,17 +224,19 @@ func shardSeed(seed uint64, s int) uint64 {
 // supported in sharded mode — the first is rejected, the others are
 // stripped.
 type ShardedEngine struct {
-	sg       *graph.ShardedCSR
-	algo     Algorithm
-	opt      Options
-	ex       *exchange // nil when 1 shard: the hot paths match Engine's
-	shards   []*shardEngine
-	closed   bool
-	poisoned bool
+	sg     *graph.ShardedCSR
+	algo   Algorithm
+	opt    Options
+	ex     *exchange // nil when 1 shard: the hot paths match Engine's
+	shards []*shardEngine
+	closed bool
 
-	levelA  int32     // atomic; global level mirror for the watchdog
-	wd      *watchdog // nil unless Options.StallTimeout
-	running []bool    // per-shard released-phase flags, pooled
+	// ctl is the one run-control every shard state shares: one abort
+	// word, S·p heartbeat lanes (shard s owns [s·p, s·p+p)), one
+	// watchdog. A global level barrier couples the shards — one wedged
+	// shard starves every other — so one verdict is the right grain.
+	ctl     *runCtl
+	running []bool // per-shard released-phase flags, pooled
 
 	// Goal-directed termination. The goal lives at the engine level
 	// only — each shard's own state gets a zero goal — because a shard's
@@ -293,9 +295,9 @@ func NewShardedEngine(sg *graph.ShardedCSR, algo Algorithm, opt Options) (*Shard
 		algo:    algo,
 		opt:     opt,
 		shards:  make([]*shardEngine, S),
+		ctl:     newRunCtl(algo, S*opt.Workers, opt.StallTimeout),
 		running: make([]bool, S),
 	}
-	e.wd = newWatchdog(e, algo, &e.levelA, opt.StallTimeout)
 	if S > 1 {
 		e.ex = newExchange(sg, opt.Workers)
 	}
@@ -309,14 +311,12 @@ func NewShardedEngine(sg *graph.ShardedCSR, algo Algorithm, opt Options) (*Shard
 	for s := 0; s < S; s++ {
 		sOpt := opt
 		sOpt.Seed = shardSeed(opt.Seed, s)
-		st := allocState(sg.Full, sOpt)
-		st.algo = algo
+		st := allocState(sg.Full, sOpt, e.ctl, s*opt.Workers)
 		if e.ex != nil {
 			st.shardEx = e.ex
 			st.single = false
 			st.shardID = s
 			st.shardLo, st.shardHi = sg.Range(s)
-			st.chaosBase = s * opt.Workers
 			st.remoteBlk = make([][]int32, opt.Workers*S)
 			for i := range st.remoteBlk {
 				st.remoteBlk[i] = make([]int32, 0, 2*st.blkSize)
@@ -380,7 +380,7 @@ func (e *ShardedEngine) RunGoal(ctx context.Context, src int32, goal Goal) (*Res
 	if e.closed {
 		return nil, fmt.Errorf("core: engine is closed")
 	}
-	if e.poisoned {
+	if e.ctl.poisoned {
 		return nil, ErrPoisoned
 	}
 	n := e.sg.Full.NumVertices()
@@ -391,8 +391,8 @@ func (e *ShardedEngine) RunGoal(ctx context.Context, src int32, goal Goal) (*Res
 		return nil, err
 	}
 	e.goal, e.truncated = goal, false
+	e.ctl.begin(ctx)
 	for _, se := range e.shards {
-		se.st.ctx = ctx
 		se.st.beginRunCommon()
 	}
 	e.shards[e.sg.Owner(src)].st.seedSource(src)
@@ -404,18 +404,9 @@ func (e *ShardedEngine) RunGoal(ctx context.Context, src int32, goal Goal) (*Res
 	if e.ex != nil {
 		e.ex.reset()
 	}
-	atomic.StoreInt32(&e.levelA, 0)
-	e.wd.start(ctx)
 	e.runLoop()
-	e.wd.end()
-	res := e.mergedFinish()
-	if err := e.abortError(); err != nil {
-		return res, err
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		return res, cerr
-	}
-	return res, nil
+	err := e.ctl.end()
+	return e.mergedFinish(), err
 }
 
 // runLoop drives the global level-synchronous loop. Each level is an
@@ -428,7 +419,7 @@ func (e *ShardedEngine) RunGoal(ctx context.Context, src int32, goal Goal) (*Res
 // unconsumed state then.
 func (e *ShardedEngine) runLoop() {
 	for {
-		if e.volume() == 0 || e.canceled() || e.aborted() || e.goalDone() {
+		if e.volume() == 0 || e.ctl.canceled() || e.ctl.aborted() || e.goalDone() {
 			return
 		}
 		bu := e.hy != nil && e.hy.bottomUp
@@ -441,12 +432,13 @@ func (e *ShardedEngine) runLoop() {
 				if se.b.setup != nil {
 					se.b.setup()
 				}
+				e.ctl.hold(false)
 				se.crew.start(se.explore)
 				e.running[s] = true
 			}
 		}
 		e.joinRunning()
-		if e.ex != nil && !e.aborted() {
+		if e.ex != nil && !e.ctl.aborted() {
 			for s, se := range e.shards {
 				if e.ex.inboundVolume(s) > 0 {
 					se.crew.start(se.drain)
@@ -455,6 +447,7 @@ func (e *ShardedEngine) runLoop() {
 			}
 			e.joinRunning()
 		}
+		e.ctl.hold(true)
 		e.closeLevel()
 	}
 }
@@ -464,8 +457,8 @@ func (e *ShardedEngine) runLoop() {
 // the Engine's it runs under the recovery barrier (charged to shard 0,
 // worker 0), so a panic here poisons the run instead of the process.
 func (e *ShardedEngine) closeLevel() {
-	defer e.shards[0].st.recoverWorker(0)
-	aborted := e.aborted()
+	defer e.ctl.recoverWorker(0)
+	aborted := e.ctl.aborted()
 	for _, se := range e.shards {
 		st := se.st
 		if !aborted {
@@ -473,10 +466,9 @@ func (e *ShardedEngine) closeLevel() {
 		}
 		st.recordLevel()
 		st.level++
-		atomic.StoreInt32(&st.levelA, st.level)
 		st.swap()
 	}
-	atomic.StoreInt32(&e.levelA, e.shards[0].st.level)
+	e.ctl.setLevel(e.shards[0].st.level)
 	e.hybridAdvance()
 }
 
@@ -519,68 +511,6 @@ func (e *ShardedEngine) volume() int64 {
 		v += se.st.volume()
 	}
 	return v
-}
-
-// canceled reports whether the run's context has fired.
-func (e *ShardedEngine) canceled() bool { return e.shards[0].st.canceled() }
-
-// aborted reports whether any shard's run has been aborted.
-func (e *ShardedEngine) aborted() bool {
-	for _, se := range e.shards {
-		if se.st.aborted() {
-			return true
-		}
-	}
-	return false
-}
-
-// abortRun publishes an abort on every shard (first reason wins within
-// each; a shard that already aborted for its own cause keeps it).
-func (e *ShardedEngine) abortRun(reason int32, stall *StallError) {
-	for _, se := range e.shards {
-		se.st.abortRun(reason, stall)
-	}
-}
-
-// beatSum samples total dispatch progress across all shards.
-func (e *ShardedEngine) beatSum() int64 {
-	var n int64
-	for _, se := range e.shards {
-		n += se.st.beatSum()
-	}
-	return n
-}
-
-// abortError maps the shards' abort states to the run's error: a
-// worker panic (which poisons the whole engine — the shard's abandoned
-// pooled state and the exchange queues it fed cannot be trusted) wins
-// over a stall; cancellation returns nil here and RunContext reports
-// ctx.Err() itself, as in Engine.
-func (e *ShardedEngine) abortError() error {
-	var stall error
-	var panicked error
-	for _, se := range e.shards {
-		if se.st.abortPoisons() {
-			e.poisoned = true
-		}
-		switch err := se.st.abortError().(type) {
-		case *WorkerPanicError:
-			if panicked == nil {
-				panicked = err
-			}
-		case *StallError:
-			if stall == nil {
-				stall = err
-			}
-		}
-	}
-	if panicked != nil {
-		return panicked
-	}
-	if stall != nil {
-		return stall
-	}
-	return nil
 }
 
 // mergedFinish assembles the run's Result from the shards' owned
@@ -664,19 +594,7 @@ func (e *ShardedEngine) Reseed(seed uint64) {
 func (e *ShardedEngine) SetChaos(h ChaosHook) {
 	e.opt.Chaos = h
 	for _, se := range e.shards {
-		st := se.st
-		st.opt.Chaos = h
-		st.chaos = h
-		if a, ok := h.(ChaosLevelAuditor); ok {
-			st.levelAudit = a
-		} else {
-			st.levelAudit = nil
-		}
-		if a, ok := h.(ChaosFlushAuditor); ok {
-			st.flushAudit = a
-		} else {
-			st.flushAudit = nil
-		}
+		se.st.setChaos(h)
 	}
 }
 

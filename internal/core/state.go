@@ -1,9 +1,7 @@
 package core
 
 import (
-	"context"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -89,15 +87,13 @@ type state struct {
 	dropped  []int64   // per-worker events dropped on full buffers
 	level    int32     // current BFS level being produced (dist of children)
 
-	// ctx and goal are the current run's arguments, bound by the
-	// engine before each run (a sharded engine leaves every shard's
-	// goal zero and judges the goal itself). truncated records that
-	// goalDone fired this run. The predicate runs only at level
-	// barriers — the run's existing single-threaded points — so it
-	// reads epoch and level with plain loads under the barrier's
-	// happens-before edge and adds no synchronization to the workers'
-	// hot paths.
-	ctx       context.Context
+	// goal is the current run's goal, bound by the engine before each
+	// run (a sharded engine leaves every shard's goal zero and judges
+	// the goal itself). truncated records that goalDone fired this run.
+	// The predicate runs only at level barriers — the run's existing
+	// single-threaded points — so it reads epoch and level with plain
+	// loads under the barrier's happens-before edge and adds no
+	// synchronization to the workers' hot paths.
 	goal      Goal
 	truncated bool
 
@@ -149,22 +145,12 @@ type state struct {
 	// frontier lives in hy's bitmap and volume() reports hy.curCount.
 	hy *hybridState
 
-	// Failure machinery (recover.go). algo names the bound variant for
-	// error reports; abortFlag is the run's abort word (atomic reads,
-	// writes serialized by abortMu); wpanic/stall hold the typed abort
-	// cause; abortHooks are the poison callbacks a binding registers
-	// for barriers a dead worker could strand peers at; beats are the
-	// per-worker progress heartbeats the watchdog samples; levelA
-	// mirrors level atomically for readers outside the barrier protocol
-	// (the watchdog).
-	algo       Algorithm
-	abortFlag  int32 // atomic
-	abortMu    sync.Mutex
-	wpanic     *WorkerPanicError
-	stall      *StallError
-	abortHooks []func()
-	beats      []beatLane
-	levelA     int32 // atomic
+	// ctl is the engine's run-control (recover.go): abort word, typed
+	// cause, poison hooks, level mirror and watchdog. beats is this
+	// state's slice of ctl's heartbeat lanes, indexed by worker id, so
+	// a dispatch-boundary beat costs one load and one store.
+	ctl   *runCtl
+	beats []beatLane
 
 	// Sharded-engine fields (sharded.go); all zero for unsharded
 	// engines and for a 1-shard ShardedEngine, whose hot paths are
@@ -181,8 +167,9 @@ type state struct {
 	// remoteBlk[id*S+d] is worker id's private block of (parent,
 	// vertex) pairs destined for shard d, published to the exchange
 	// queue with the same one-append-one-tail-store protocol as local
-	// blocks. chaosBase offsets worker ids passed to the chaos hook so
-	// one injector serves all shards without stream collisions.
+	// blocks. chaosBase offsets worker ids passed to the chaos hook and
+	// reported in panics, so one injector serves all shards without
+	// stream collisions.
 	shardEx          *exchange
 	shardID          int
 	shardLo, shardHi int32
@@ -194,8 +181,10 @@ type state struct {
 // for any particular source. Called once per Engine; beginRun primes it
 // per run. The per-vertex arrays start fully normalized (Unreached /
 // no-claim / no-parent) so a state that has never run still reads as an
-// empty result.
-func allocState(g *graph.CSR, opt Options) *state {
+// empty result. The state runs under ctl, taking its heartbeat lanes
+// [base, base+p) and reporting worker ids offset by base to chaos hooks
+// and panics; a ShardedEngine passes every shard the same control.
+func allocState(g *graph.CSR, opt Options, ctl *runCtl, base int) *state {
 	p := opt.Workers
 	n := g.NumVertices()
 	blkSize := opt.PublishBlock
@@ -205,26 +194,22 @@ func allocState(g *graph.CSR, opt Options) *state {
 		blkSize = 128
 	}
 	st := &state{
-		g:        g,
-		opt:      opt,
-		dist:     make([]int32, n),
-		epoch:    make([]uint32, n),
-		in:       make([]sharedQueue, p),
-		out:      make([]outQueue, p),
-		blk:      make([][]int32, p),
-		blkSize:  blkSize,
-		counters: stats.NewPerWorker(p),
-		yield:    p > runtime.GOMAXPROCS(0),
-		single:   p == 1,
-		chaos:    opt.Chaos,
-		beats:    make([]beatLane, p),
+		g:         g,
+		opt:       opt,
+		dist:      make([]int32, n),
+		epoch:     make([]uint32, n),
+		in:        make([]sharedQueue, p),
+		out:       make([]outQueue, p),
+		blk:       make([][]int32, p),
+		blkSize:   blkSize,
+		counters:  stats.NewPerWorker(p),
+		yield:     p > runtime.GOMAXPROCS(0),
+		single:    p == 1,
+		ctl:       ctl,
+		beats:     ctl.beats[base : base+p],
+		chaosBase: base,
 	}
-	if a, ok := opt.Chaos.(ChaosLevelAuditor); ok {
-		st.levelAudit = a
-	}
-	if a, ok := opt.Chaos.(ChaosFlushAuditor); ok {
-		st.flushAudit = a
-	}
+	st.setChaos(opt.Chaos)
 	for i := range st.dist {
 		st.dist[i] = graph.Unreached
 	}
@@ -265,7 +250,8 @@ func (st *state) beginRun(src int32) {
 }
 
 // beginRunCommon is the source-independent half of beginRun: epoch
-// bump, counter/trace/abort resets, and all queues primed empty. A
+// bump, counter/trace resets, and all queues primed empty (the
+// run-control's own per-run reset is runCtl.begin). A
 // sharded run calls it on every shard and seedSource only on the
 // source's owner.
 func (st *state) beginRunCommon() {
@@ -282,13 +268,6 @@ func (st *state) beginRunCommon() {
 	st.level = 0
 	st.pops = 0
 	st.truncated = false
-	atomic.StoreInt32(&st.levelA, 0)
-	atomic.StoreInt32(&st.abortFlag, abortNone)
-	st.wpanic = nil
-	st.stall = nil
-	for i := range st.beats {
-		atomic.StoreInt64(&st.beats[i].n, 0)
-	}
 	for i := range st.counters {
 		st.counters[i] = stats.PaddedCounters{}
 	}
@@ -606,7 +585,7 @@ func (st *state) goalDone() bool {
 // partial) Result via finish.
 func (st *state) runLevels(c *crew, setup func(), phase func(id int)) {
 	for st.nextLevel(setup) {
-		c.run(phase)
+		st.ctl.run(c, phase)
 		st.closeLevel()
 	}
 }
@@ -616,8 +595,8 @@ func (st *state) runLevels(c *crew, setup func(), phase func(id int)) {
 // the family's dispatch state via setup (optional). It runs under the
 // recovery barrier: a panic in setup poisons the run and ends it.
 func (st *state) nextLevel(setup func()) (more bool) {
-	defer st.recoverWorker(0)
-	if st.volume() == 0 || st.canceled() || st.aborted() || st.goalDone() {
+	defer st.ctl.recoverWorker(0)
+	if st.volume() == 0 || st.ctl.canceled() || st.aborted() || st.goalDone() {
 		return false
 	}
 	if setup != nil {
@@ -632,13 +611,13 @@ func (st *state) nextLevel(setup func()) (more bool) {
 // the recovery barrier, a panic here (a chaos hook at
 // ChaosDirectionFlip, say) poisons the run like a worker panic.
 func (st *state) closeLevel() {
-	defer st.recoverWorker(0)
+	defer st.ctl.recoverWorker(0)
 	if !st.aborted() {
 		st.auditLevel()
 	}
 	st.recordLevel()
 	st.level++
-	atomic.StoreInt32(&st.levelA, st.level)
+	st.ctl.setLevel(st.level)
 	st.swap()
 	st.hybridAdvance()
 }
@@ -705,10 +684,42 @@ func (st *state) maybeYield() {
 	}
 }
 
-// canceled reports whether the run's context (if any) has fired.
-// Checked at level boundaries only.
-func (st *state) canceled() bool {
-	return st.ctx != nil && st.ctx.Err() != nil
+// setChaos installs (or, with nil, removes) the chaos hook together
+// with its optional per-level and per-flush audit views.
+func (st *state) setChaos(h ChaosHook) {
+	st.opt.Chaos, st.chaos = h, h
+	st.levelAudit, _ = h.(ChaosLevelAuditor)
+	st.flushAudit, _ = h.(ChaosFlushAuditor)
+}
+
+// beat bumps worker id's heartbeat. Called at dispatch boundaries —
+// segment fetches, steal-drain publication batches, hot-vertex chunks —
+// never per vertex or edge.
+func (st *state) beat(id int) { st.beats[id].bump() }
+
+// aborted reports whether the run has been aborted for any reason;
+// one atomic load of the run-control's abort word.
+func (st *state) aborted() bool { return st.ctl.aborted() }
+
+// workerLevel runs one worker's share of one level under the recovery
+// barrier. ChaosStall fires first — once per worker per level, in
+// every parallel family — giving the chaos harness a uniform place to
+// inject panics and forced stalls. perLevel always runs, even when the
+// run is already aborted: the bindings' own abort checks make it
+// cheap, and skipping it here would strand peers at the scale-free
+// phase barrier, which expects all p parties.
+// Sharded engines add a trailing exchange flush: whatever the binding
+// left in the worker's private remote blocks is published before the
+// global barrier, the cross-shard analogue of the bindings' own
+// endLevelOut — placed here because it is the one point every family's
+// worker passes in every phase.
+func (st *state) workerLevel(id int, perLevel func(id int)) {
+	defer st.ctl.recoverWorker(st.chaosBase + id)
+	st.chaosAt(ChaosStall, id, int64(st.level))
+	perLevel(id)
+	if st.shardEx != nil {
+		st.endLevelRemote(id)
+	}
 }
 
 // segmentSize returns the dispatch segment length for a queue with

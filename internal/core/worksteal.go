@@ -127,7 +127,7 @@ func bindWorkSteal(locked, scaleFree bool) bindFunc {
 			// A worker that panics before reaching the phase barrier
 			// would strand its peers there forever; the panic abort
 			// poisons the barrier open (the engine is discarded after).
-			st.abortHooks = append(st.abortHooks, ctx.barrier.poison)
+			st.ctl.hooks = append(st.ctl.hooks, ctx.barrier.poison)
 		}
 
 		return binding{setup: setup, perLevel: perLevel, rngs: rngs, rngSalt: 0x5151}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"optibfs"
@@ -391,10 +390,10 @@ func HybridTable(w io.Writer, cfg Config) (*Table, error) {
 			for rep := range rs {
 				rs[rep] = times[num][rep] / times[den][rep]
 			}
-			return median(rs)
+			return stats.Summarize(rs).Median
 		}
 		for i := range variants {
-			rows[i] = append(rows[i], fmt.Sprintf("%.1f", float64(edges[i])/median(times[i])/1e6))
+			rows[i] = append(rows[i], fmt.Sprintf("%.1f", float64(edges[i])/stats.Summarize(times[i]).Median/1e6))
 		}
 		rows[len(variants)] = append(rows[len(variants)], fmt.Sprintf("%.2fx", ratio(0, 1)))
 	}
@@ -542,10 +541,10 @@ func GoalTable(w io.Writer, cfg Config) (*Table, error) {
 			for rep := range rs {
 				rs[rep] = times[0][rep] / times[den][rep]
 			}
-			return median(rs)
+			return stats.Summarize(rs).Median
 		}
 		perQueryMS := func(i int) float64 {
-			return median(times[i]) / float64(len(sources)) * 1e3
+			return stats.Summarize(times[i]).Median / float64(len(sources)) * 1e3
 		}
 		rows[0] = append(rows[0], fmt.Sprintf("%.3f", perQueryMS(0)))
 		rows[1] = append(rows[1], fmt.Sprintf("%.3f", perQueryMS(1)))
@@ -563,18 +562,6 @@ func GoalTable(w io.Writer, cfg Config) (*Table, error) {
 		}
 	}
 	return t, nil
-}
-
-// median returns the middle order statistic (mean of the two middle
-// ones for even lengths) without mutating its argument.
-func median(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if n := len(s); n%2 == 1 {
-		return s[n/2]
-	}
-	n := len(s)
-	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // GraphsTable reproduces Table IV: the generated suite with its actual

@@ -437,9 +437,8 @@ func (b *batcher) dispatch(batch []*fusedReq) {
 	}
 }
 
-// runFused executes one fused run with the same abandon-on-wedge
-// protocol as runGuarded: buffered result channel, atomic handoff word,
-// exactly one party closes a wedged engine.
+// runFused executes one fused run under awaitRun, the abandon-on-wedge
+// protocol solo slots use: exactly one party closes a wedged engine.
 func (b *batcher) runFused(ctx context.Context, srcs []int32, goals []core.Goal) (*core.MSResult, error) {
 	if b.eng == nil {
 		eng, err := core.NewMSEngine(b.gd.g, b.gd.cfg.Options)
@@ -449,44 +448,14 @@ func (b *batcher) runFused(ctx context.Context, srcs []int32, goals []core.Goal)
 		b.gd.rebuilds.Inc()
 		b.eng = eng
 	}
-	type outcome struct {
-		res *core.MSResult
-		err error
-	}
-	const (
-		handPending int32 = iota
-		handDelivered
-		handAbandoned
-	)
 	eng := b.eng
-	ch := make(chan outcome, 1)
-	var hand atomic.Int32
-	go func() {
-		res, err := eng.RunGoals(ctx, srcs, goals)
-		ch <- outcome{res: res, err: err}
-		if !hand.CompareAndSwap(handPending, handDelivered) {
-			eng.Close() // abandoned: the run has returned, closing is safe
-		}
-	}()
-	select {
-	case out := <-ch:
-		return out.res, out.err
-	case <-ctx.Done():
+	res, err := awaitRun(b.gd, ctx, func() (*core.MSResult, error) {
+		return eng.RunGoals(ctx, srcs, goals)
+	}, eng.Close)
+	if err == errWedged {
+		b.eng = nil
 	}
-	t := time.NewTimer(b.gd.cfg.Grace)
-	defer t.Stop()
-	select {
-	case out := <-ch:
-		return out.res, out.err
-	case <-t.C:
-	}
-	if !hand.CompareAndSwap(handPending, handAbandoned) {
-		out := <-ch
-		return out.res, out.err
-	}
-	b.gd.abandoned.Add(1)
-	b.eng = nil
-	return nil, errWedged
+	return res, err
 }
 
 // rebuildFused discards the failed fused engine (unless it was

@@ -162,60 +162,80 @@ func TestFusedCanceledLaneMasked(t *testing.T) {
 	checkAnswer(t, g, 0, core.Goal{}, liveAns)
 }
 
-// TestFusedEngineFailureRerunsSolo: a worker panic inside the fused
-// run fails the whole batch; every surviving lane is re-run solo
-// through the ladder and still answers correctly. The fleet is held
-// busy so both lanes queue for fusion; the first hook firing, which is
-// necessarily in the fused run, hands the slots back for the re-runs.
+// TestFusedEngineFailureRerunsSolo: an engine failure inside the fused
+// run — a worker panic, or a stall past StallTimeout that the fused
+// watchdog turns into a typed *StallError — fails the whole batch;
+// every surviving lane is re-run solo through the ladder and still
+// answers correctly, well before its deadline and without abandoning
+// any engine as wedged. The fleet is held busy so both lanes queue for
+// fusion; the first hook firing, which is necessarily in the fused
+// run, hands the slots back for the re-runs.
 func TestFusedEngineFailureRerunsSolo(t *testing.T) {
-	g := testGraph(t)
-	var fired int32
-	var release func()
-	reg := obs.New()
-	gd, err := New(g, Config{
-		Concurrency: 1,
-		Registry:    reg,
-		Batch:       BatchConfig{Enabled: true, Window: 150 * time.Millisecond},
-		Options: core.Options{Workers: 2, Chaos: hookFunc(func(p core.ChaosPoint, _ int, _ int64) {
-			if p == core.ChaosStall && atomic.CompareAndSwapInt32(&fired, 0, 1) {
-				release()
-				panic("batch test: injected fused panic")
+	for _, kind := range []string{"panic", "stall"} {
+		t.Run(kind, func(t *testing.T) {
+			g := testGraph(t)
+			var fired int32
+			var release func()
+			reg := obs.New()
+			const deadline = 20 * time.Second
+			gd, err := New(g, Config{
+				Concurrency: 1,
+				Registry:    reg,
+				Deadline:    deadline,
+				Batch:       BatchConfig{Enabled: true, Window: 150 * time.Millisecond},
+				Options: core.Options{Workers: 2, StallTimeout: 100 * time.Millisecond,
+					Chaos: hookFunc(func(p core.ChaosPoint, _ int, _ int64) {
+						if p == core.ChaosStall && atomic.CompareAndSwapInt32(&fired, 0, 1) {
+							release()
+							if kind == "panic" {
+								panic("batch test: injected fused panic")
+							}
+							time.Sleep(time.Second)
+						}
+					})},
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		})},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gd.Close()
-	release = holdFleet(gd)
-	defer release()
+			defer gd.Close()
+			release = holdFleet(gd)
+			defer release()
 
-	const lanes = 2
-	anss := make([]*Answer, lanes)
-	errs := make([]error, lanes)
-	var wg sync.WaitGroup
-	for i := 0; i < lanes; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			anss[i], errs[i] = gd.QueryFused(context.Background(), int32(i*11))
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < lanes; i++ {
-		if errs[i] != nil {
-			t.Fatalf("lane %d: %v", i, errs[i])
-		}
-		if anss[i].Fused {
-			t.Fatalf("lane %d: solo re-run still marked fused", i)
-		}
-		checkAnswer(t, g, int32(i*11), core.Goal{}, anss[i])
-	}
-	if n := reg.Counter("optibfs_serve_fused_failures_total", obs.L("kind", "panic")).Value(); n != 1 {
-		t.Fatalf("fused panic failures = %d, want 1", n)
-	}
-	if n := reg.Counter("optibfs_serve_fused_solo_reruns_total").Value(); n != lanes {
-		t.Fatalf("solo reruns = %d, want %d", n, lanes)
+			const lanes = 2
+			anss := make([]*Answer, lanes)
+			errs := make([]error, lanes)
+			var wg sync.WaitGroup
+			start := time.Now()
+			for i := 0; i < lanes; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					anss[i], errs[i] = gd.QueryFused(context.Background(), int32(i*11))
+				}(i)
+			}
+			wg.Wait()
+			if elapsed := time.Since(start); elapsed >= deadline/4 {
+				t.Fatalf("lanes answered after %s: the failed batch was not re-run well before its %s deadline", elapsed, deadline)
+			}
+			for i := 0; i < lanes; i++ {
+				if errs[i] != nil {
+					t.Fatalf("lane %d: %v", i, errs[i])
+				}
+				if anss[i].Fused {
+					t.Fatalf("lane %d: solo re-run still marked fused", i)
+				}
+				checkAnswer(t, g, int32(i*11), core.Goal{}, anss[i])
+			}
+			if n := reg.Counter("optibfs_serve_fused_failures_total", obs.L("kind", kind)).Value(); n != 1 {
+				t.Fatalf("fused %s failures = %d, want 1", kind, n)
+			}
+			if n := reg.Counter("optibfs_serve_fused_solo_reruns_total").Value(); n != lanes {
+				t.Fatalf("solo reruns = %d, want %d", n, lanes)
+			}
+			if n := gd.Abandoned(); n != 0 {
+				t.Fatalf("abandoned engines = %d, want 0", n)
+			}
+		})
 	}
 }
 

@@ -185,10 +185,10 @@ type Guard struct {
 
 	batch *batcher // nil unless Config.Batch.Enabled
 
-	// Test seams for the runGuarded wedge-race regression: ctxExpired
-	// fires after the ctx.Done() arm is taken and before the grace
-	// wait; delivered fires after the run goroutine's delivery attempt.
-	// Nil outside tests.
+	// Test seams for the awaitRun wedge-race regression (solo and
+	// fused runs alike): ctxExpired fires after the ctx.Done() arm is
+	// taken and before the grace wait; delivered fires after the run
+	// goroutine's delivery attempt. Nil outside tests.
 	testHookCtxExpired func()
 	testHookDelivered  func()
 	// testHookFusedEnqueue fires in QueryFusedGoal between the closed check and
@@ -389,20 +389,38 @@ func (gd *Guard) acquire(ctx context.Context) (*slot, error) {
 	}
 }
 
-// runGuarded executes one engine run on its own goroutine so the Guard
-// can abandon it if it wedges. The result channel is buffered (cap 1)
-// so the run goroutine's send always lands, and an atomic handoff word
-// decides who owns the engine's fate: the goroutine commits "delivered"
-// after its send, the parent commits "abandoned" when the grace window
-// expires. Exactly one CAS wins. A run that completes in the window
-// between the parent's ctx.Done() arm and its grace wait — the old
-// unbuffered-send-with-default race — now parks its answer in the
-// buffer and the parent's grace select receives it immediately, instead
-// of the answer being lost, the healthy engine torn down, and the full
-// Grace window burned into a spurious errWedged.
+// runGuarded executes one solo engine run under awaitRun, dropping
+// the slot's engine if the run wedges (the zombie goroutine closes it).
 func (gd *Guard) runGuarded(ctx context.Context, s *slot, src int32, goal core.Goal) (*Answer, error) {
+	eng := s.eng
+	ans, err := awaitRun(gd, ctx, func() (*Answer, error) {
+		res, err := eng.RunGoal(ctx, src, goal)
+		return copyAnswer(res), err
+	}, eng.Close)
+	if err == errWedged {
+		s.eng = nil
+	}
+	return ans, err
+}
+
+// awaitRun executes one engine run on its own goroutine so the Guard
+// can abandon it if it wedges; solo slots and the fused batcher share
+// it. The result channel is buffered (cap 1) so the run goroutine's
+// send always lands, and an atomic handoff word decides who owns the
+// engine's fate: the goroutine commits "delivered" after its send, the
+// parent commits "abandoned" when the grace window expires. Exactly
+// one CAS wins. A run that completes in the window between the
+// parent's ctx.Done() arm and its grace wait parks its answer in the
+// buffer and the parent's grace select receives it immediately,
+// instead of the answer being lost, the healthy engine torn down, and
+// the full Grace window burned into a spurious errWedged.
+//
+// On errWedged the engine is abandoned, NOT closed — its goroutines may
+// be live inside the barrier protocol — and the run goroutine calls
+// closeEng if the run ever returns; the caller must drop its reference.
+func awaitRun[T any](gd *Guard, ctx context.Context, run func() (T, error), closeEng func()) (T, error) {
 	type outcome struct {
-		ans *Answer
+		v   T
 		err error
 	}
 	const (
@@ -410,17 +428,16 @@ func (gd *Guard) runGuarded(ctx context.Context, s *slot, src int32, goal core.G
 		handDelivered
 		handAbandoned
 	)
-	eng := s.eng
 	ch := make(chan outcome, 1)
 	var hand atomic.Int32
 	go func() {
-		res, err := eng.RunGoal(ctx, src, goal)
-		ch <- outcome{ans: copyAnswer(res), err: err} // cap 1: never blocks
+		v, err := run()
+		ch <- outcome{v, err} // cap 1: never blocks
 		if !hand.CompareAndSwap(handPending, handDelivered) {
 			// The parent already abandoned the run: it will never read
 			// the buffered outcome, and this goroutine owns the corpse.
 			// Closing here is safe — the run has returned.
-			eng.Close()
+			closeEng()
 		}
 		if gd.testHookDelivered != nil {
 			gd.testHookDelivered()
@@ -428,7 +445,7 @@ func (gd *Guard) runGuarded(ctx context.Context, s *slot, src int32, goal core.G
 	}()
 	select {
 	case out := <-ch:
-		return out.ans, out.err
+		return out.v, out.err
 	case <-ctx.Done():
 	}
 	if gd.testHookCtxExpired != nil {
@@ -440,7 +457,7 @@ func (gd *Guard) runGuarded(ctx context.Context, s *slot, src int32, goal core.G
 	defer t.Stop()
 	select {
 	case out := <-ch:
-		return out.ans, out.err
+		return out.v, out.err
 	case <-t.C:
 	}
 	if !hand.CompareAndSwap(handPending, handAbandoned) {
@@ -449,14 +466,11 @@ func (gd *Guard) runGuarded(ctx context.Context, s *slot, src int32, goal core.G
 		// CAS observed here). Take it — the answer is real and the
 		// engine is healthy.
 		out := <-ch
-		return out.ans, out.err
+		return out.v, out.err
 	}
-	// Wedged: abandon the engine. It is NOT closed here — its
-	// goroutines may be live inside the barrier protocol — the run
-	// goroutine above closes it if the run ever returns.
 	gd.abandoned.Add(1)
-	s.eng = nil
-	return nil, errWedged
+	var zero T
+	return zero, errWedged
 }
 
 // Abandoned reports how many engines this Guard has declared wedged

@@ -17,15 +17,27 @@ import (
 // the unbuffered channel + send-with-default protocol the delivery hit
 // default, the healthy engine was closed, and the parent burned the
 // full Grace window into a spurious errWedged. The fixed protocol
-// parks the outcome in the buffered channel, so the parent's grace
-// select receives it immediately: no wedged failure is counted, no
-// engine is rebuilt, and the guard answers the next query first-try.
+// (awaitRun) parks the outcome in the buffered channel, so the
+// parent's grace select receives it immediately: no wedged failure is
+// counted, no engine is rebuilt, and the guard answers the next query
+// first-try. The solo subtest drives a fleet slot, the fused one a
+// two-lane batch on the fused engine; both share awaitRun.
 //
 // Determinism comes from two test seams: the chaos hook blocks every
 // worker until the parent signals it has passed ctx.Done() (proceed),
 // and the parent then blocks until the run goroutine's delivery
 // attempt has fully landed (delivered).
 func TestWedgeRaceKeepsAnswer(t *testing.T) {
+	for _, fused := range []bool{false, true} {
+		name := "solo"
+		if fused {
+			name = "fused"
+		}
+		t.Run(name, func(t *testing.T) { wedgeRace(t, fused) })
+	}
+}
+
+func wedgeRace(t *testing.T, fused bool) {
 	g := testGraph(t)
 	proceed := make(chan struct{})
 	delivered := make(chan struct{})
@@ -36,6 +48,7 @@ func TestWedgeRaceKeepsAnswer(t *testing.T) {
 		Registry:    reg,
 		Deadline:    50 * time.Millisecond,
 		Grace:       10 * time.Second, // must NOT be burned; guarded by elapsed check
+		Batch:       BatchConfig{Enabled: fused, MaxLanes: 2, Window: time.Second},
 		Options: core.Options{
 			Workers: 2,
 			// The run progresses only after `proceed`; that is not a
@@ -72,27 +85,61 @@ func TestWedgeRaceKeepsAnswer(t *testing.T) {
 		dOnce.Do(func() { close(delivered) })
 	}
 
-	start := time.Now()
-	ans, err := gd.Query(context.Background(), 0)
-	elapsed := time.Since(start)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	// The queries: one solo query, or two lanes queued behind a held
+	// fleet so they fuse (MaxLanes 2 dispatches once both are seated).
+	lanes := 1
+	release := func() {}
+	if fused {
+		lanes = 2
+		release = holdFleet(gd)
 	}
-	if ans == nil {
-		t.Fatal("completed run's answer was lost (nil partial)")
+	defer release()
+	anss := make([]*Answer, lanes)
+	errs := make([]error, lanes)
+	start := time.Now()
+	var wg sync.WaitGroup
+	for i := range anss {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if fused {
+				anss[i], errs[i] = gd.QueryFused(context.Background(), int32(i*5))
+			} else {
+				anss[i], errs[i] = gd.Query(context.Background(), 0)
+			}
+		}(i)
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	for i := range anss {
+		if !errors.Is(errs[i], context.DeadlineExceeded) {
+			t.Fatalf("query %d: err = %v, want context.DeadlineExceeded", i, errs[i])
+		}
+		if anss[i] == nil {
+			t.Fatalf("query %d: completed run's answer was lost (nil partial)", i)
+		}
+		if anss[i].Fused != fused {
+			t.Fatalf("query %d: fused = %v, want %v", i, anss[i].Fused, fused)
+		}
 	}
 	if elapsed >= cfg.Grace {
 		t.Fatalf("query took %v: the grace window was burned", elapsed)
 	}
-	if n := reg.Counter("optibfs_serve_failures_total", obs.L("kind", "wedged")).Value(); n != 0 {
-		t.Fatalf("wedged failures = %d, want 0 (spurious wedge)", n)
+	for _, kind := range []string{"optibfs_serve_failures_total", "optibfs_serve_fused_failures_total"} {
+		if n := reg.Counter(kind, obs.L("kind", "wedged")).Value(); n != 0 {
+			t.Fatalf("%s{wedged} = %d, want 0 (spurious wedge)", kind, n)
+		}
 	}
 	if n := reg.Counter("optibfs_serve_engine_rebuilds_total").Value(); n != 0 {
 		t.Fatalf("rebuilds = %d, want 0 (healthy engine was torn down)", n)
 	}
+	if n := gd.Abandoned(); n != 0 {
+		t.Fatalf("abandoned engines = %d, want 0", n)
+	}
+	release()
 
 	// The same engine must answer the next query first-try.
-	ans, err = gd.Query(context.Background(), 0)
+	ans, err := gd.Query(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

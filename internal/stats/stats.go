@@ -189,14 +189,17 @@ func Summarize(xs []float64) Summary {
 		s.Stddev = math.Sqrt(varsum / float64(s.N-1))
 	}
 	s.Min, s.Max = sorted[0], sorted[s.N-1]
-	s.Median = quantile(sorted, 0.5)
-	s.P05 = quantile(sorted, 0.05)
-	s.P95 = quantile(sorted, 0.95)
+	s.Median = Quantile(sorted, 0.5)
+	s.P05 = Quantile(sorted, 0.05)
+	s.P95 = Quantile(sorted, 0.95)
 	return s
 }
 
-// quantile returns the q-quantile of sorted data by linear interpolation.
-func quantile(sorted []float64, q float64) float64 {
+// Quantile returns the q-quantile of ascending sorted data by linear
+// interpolation between the two nearest order statistics (position
+// q·(n-1)), so the 0.5-quantile of an even-length sample is the mean of
+// its two middle values. An empty sample yields 0.
+func Quantile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
