@@ -620,54 +620,6 @@ func BenchmarkDrainLocality(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedSteadyState drives warm sharded backends over
-// RMAT-18 at shard counts 1, 2, and 4 (shards=1 routes to the classic
-// single engine — the parity baseline the 1-shard overhead criterion
-// is judged against). MTEPS is measured wall clock on this host.
-// scripts/benchsmoke.sh gates allocs/op on the warm loop alongside the
-// other steady-state benchmarks: the exchange flushes into
-// preallocated queues, so sharding must not reintroduce per-run
-// allocation.
-func BenchmarkShardedSteadyState(b *testing.B) {
-	g := drainGraph(b, "rmat18", func() (*graph.CSR, error) {
-		return gen.Graph500RMAT(1<<18, 16<<18, 0xd5a1, gen.Options{})
-	})
-	src := harness.PickSources(g, 1, 0xbe7c)[0]
-	for _, algo := range []core.Algorithm{core.BFSWL, core.BFSWSL} {
-		for _, shards := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%s/shards%d", algo, shards), func(b *testing.B) {
-				be, err := core.NewBackend(g, algo, core.Options{
-					Workers: 8, Seed: 1,
-					TrackParents: true, Shards: shards,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer be.Close()
-				for i := 0; i < 8; i++ { // warm the pooled buffers
-					if _, err := be.Run(src); err != nil {
-						b.Fatal(err)
-					}
-				}
-				var edges int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := be.Run(src)
-					if err != nil {
-						b.Fatal(err)
-					}
-					edges += res.EdgesTraversed
-				}
-				b.StopTimer()
-				if secs := b.Elapsed().Seconds(); secs > 0 {
-					b.ReportMetric(float64(edges)/secs/1e6, "MTEPS")
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkMappedLoad measures LoadMapped on a v2 file: cold is the
 // first touch after writing (page cache warm from the write, mapping
 // setup included), warm is repeated loads of the same file. The heap

@@ -47,7 +47,6 @@ func main() {
 		metricsAddr   = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof on this address (e.g. localhost:9090; empty = off)")
 		metricsLinger = flag.Duration("metrics-linger", 0, "keep the metrics endpoint up this long after the experiments finish")
 		reorderM      = flag.String("reorder", "", "vertex relabeling for the core engines: degree|bfs (baselines traverse as given)")
-		shards        = flag.Int("shards", 1, "CSR shards for the core engines (>1 = owner-compute sharded; baselines unaffected)")
 		hybrid        = flag.Bool("hybrid", false, "direction-optimizing mode for the core engines (bottom-up levels on large frontiers; baselines unaffected)")
 	)
 	flag.Parse()
@@ -69,7 +68,7 @@ func main() {
 	// Every exit path below must drain the metrics listener explicitly:
 	// os.Exit skips defers, which used to drop in-flight scrapes.
 	code := 0
-	if err := run(os.Stdout, *exp, *scale, *sources, *seed, *reps, *csv, *workers, *reorderM, *shards, *hybrid, reg); err != nil {
+	if err := run(os.Stdout, *exp, *scale, *sources, *seed, *reps, *csv, *workers, *reorderM, *hybrid, reg); err != nil {
 		fmt.Fprintln(os.Stderr, "bfsbench:", err)
 		code = 1
 	}
@@ -81,7 +80,7 @@ func main() {
 	os.Exit(code)
 }
 
-func run(w io.Writer, exp string, scale, sources int, seed uint64, reps int, csv bool, workers int, reorderMode string, shards int, hybrid bool, reg *obs.Registry) error {
+func run(w io.Writer, exp string, scale, sources int, seed uint64, reps int, csv bool, workers int, reorderMode string, hybrid bool, reg *obs.Registry) error {
 	cfg := func(m costmodel.Machine) harness.Config {
 		return harness.Config{
 			Machine:  m,
@@ -89,7 +88,7 @@ func run(w io.Writer, exp string, scale, sources int, seed uint64, reps int, csv
 			Sources:  sources,
 			ScaleDiv: scale,
 			Seed:     seed,
-			Opt:      core.Options{Reorder: core.ReorderMode(reorderMode), Shards: shards, Hybrid: hybrid},
+			Opt:      core.Options{Reorder: core.ReorderMode(reorderMode), Hybrid: hybrid},
 			Registry: reg,
 		}.WithDefaults()
 	}

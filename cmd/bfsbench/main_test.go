@@ -20,7 +20,7 @@ func TestRunSingleExperiments(t *testing.T) {
 	}
 	for _, exp := range []string{"machines", "graphs", "table6", "fig2a", "goal"} {
 		var buf bytes.Buffer
-		if err := run(&buf, exp, testScale, testSources, testSeed, testReps, false, 4, "", 1, false, nil); err != nil {
+		if err := run(&buf, exp, testScale, testSources, testSeed, testReps, false, 4, "", false, nil); err != nil {
 			t.Fatalf("%s: %v", exp, err)
 		}
 		if buf.Len() == 0 {
@@ -31,7 +31,7 @@ func TestRunSingleExperiments(t *testing.T) {
 
 func TestRunCSV(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "machines", testScale, testSources, testSeed, testReps, true, 4, "", 1, false, nil); err != nil {
+	if err := run(&buf, "machines", testScale, testSources, testSeed, testReps, true, 4, "", false, nil); err != nil {
 		t.Fatal(err)
 	}
 	first := strings.SplitN(buf.String(), "\n", 2)[0]
@@ -42,7 +42,7 @@ func TestRunCSV(t *testing.T) {
 
 func TestRunUnknownExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "tableZ", testScale, testSources, testSeed, testReps, false, 4, "", 1, false, nil); err == nil {
+	if err := run(&buf, "tableZ", testScale, testSources, testSeed, testReps, false, 4, "", false, nil); err == nil {
 		t.Fatal("accepted unknown experiment")
 	}
 }
@@ -52,7 +52,7 @@ func TestRunTable5(t *testing.T) {
 		t.Skip("table5 runs every algorithm on every graph")
 	}
 	var buf bytes.Buffer
-	if err := run(&buf, "table5a", testScale, 1, testSeed, testReps, false, 4, "", 1, false, nil); err != nil {
+	if err := run(&buf, "table5a", testScale, 1, testSeed, testReps, false, 4, "", false, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -159,28 +158,5 @@ func TestLoadSwapKeepsMappingAliveUnderQuery(t *testing.T) {
 	}
 	if !firstMapped.Unmapped() {
 		t.Fatal("retired mapping never released after the query finished")
-	}
-}
-
-// A daemon built with -shards answers and self-validates like the
-// single-engine one; the guard routes through core.NewBackend.
-func TestShardedDaemonQueries(t *testing.T) {
-	d := newDaemon(serve.Config{
-		Algo:        core.BFSWL,
-		Concurrency: 1,
-		Deadline:    10 * time.Second,
-		Options:     core.Options{Workers: 2, Shards: 2},
-	}, obs.New(), 1<<20)
-	ts := httptest.NewServer(d.handler())
-	t.Cleanup(func() {
-		ts.Close()
-		d.registry.Close()
-	})
-	postJSON(t, ts.URL+"/load?gen=rmat&n=2048&m=16384&seed=3", "", http.StatusOK)
-	for i := 0; i < 3; i++ {
-		q := getJSON(t, fmt.Sprintf("%s/query?src=%d&validate=1&batch=0", ts.URL, i*17), http.StatusOK)
-		if q["valid"] != true {
-			t.Fatalf("sharded daemon query invalid: %v", q)
-		}
 	}
 }

@@ -794,7 +794,6 @@ func main() {
 		addr         = flag.String("addr", ":8090", "listen address")
 		algo         = flag.String("algo", string(core.BFSWL), "BFS variant to serve")
 		workers      = flag.Int("workers", 0, "workers per engine (0 = GOMAXPROCS)")
-		shards       = flag.Int("shards", 1, "graph shards per engine (each with its own worker set)")
 		hybrid       = flag.Bool("hybrid", false, "direction-optimizing engines: bottom-up levels on large frontiers (solo engines: ?batch=0 and every query an idle fleet answers; fused MS-BFS batches ignore it)")
 		concurrency  = flag.Int("concurrency", 2, "engine fleet size per graph (max queries in flight per graph)")
 		deadline     = flag.Duration("deadline", 5*time.Second, "default per-query deadline")
@@ -824,7 +823,6 @@ func main() {
 		QueueWait:   *queueWait,
 		Options: core.Options{
 			Workers:      *workers,
-			Shards:       *shards,
 			Hybrid:       *hybrid,
 			StallTimeout: *stallTimeout,
 		},

@@ -44,13 +44,12 @@ func main() {
 		balance   = flag.Bool("balance", false, "print per-worker load balance of the last source")
 		trace     = flag.String("trace", "", "write the last source's dispatch trace as Chrome trace_event JSON (load in Perfetto)")
 		reorderM  = flag.String("reorder", "", "vertex relabeling: degree|bfs (results stay in original ids)")
-		shards    = flag.Int("shards", 1, "CSR shards for the core family (>1 = owner-compute sharded engines)")
 		hybrid    = flag.Bool("hybrid", false, "direction-optimizing mode: bottom-up levels on large frontiers (core parallel family)")
 		dst       = flag.Int("dst", -1, "goal vertex: terminate at the level barrier that settles it (core family)")
 		maxDepth  = flag.Int("k", 0, "depth bound: explore k closed levels then stop (core family, 0 = unbounded)")
 	)
 	flag.Parse()
-	if err := run(*algoName, *graphPath, *suite, *scale, *src, *sources, *workers, *seed, *validate, *machine, *profile, *balance, *trace, *reorderM, *shards, *hybrid, *dst, *maxDepth); err != nil {
+	if err := run(*algoName, *graphPath, *suite, *scale, *src, *sources, *workers, *seed, *validate, *machine, *profile, *balance, *trace, *reorderM, *hybrid, *dst, *maxDepth); err != nil {
 		fmt.Fprintln(os.Stderr, "bfsrun:", err)
 		os.Exit(1)
 	}
@@ -105,7 +104,7 @@ func writeTrace(path, algoName string, src int32, res *core.Result) error {
 	return f.Close()
 }
 
-func run(algoName, graphPath, suite string, scale, src, sources, workers int, seed uint64, validate bool, machineName string, profile, balance bool, trace, reorderMode string, shards int, hybrid bool, dst, maxDepth int) error {
+func run(algoName, graphPath, suite string, scale, src, sources, workers int, seed uint64, validate bool, machineName string, profile, balance bool, trace, reorderMode string, hybrid bool, dst, maxDepth int) error {
 	algo, err := harness.AlgoByName(algoName)
 	if err != nil {
 		return err
@@ -149,14 +148,11 @@ func run(algoName, graphPath, suite string, scale, src, sources, workers int, se
 	} else {
 		srcs = harness.PickSources(g, sources, seed)
 	}
-	opt := core.Options{Workers: workers, Seed: seed, Reorder: core.ReorderMode(reorderMode), Shards: shards, Hybrid: hybrid}
+	opt := core.Options{Workers: workers, Seed: seed, Reorder: core.ReorderMode(reorderMode), Hybrid: hybrid}
 	if opt.Reorder != core.ReorderNone {
 		// The engine relabels internally and maps results back, so the
 		// -validate comparison below stays in original vertex ids.
 		fmt.Printf("reorder: %s (results mapped back to original ids)\n", opt.Reorder)
-	}
-	if shards > 1 {
-		fmt.Printf("shards: %d (owner-compute, cross-shard frontier exchange)\n", shards)
 	}
 	if trace != "" {
 		// Event buffers sized generously: dispatch events are rare

@@ -13,22 +13,13 @@ import (
 )
 
 func TestRunOnSuiteGraph(t *testing.T) {
-	if err := run("BFS_WSL", "", "kkt-power", 4096, -1, 2, 4, 1, true, "Lonestar", false, false, "", "", 1, false, -1, 0); err != nil {
+	if err := run("BFS_WSL", "", "kkt-power", 4096, -1, 2, 4, 1, true, "Lonestar", false, false, "", "", false, -1, 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunFixedSource(t *testing.T) {
-	if err := run("BFS_CL", "", "cage14", 4096, 0, 1, 2, 1, true, "Trestles", false, false, "", "", 1, false, -1, 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// -shards routes through the sharded backend; the run self-validates
-// against serial BFS, so a pass means the exchange produced a correct
-// tree end to end from the CLI.
-func TestRunSharded(t *testing.T) {
-	if err := run("BFS_WSL", "", "kkt-power", 4096, -1, 2, 4, 1, true, "Lonestar", false, false, "", "", 2, false, -1, 0); err != nil {
+	if err := run("BFS_CL", "", "cage14", 4096, 0, 1, 2, 1, true, "Trestles", false, false, "", "", false, -1, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -49,7 +40,7 @@ func TestRunOnGraphFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if err := run("sbfs", binPath, "", 1, 0, 1, 1, 1, true, "Lonestar", true, false, "", "", 1, false, -1, 0); err != nil {
+	if err := run("sbfs", binPath, "", 1, 0, 1, 1, 1, true, "Lonestar", true, false, "", "", false, -1, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -62,7 +53,7 @@ func TestRunOnGraphFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if err := run("Baseline1(bag)", mtxPath, "", 1, 0, 1, 2, 1, true, "Lonestar", false, false, "", "", 1, false, -1, 0); err != nil {
+	if err := run("Baseline1(bag)", mtxPath, "", 1, 0, 1, 2, 1, true, "Lonestar", false, false, "", "", false, -1, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -75,7 +66,7 @@ func TestRunOnGraphFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if err := run("BFS_EL", edgePath, "", 1, 0, 1, 2, 1, true, "Local", true, true, "", "", 1, false, -1, 0); err != nil {
+	if err := run("BFS_EL", edgePath, "", 1, 0, 1, 2, 1, true, "Local", true, true, "", "", false, -1, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -85,11 +76,11 @@ func TestRunOnGraphFiles(t *testing.T) {
 // ORIGINAL graph) must still pass because results are mapped back.
 func TestRunWithReorder(t *testing.T) {
 	for _, mode := range []string{"degree", "bfs"} {
-		if err := run("BFS_WSL", "", "kkt-power", 4096, -1, 2, 4, 1, true, "Lonestar", false, false, "", mode, 1, false, -1, 0); err != nil {
+		if err := run("BFS_WSL", "", "kkt-power", 4096, -1, 2, 4, 1, true, "Lonestar", false, false, "", mode, false, -1, 0); err != nil {
 			t.Fatalf("reorder %q: %v", mode, err)
 		}
 	}
-	if err := run("BFS_WSL", "", "kkt-power", 4096, 0, 1, 2, 1, false, "Lonestar", false, false, "", "hilbert", 1, false, -1, 0); err == nil {
+	if err := run("BFS_WSL", "", "kkt-power", 4096, 0, 1, 2, 1, false, "Lonestar", false, false, "", "hilbert", false, -1, 0); err == nil {
 		t.Fatal("accepted unknown reorder mode")
 	}
 }
@@ -99,28 +90,28 @@ func TestRunWithReorder(t *testing.T) {
 // baseline runtimes refuse the flags instead of silently running to
 // exhaustion.
 func TestRunGoalDirected(t *testing.T) {
-	if err := run("BFS_WSL", "", "kkt-power", 4096, 0, 1, 4, 1, true, "Lonestar", false, false, "", "", 1, false, 50, 0); err != nil {
+	if err := run("BFS_WSL", "", "kkt-power", 4096, 0, 1, 4, 1, true, "Lonestar", false, false, "", "", false, 50, 0); err != nil {
 		t.Fatalf("-dst: %v", err)
 	}
-	if err := run("BFS_CL", "", "kkt-power", 4096, 0, 1, 4, 1, true, "Lonestar", false, false, "", "", 1, false, -1, 3); err != nil {
+	if err := run("BFS_CL", "", "kkt-power", 4096, 0, 1, 4, 1, true, "Lonestar", false, false, "", "", false, -1, 3); err != nil {
 		t.Fatalf("-k: %v", err)
 	}
-	if err := run("BFS_WSL", "", "kkt-power", 4096, 0, 1, 4, 1, true, "Lonestar", false, false, "", "", 2, false, 50, 2); err != nil {
-		t.Fatalf("sharded -dst -k: %v", err)
+	if err := run("BFS_WSL", "", "kkt-power", 4096, 0, 1, 4, 1, true, "Lonestar", false, false, "", "", false, 50, 2); err != nil {
+		t.Fatalf("-dst -k: %v", err)
 	}
-	if err := run("BFS_WSL", "", "kkt-power", 4096, 0, 1, 4, 1, true, "Lonestar", false, false, "", "degree", 1, false, 50, 0); err != nil {
+	if err := run("BFS_WSL", "", "kkt-power", 4096, 0, 1, 4, 1, true, "Lonestar", false, false, "", "degree", false, 50, 0); err != nil {
 		t.Fatalf("reorder -dst (target must be translated): %v", err)
 	}
-	if err := run("DirectionOptimizing", "", "kkt-power", 4096, 0, 1, 4, 1, true, "Lonestar", false, false, "", "", 1, false, 50, 2); err != nil {
+	if err := run("DirectionOptimizing", "", "kkt-power", 4096, 0, 1, 4, 1, true, "Lonestar", false, false, "", "", false, 50, 2); err != nil {
 		t.Fatalf("DirectionOptimizing -dst -k: %v", err)
 	}
-	if err := run("Baseline1(bag)", "", "kkt-power", 4096, 0, 1, 2, 1, false, "Lonestar", false, false, "", "", 1, false, 5, 0); err == nil {
+	if err := run("Baseline1(bag)", "", "kkt-power", 4096, 0, 1, 2, 1, false, "Lonestar", false, false, "", "", false, 5, 0); err == nil {
 		t.Fatal("baseline accepted -dst")
 	}
-	if err := run("BFS_WSL", "", "kkt-power", 4096, 0, 1, 2, 1, false, "Lonestar", false, false, "", "", 1, false, 1<<30, 0); err == nil {
+	if err := run("BFS_WSL", "", "kkt-power", 4096, 0, 1, 2, 1, false, "Lonestar", false, false, "", "", false, 1<<30, 0); err == nil {
 		t.Fatal("accepted out-of-range -dst")
 	}
-	if err := run("BFS_WSL", "", "kkt-power", 4096, 0, 1, 2, 1, false, "Lonestar", false, false, "", "", 1, false, -1, -2); err == nil {
+	if err := run("BFS_WSL", "", "kkt-power", 4096, 0, 1, 2, 1, false, "Lonestar", false, false, "", "", false, -1, -2); err == nil {
 		t.Fatal("accepted negative -k")
 	}
 }
@@ -158,16 +149,16 @@ func TestValidateRunRejectsWrongStopPoint(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("BFS_XXL", "", "cage14", 4096, 0, 1, 1, 1, false, "Lonestar", false, false, "", "", 1, false, -1, 0); err == nil {
+	if err := run("BFS_XXL", "", "cage14", 4096, 0, 1, 1, 1, false, "Lonestar", false, false, "", "", false, -1, 0); err == nil {
 		t.Fatal("accepted unknown algorithm")
 	}
-	if err := run("sbfs", "", "", 1, 0, 1, 1, 1, false, "Lonestar", false, false, "", "", 1, false, -1, 0); err == nil {
+	if err := run("sbfs", "", "", 1, 0, 1, 1, 1, false, "Lonestar", false, false, "", "", false, -1, 0); err == nil {
 		t.Fatal("accepted missing graph")
 	}
-	if err := run("sbfs", "/does/not/exist.bin", "", 1, 0, 1, 1, 1, false, "Lonestar", false, false, "", "", 1, false, -1, 0); err == nil {
+	if err := run("sbfs", "/does/not/exist.bin", "", 1, 0, 1, 1, 1, false, "Lonestar", false, false, "", "", false, -1, 0); err == nil {
 		t.Fatal("accepted missing file")
 	}
-	if err := run("sbfs", "", "cage14", 4096, 0, 1, 1, 1, false, "Cray", false, false, "", "", 1, false, -1, 0); err == nil {
+	if err := run("sbfs", "", "cage14", 4096, 0, 1, 1, 1, false, "Cray", false, false, "", "", false, -1, 0); err == nil {
 		t.Fatal("accepted unknown machine")
 	}
 }
@@ -178,7 +169,7 @@ func TestRunErrors(t *testing.T) {
 func TestRunWritesTrace(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trace.json")
-	if err := run("BFS_WSL", "", "cage14", 4096, 0, 1, 4, 1, true, "Lonestar", false, false, path, "", 1, false, -1, 0); err != nil {
+	if err := run("BFS_WSL", "", "cage14", 4096, 0, 1, 4, 1, true, "Lonestar", false, false, path, "", false, -1, 0); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -194,7 +185,7 @@ func TestRunWritesTrace(t *testing.T) {
 	if len(file.TraceEvents) == 0 {
 		t.Fatal("trace has no events")
 	}
-	if err := run("sbfs", "", "cage14", 4096, 0, 1, 1, 1, false, "Lonestar", false, false, filepath.Join(dir, "t2.json"), "", 1, false, -1, 0); err == nil {
+	if err := run("sbfs", "", "cage14", 4096, 0, 1, 1, 1, false, "Lonestar", false, false, filepath.Join(dir, "t2.json"), "", false, -1, 0); err == nil {
 		t.Fatal("-trace with the serial baseline should be refused")
 	}
 }

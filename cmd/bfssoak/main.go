@@ -44,7 +44,6 @@ func main() {
 		engines     = flag.Bool("engines", false, "reuse one engine per (graph, algorithm) so the audit covers state-reuse bugs")
 		verbose     = flag.Bool("v", false, "log every run, not just failures")
 		metricsAddr = flag.String("metrics-addr", "", "serve live /metrics, /debug/vars, /debug/pprof on this address while sweeping (empty = off)")
-		shards      = flag.Int("shards", 0, "pin the CSR shard count for every run (0 = each run draws from {1,2,4})")
 		hybrid      = flag.Bool("hybrid", false, "pin direction-optimizing mode on for every run (default: each run draws it 1-in-4; serial cells always drop it)")
 		registry    = flag.Bool("registry", false, "run the serve.Registry lifecycle soak (load/evict/query/swap/close interleavings) instead of the engine sweep")
 		regRounds   = flag.Int("registry-rounds", 12, "registry soak rounds (every third round closes mid-flight)")
@@ -78,7 +77,7 @@ func main() {
 	}
 	// os.Exit skips defers: drain the metrics listener explicitly on
 	// every exit path so the final scrape isn't dropped mid-response.
-	code, err := run(os.Stdout, *duration, *seeds, *workers, *shards, *seed, *profiles, *algos, *artifacts, *replay, *list, *engines, *verbose, *hybrid, reg)
+	code, err := run(os.Stdout, *duration, *seeds, *workers, *seed, *profiles, *algos, *artifacts, *replay, *list, *engines, *verbose, *hybrid, reg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bfssoak:", err)
 		code = 2
@@ -131,7 +130,7 @@ func runRegistry(w io.Writer, rounds, workers, ops, graphs int, seed uint64, pro
 }
 
 // run executes the selected mode and returns the process exit code.
-func run(w io.Writer, duration time.Duration, seeds, workers, shards int, seed uint64,
+func run(w io.Writer, duration time.Duration, seeds, workers int, seed uint64,
 	profiles, algos, artifacts, replay string, list, engines, verbose, hybrid bool, reg *obs.Registry) (int, error) {
 	if list {
 		for _, p := range chaos.Profiles() {
@@ -163,7 +162,6 @@ func run(w io.Writer, duration time.Duration, seeds, workers, shards int, seed u
 	cfg := chaos.SoakConfig{
 		Seeds:       seeds,
 		Workers:     workers,
-		Shards:      shards,
 		Hybrid:      hybrid,
 		BaseSeed:    seed,
 		Duration:    duration,

@@ -13,7 +13,7 @@ import (
 
 func TestListProfiles(t *testing.T) {
 	var buf bytes.Buffer
-	code, err := run(&buf, 0, 0, 0, 0, 0, "all", "all", "", "", true, false, false, false, nil)
+	code, err := run(&buf, 0, 0, 0, 0, "all", "all", "", "", true, false, false, false, nil)
 	if err != nil || code != 0 {
 		t.Fatalf("run = %d, %v", code, err)
 	}
@@ -25,13 +25,13 @@ func TestListProfiles(t *testing.T) {
 }
 
 func TestSelectorErrors(t *testing.T) {
-	if _, err := run(os.Stdout, 0, 1, 4, 0, 0, "no-such-profile", "all", "", "", false, false, false, false, nil); err == nil {
+	if _, err := run(os.Stdout, 0, 1, 4, 0, "no-such-profile", "all", "", "", false, false, false, false, nil); err == nil {
 		t.Fatal("unknown profile accepted")
 	}
-	if _, err := run(os.Stdout, 0, 1, 4, 0, 0, "all", "BFS_NOPE", "", "", false, false, false, false, nil); err == nil {
+	if _, err := run(os.Stdout, 0, 1, 4, 0, "all", "BFS_NOPE", "", "", false, false, false, false, nil); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
-	if _, err := run(os.Stdout, 0, 1, 4, 0, 0, "all", "all", "", "no-such-artifact.json", false, false, false, false, nil); err == nil {
+	if _, err := run(os.Stdout, 0, 1, 4, 0, "all", "all", "", "no-such-artifact.json", false, false, false, false, nil); err == nil {
 		t.Fatal("missing replay artifact accepted")
 	}
 }
@@ -57,7 +57,7 @@ func TestSmokeSweep(t *testing.T) {
 		t.Skip("sweep smoke skipped in -short")
 	}
 	var buf bytes.Buffer
-	code, err := run(&buf, 0, 1, 4, 0, 0, "steal-storm", "BFS_WL,BFS_WSL", "", "", false, false, false, false, nil)
+	code, err := run(&buf, 0, 1, 4, 0, "steal-storm", "BFS_WL,BFS_WSL", "", "", false, false, false, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestSmokeSweep(t *testing.T) {
 		t.Fatalf("summary missing:\n%s", buf.String())
 	}
 	buf.Reset()
-	code, err = run(&buf, 0, 1, 4, 0, 0, "steal-storm", "BFS_WL,BFS_WSL", "", "", false, true, false, false, nil)
+	code, err = run(&buf, 0, 1, 4, 0, "steal-storm", "BFS_WL,BFS_WSL", "", "", false, true, false, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestReplayRoundTrip(t *testing.T) {
 		t.Fatalf("artifact %q not JSON-named", path)
 	}
 	var buf bytes.Buffer
-	code, err := run(&buf, 0, 1, 4, 0, 0, "all", "all", "", path, false, false, false, false, nil)
+	code, err := run(&buf, 0, 1, 4, 0, "all", "all", "", path, false, false, false, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,18 +48,17 @@ func main() {
 		skipVal    = flag.Bool("skip-validation", false, "skip per-round validation")
 		machine    = flag.String("machine", "Lonestar", "cost-model machine for modeled TEPS")
 		reorderM   = flag.String("reorder", "", "vertex relabeling: degree|bfs (validation stays in original ids)")
-		shards     = flag.Int("shards", 1, "CSR shards (>1 = owner-compute sharded engines)")
 		hybrid     = flag.Bool("hybrid", false, "direction-optimizing mode (bottom-up levels on large frontiers)")
 		st         = flag.Bool("st", false, "paired s-t mode: time full BFS vs goal-directed search to a mid-depth target each round")
 	)
 	flag.Parse()
-	if err := run(os.Stdout, *scale, *edgefactor, *algoName, *rounds, *workers, *seed, *skipVal, *machine, *reorderM, *shards, *hybrid, *st); err != nil {
+	if err := run(os.Stdout, *scale, *edgefactor, *algoName, *rounds, *workers, *seed, *skipVal, *machine, *reorderM, *hybrid, *st); err != nil {
 		fmt.Fprintln(os.Stderr, "graph500:", err)
 		os.Exit(1)
 	}
 }
 
-func run(w *os.File, scale int, edgefactor int64, algoName string, rounds, workers int, seed uint64, skipVal bool, machineName, reorderMode string, shards int, hybrid bool, st bool) error {
+func run(w *os.File, scale int, edgefactor int64, algoName string, rounds, workers int, seed uint64, skipVal bool, machineName, reorderMode string, hybrid bool, st bool) error {
 	if scale < 1 || scale > 30 {
 		return fmt.Errorf("scale %d out of [1,30]", scale)
 	}
@@ -100,10 +99,7 @@ func run(w *os.File, scale int, edgefactor int64, algoName string, rounds, worke
 	sources := harness.PickSources(g, rounds, seed^0x9e3779b9)
 	opt := core.Options{
 		Workers: workers, TrackParents: !skipVal,
-		Reorder: core.ReorderMode(reorderMode), Shards: shards, Hybrid: hybrid,
-	}
-	if shards > 1 {
-		fmt.Fprintf(w, "shards: %d (owner-compute, cross-shard frontier exchange)\n", shards)
+		Reorder: core.ReorderMode(reorderMode), Hybrid: hybrid,
 	}
 	if hybrid {
 		fmt.Fprintf(w, "hybrid: direction-optimizing (alpha/beta switched bottom-up levels)\n")

@@ -11,17 +11,7 @@ func TestGraph500SmallRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer null.Close()
-	if err := run(null, 8, 8, "BFS_WSL", 3, 4, 1, false, "Lonestar", "", 1, false, false); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestGraph500Sharded runs the procedure on the sharded backend; every
-// round validates distances AND parents against the original graph.
-func TestGraph500Sharded(t *testing.T) {
-	null, _ := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	defer null.Close()
-	if err := run(null, 8, 8, "BFS_WSL", 3, 4, 1, false, "Lonestar", "", 2, false, false); err != nil {
+	if err := run(null, 8, 8, "BFS_WSL", 3, 4, 1, false, "Lonestar", "", false, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -29,7 +19,7 @@ func TestGraph500Sharded(t *testing.T) {
 func TestGraph500SkipValidation(t *testing.T) {
 	null, _ := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	defer null.Close()
-	if err := run(null, 7, 4, "sbfs", 2, 1, 1, true, "Trestles", "", 1, false, false); err != nil {
+	if err := run(null, 7, 4, "sbfs", 2, 1, 1, true, "Trestles", "", false, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -41,7 +31,7 @@ func TestGraph500Reorder(t *testing.T) {
 	null, _ := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	defer null.Close()
 	for _, mode := range []string{"degree", "bfs"} {
-		if err := run(null, 8, 8, "BFS_WSL", 3, 4, 1, false, "Lonestar", mode, 1, false, false); err != nil {
+		if err := run(null, 8, 8, "BFS_WSL", 3, 4, 1, false, "Lonestar", mode, false, false); err != nil {
 			t.Fatalf("reorder %q: %v", mode, err)
 		}
 	}
@@ -53,16 +43,13 @@ func TestGraph500Reorder(t *testing.T) {
 func TestGraph500ST(t *testing.T) {
 	null, _ := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	defer null.Close()
-	if err := run(null, 8, 8, "BFS_WSL", 3, 4, 1, false, "Lonestar", "", 1, false, true); err != nil {
+	if err := run(null, 8, 8, "BFS_WSL", 3, 4, 1, false, "Lonestar", "", false, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(null, 8, 8, "BFS_WSL", 3, 4, 1, false, "Lonestar", "", 2, false, true); err != nil {
-		t.Fatalf("sharded -st: %v", err)
-	}
-	if err := run(null, 8, 8, "DirectionOptimizing", 3, 4, 1, false, "Lonestar", "", 1, false, true); err != nil {
+	if err := run(null, 8, 8, "DirectionOptimizing", 3, 4, 1, false, "Lonestar", "", false, true); err != nil {
 		t.Fatalf("DirectionOptimizing -st: %v", err)
 	}
-	if err := run(null, 8, 8, "Baseline1(bag)", 2, 1, 1, false, "Lonestar", "", 1, false, true); err == nil {
+	if err := run(null, 8, 8, "Baseline1(bag)", 2, 1, 1, false, "Lonestar", "", false, true); err == nil {
 		t.Fatal("baseline accepted -st")
 	}
 }
@@ -70,16 +57,16 @@ func TestGraph500ST(t *testing.T) {
 func TestGraph500Errors(t *testing.T) {
 	null, _ := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	defer null.Close()
-	if err := run(null, 0, 8, "BFS_WSL", 3, 1, 1, false, "Lonestar", "", 1, false, false); err == nil {
+	if err := run(null, 0, 8, "BFS_WSL", 3, 1, 1, false, "Lonestar", "", false, false); err == nil {
 		t.Fatal("accepted scale 0")
 	}
-	if err := run(null, 8, 8, "BFS_WSL", 0, 1, 1, false, "Lonestar", "", 1, false, false); err == nil {
+	if err := run(null, 8, 8, "BFS_WSL", 0, 1, 1, false, "Lonestar", "", false, false); err == nil {
 		t.Fatal("accepted 0 rounds")
 	}
-	if err := run(null, 8, 8, "warp-bfs", 3, 1, 1, false, "Lonestar", "", 1, false, false); err == nil {
+	if err := run(null, 8, 8, "warp-bfs", 3, 1, 1, false, "Lonestar", "", false, false); err == nil {
 		t.Fatal("accepted unknown algorithm")
 	}
-	if err := run(null, 8, 8, "BFS_WSL", 3, 1, 1, false, "DeepBlue", "", 1, false, false); err == nil {
+	if err := run(null, 8, 8, "BFS_WSL", 3, 1, 1, false, "DeepBlue", "", false, false); err == nil {
 		t.Fatal("accepted unknown machine")
 	}
 }

@@ -25,15 +25,12 @@ import (
 // The paper's algorithms (DirectionOptimizing included) run on true
 // pooled engines; the Baseline1/Baseline2 comparison runtimes have no
 // engine layer, so an Engine over them transparently falls back to
-// one-shot dispatch per Run (correct, just not amortized). Options.Shards > 1
-// routes the paper's algorithms onto the sharded owner-compute backend
-// (per-shard pooled engines with cross-shard frontier exchange); the
-// default is the single-engine path.
+// one-shot dispatch per Run (correct, just not amortized).
 type Engine struct {
 	g      *Graph
 	algo   Algorithm
 	opt    Options
-	ce     core.Backend
+	ce     *core.Engine
 	closed bool
 }
 
@@ -46,7 +43,7 @@ func NewEngine(g *Graph, algo Algorithm, opt *Options) (*Engine, error) {
 	}
 	e := &Engine{g: g, algo: algo, opt: o}
 	if v, co, ok := coreRoute(algo, o); ok {
-		ce, err := core.NewBackend(g, v, co)
+		ce, err := core.NewEngine(g, v, co)
 		if err != nil {
 			return nil, err
 		}

@@ -86,47 +86,44 @@ func TestEngineRunGoalEveryAlgorithm(t *testing.T) {
 	}
 }
 
-// TestEngineShardedPublic checks that Options.Shards routes the
-// public surface — both one-shot BFS and the reusable Engine — onto
-// the sharded backend and still matches the serial reference, and
-// that the sharded backend's Reorder rejection surfaces as a
-// constructor error rather than being silently dropped.
+// TestEngineShardedPublic checks that the retired Options.Shards fails
+// loudly on the public surface — one-shot BFS and the reusable Engine —
+// instead of silently running a single engine, while 0 and 1 still
+// run.
 func TestEngineShardedPublic(t *testing.T) {
-	g, err := NewPowerLaw(2048, 16384, 2.2, 5)
+	g, err := NewPowerLaw(512, 4096, 2.2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := SerialBFS(g, 0)
-	for _, shards := range []int{2, 4} {
-		opt := &Options{Workers: 4, Seed: 2, Shards: shards}
-		res, err := BFS(g, 0, BFSWSL, opt)
-		if err != nil {
-			t.Fatalf("BFS shards=%d: %v", shards, err)
-		}
-		for v, d := range want {
-			if res.Dist[v] != d {
-				t.Fatalf("BFS shards=%d: dist[%d] = %d, want %d", shards, v, res.Dist[v], d)
-			}
+	for _, shards := range []int{2, 4, -1} {
+		opt := &Options{Workers: 2, Shards: shards}
+		if _, err := BFS(g, 0, BFSWSL, opt); err == nil || !strings.Contains(err.Error(), "retired") {
+			t.Fatalf("BFS shards=%d: got %v, want the retirement error", shards, err)
 		}
 		e, err := NewEngine(g, BFSWL, opt)
+		if err == nil || !strings.Contains(err.Error(), "retired") {
+			if e != nil {
+				e.Close()
+			}
+			t.Fatalf("NewEngine shards=%d: got %v, want the retirement error", shards, err)
+		}
+	}
+	want := SerialBFS(g, 0)
+	for _, shards := range []int{0, 1} {
+		e, err := NewEngine(g, BFSWL, &Options{Workers: 2, Shards: shards})
 		if err != nil {
 			t.Fatalf("NewEngine shards=%d: %v", shards, err)
 		}
-		for i := 0; i < 3; i++ {
-			res, err := e.Run(0)
-			if err != nil {
-				t.Fatalf("engine shards=%d run %d: %v", shards, i, err)
-			}
-			for v, d := range want {
-				if res.Dist[v] != d {
-					t.Fatalf("engine shards=%d run %d: dist[%d] = %d, want %d", shards, i, v, res.Dist[v], d)
-				}
+		res, err := e.Run(0)
+		e.Close()
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		for v, d := range want {
+			if res.Dist[v] != d {
+				t.Fatalf("shards=%d: dist[%d] = %d, want %d", shards, v, res.Dist[v], d)
 			}
 		}
-		e.Close()
-	}
-	if _, err := NewEngine(g, BFSWL, &Options{Workers: 2, Shards: 2, Reorder: ReorderDegree}); err == nil {
-		t.Fatal("sharded engine accepted Reorder")
 	}
 }
 

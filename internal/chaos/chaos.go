@@ -175,10 +175,9 @@ type Injector struct {
 	workers []injWorker
 
 	// dirR is the direction-flip decision stream (FlipProb). The hybrid
-	// decision runs single-threaded on the driver goroutine, but a
-	// sharded engine has no worker identity there and soak reuse must
-	// stay race-clean, so the stream sits behind its own mutex instead
-	// of a worker lane.
+	// decision runs single-threaded on the driver goroutine, which has
+	// no worker lane of its own, and soak reuse must stay race-clean,
+	// so the stream sits behind its own mutex instead of a worker lane.
 	dirMu sync.Mutex
 	dirR  rng.SplitMix64
 	flips int64

@@ -72,10 +72,10 @@ func TestInjectorDirectionFlipStreamDeterministic(t *testing.T) {
 }
 
 // TestSoakHybridPinned is the hybrid soak dimension: every parallel
-// lockfree family, classic and sharded, with Hybrid pinned on under
-// the direction-flip profile — bottom-up levels, representation
-// conversions, and forced switches all crossing the injector's benign
-// jitter — and the differential audit must stay clean.
+// lockfree family, with Hybrid pinned on under the direction-flip
+// profile — bottom-up levels, representation conversions, and forced
+// switches all crossing the injector's benign jitter — and the
+// differential audit must stay clean.
 func TestSoakHybridPinned(t *testing.T) {
 	graphs := []GraphSpec{
 		{Kind: "chunglu", N: 1024, M: 8192, Gamma: 2.0, Seed: 2},
@@ -84,27 +84,24 @@ func TestSoakHybridPinned(t *testing.T) {
 	if testing.Short() {
 		graphs = graphs[:1]
 	}
-	for _, shards := range []int{1, 2} {
-		var buf bytes.Buffer
-		rep, err := Soak(SoakConfig{
-			Graphs:     graphs,
-			Profiles:   []Profile{mustProfile(t, "direction-flip")},
-			Seeds:      2,
-			Workers:    4,
-			Shards:     shards,
-			Hybrid:     true,
-			Log:        &buf,
-			Algorithms: []core.Algorithm{core.BFSWL, core.BFSWSL, core.BFSEL},
-		})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if rep.Failures != 0 {
-			t.Fatalf("shards=%d hybrid sweep broke invariants:\n%s", shards, buf.String())
-		}
-		if rep.Runs == 0 {
-			t.Fatalf("shards=%d: no runs", shards)
-		}
+	var buf bytes.Buffer
+	rep, err := Soak(SoakConfig{
+		Graphs:     graphs,
+		Profiles:   []Profile{mustProfile(t, "direction-flip")},
+		Seeds:      2,
+		Workers:    4,
+		Hybrid:     true,
+		Log:        &buf,
+		Algorithms: []core.Algorithm{core.BFSWL, core.BFSWSL, core.BFSEL},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failures != 0 {
+		t.Fatalf("hybrid sweep broke invariants:\n%s", buf.String())
+	}
+	if rep.Runs == 0 {
+		t.Fatal("no runs")
 	}
 }
 

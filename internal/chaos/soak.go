@@ -99,9 +99,6 @@ type RunOptions struct {
 	PublishBlock int `json:"publish_block,omitempty"`
 	// Reorder names the vertex-relabeling mode ("" | "degree" | "bfs").
 	Reorder string `json:"reorder,omitempty"`
-	// Shards is the CSR shard count (0/1 = classic single engine; more
-	// runs the owner-compute sharded backend with cross-shard exchange).
-	Shards int `json:"shards,omitempty"`
 	// Hybrid enables direction-optimizing bottom-up levels
 	// (core.Options.Hybrid); meaningless for the serial variant, which
 	// rejects it.
@@ -134,7 +131,6 @@ func (o RunOptions) Core() core.Options {
 		TrackParents:   o.TrackParents,
 		PublishBlock:   o.PublishBlock,
 		Reorder:        core.ReorderMode(o.Reorder),
-		Shards:         o.Shards,
 		Hybrid:         o.Hybrid,
 		StallTimeout:   time.Duration(o.StallTimeoutMillis) * time.Millisecond,
 		Seed:           o.Seed,
@@ -143,16 +139,6 @@ func (o RunOptions) Core() core.Options {
 
 // goal returns the run's termination goal.
 func (o RunOptions) goal() core.Goal { return core.Goal{Target: o.Target, MaxDepth: o.MaxDepth} }
-
-// injectorWorkers is how many worker-id slots the injector must cover
-// for this option set: sharded backends run Shards engines of Workers
-// goroutines each and offset their chaos worker ids by shard.
-func (o RunOptions) injectorWorkers() int {
-	if o.Shards > 1 {
-		return o.Shards * o.Workers
-	}
-	return o.Workers
-}
 
 // Repro is the minimal JSON artifact emitted when a soak run breaks an
 // invariant: everything needed to re-execute the exact run — graph
@@ -234,7 +220,7 @@ func Replay(r Repro) ([]core.Violation, *core.Result, error) {
 		// Typed recovery aborts (injected panics, forced stalls) are not
 		// violations; a panic poisons the engine, so the loop rebuilds
 		// it and keeps replaying, same as the soak does.
-		e, err := core.NewBackend(g, r.Algorithm, opt)
+		e, err := core.NewEngine(g, r.Algorithm, opt)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -242,7 +228,7 @@ func Replay(r Repro) ([]core.Violation, *core.Result, error) {
 		var all []core.Violation
 		var res *core.Result
 		for i := 0; i < 3; i++ {
-			inj := NewInjector(r.Profile, r.InjectionSeed, r.Options.injectorWorkers())
+			inj := NewInjector(r.Profile, r.InjectionSeed, r.Options.Workers)
 			e.SetChaos(inj)
 			e.Reseed(opt.Seed)
 			res, err = e.RunGoal(context.Background(), r.Source, goal)
@@ -251,7 +237,7 @@ func Replay(r Repro) ([]core.Violation, *core.Result, error) {
 					return nil, nil, err
 				}
 				e.Close()
-				e, err = core.NewBackend(g, r.Algorithm, opt)
+				e, err = core.NewEngine(g, r.Algorithm, opt)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -263,9 +249,9 @@ func Replay(r Repro) ([]core.Violation, *core.Result, error) {
 		}
 		return all, res, nil
 	}
-	inj := NewInjector(r.Profile, r.InjectionSeed, r.Options.injectorWorkers())
+	inj := NewInjector(r.Profile, r.InjectionSeed, r.Options.Workers)
 	opt.Chaos = inj
-	b, err := core.NewBackend(g, r.Algorithm, opt)
+	b, err := core.NewEngine(g, r.Algorithm, opt)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -323,11 +309,6 @@ type SoakConfig struct {
 	// oversubscription is deliberate, it gives the injector's yields
 	// real interleavings to provoke.
 	Workers int
-	// Shards pins the CSR shard count for every run: 1 forces the
-	// classic single engine, >1 forces that many shards (dropping
-	// Reorder, which the sharded backend rejects). 0 lets each derived
-	// option set draw its own shard count from {1, 2, 4}.
-	Shards int
 	// Hybrid pins direction-optimizing mode on for every run instead of
 	// the default one-in-four draw. Serial cells always drop it — the
 	// serial variant rejects hybrid — so the differential baseline
@@ -495,22 +476,9 @@ func deriveOptions(r *rng.SplitMix64, maxWorkers int, n int32) RunOptions {
 	case 1:
 		o.Reorder = string(core.ReorderBFS)
 	}
-	// Shards: half the runs keep the classic single engine, the rest
-	// exercise the owner-compute sharded backend and its cross-shard
-	// exchange. The sharded runtime rejects relabeling, so those draws
-	// drop Reorder rather than fail construction.
-	switch r.Next() % 4 {
-	case 0:
-		o.Shards = 2
-	case 1:
-		o.Shards = 4
-	}
-	if o.Shards > 1 {
-		o.Reorder = ""
-	}
 	// Hybrid: a quarter of the runs take bottom-up levels through the
 	// soak, crossing the direction machinery with every other dimension
-	// (claims, sharding, publication blocks).
+	// (claims, publication blocks).
 	o.Hybrid = r.Next()%4 == 0
 	// Goals: a third of the runs terminate early — at a random target
 	// vertex, a random (shallow) depth bound, or occasionally both, so
@@ -569,7 +537,7 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 		disr bool
 	}
 	type sharedEng struct {
-		e    core.Backend
+		e    *core.Engine
 		opts RunOptions
 	}
 	engines := make(map[engKey]*sharedEng)
@@ -592,12 +560,6 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 							rng.Mix64(uint64(len(pg.spec.Kind))+pg.spec.Seed) ^ hashString(string(algo)+prof.Name))
 						r := rng.NewSplitMix64(cell)
 						opts := deriveOptions(r, cfg.Workers, pg.g.NumVertices())
-						if cfg.Shards > 0 {
-							opts.Shards = cfg.Shards
-							if opts.Shards > 1 {
-								opts.Reorder = ""
-							}
-						}
 						if cfg.Hybrid {
 							opts.Hybrid = true
 						}
@@ -625,7 +587,7 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 							key := engKey{gi, algo, prof.Disruptive()}
 							se := engines[key]
 							if se == nil {
-								e, eerr := core.NewBackend(pg.g, algo, opts.Core())
+								e, eerr := core.NewEngine(pg.g, algo, opts.Core())
 								if eerr != nil {
 									return nil, fmt.Errorf("chaos: engine for %s on %s: %w", algo, pg.spec, eerr)
 								}
@@ -641,7 +603,7 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 							opts = se.opts
 							opts.Seed = seed
 							opts.Target, opts.MaxDepth = goal.Target, goal.MaxDepth
-							inj = NewInjector(prof, injSeed, opts.injectorWorkers())
+							inj = NewInjector(prof, injSeed, opts.Workers)
 							se.e.SetChaos(inj)
 							se.e.Reseed(seed)
 							res, rerr = se.e.RunGoal(context.Background(), 0, goal)
@@ -661,7 +623,7 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 							}
 							rep.EngineRuns++
 						} else {
-							inj = NewInjector(prof, injSeed, opts.injectorWorkers())
+							inj = NewInjector(prof, injSeed, opts.Workers)
 							copt := opts.Core()
 							copt.Chaos = inj
 							res, rerr = core.RunGoal(context.Background(), pg.g, 0, algo, copt, goal)

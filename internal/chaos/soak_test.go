@@ -50,17 +50,6 @@ func TestDeriveOptionsStayInRange(t *testing.T) {
 		if o.Core().SameSocketBias != o.SameSocketBias {
 			t.Fatalf("bias %g lost in Core() conversion", o.SameSocketBias)
 		}
-		switch o.Shards {
-		case 0, 2, 4:
-		default:
-			t.Fatalf("shards %d unexpected", o.Shards)
-		}
-		if o.Shards > 1 && o.Reorder != "" {
-			t.Fatalf("sharded draw kept reorder %q (the sharded backend rejects it)", o.Reorder)
-		}
-		if o.Core().Shards != o.Shards {
-			t.Fatalf("shards %d lost in Core() conversion", o.Shards)
-		}
 		if o.Target < 0 || o.Target > n {
 			t.Fatalf("target %d out of vertex+1 range [0, %d]", o.Target, n)
 		}
@@ -299,64 +288,6 @@ func TestSoakEnginesSmoke(t *testing.T) {
 	}
 	if !strings.Contains(rep.String(), "shared engines") {
 		t.Fatalf("report does not mention engine runs: %s", rep)
-	}
-}
-
-// TestSoakShardedPinned sweeps the lockfree families with the shard
-// count pinned to 2 and then 4: every run goes through the sharded
-// owner-compute backend under perturbation, and the oracle audit must
-// stay clean — the cross-shard exchange gets the same differential
-// treatment as the single-engine protocol.
-func TestSoakShardedPinned(t *testing.T) {
-	for _, shards := range []int{2, 4} {
-		var buf bytes.Buffer
-		rep, err := Soak(SoakConfig{
-			Graphs: []GraphSpec{
-				{Kind: "star", N: 512, Seed: 4},
-				{Kind: "chunglu", N: 1024, M: 8192, Gamma: 2.0, Seed: 2},
-			},
-			Profiles:   []Profile{{Name: "baseline"}, Profiles()[0]},
-			Seeds:      2,
-			Workers:    4,
-			Shards:     shards,
-			Log:        &buf,
-			Algorithms: []core.Algorithm{core.BFSCL, core.BFSDL, core.BFSWL, core.BFSWSL},
-		})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if rep.Failures != 0 {
-			t.Fatalf("shards=%d sweep broke invariants: %s", shards, buf.String())
-		}
-		if rep.Runs == 0 {
-			t.Fatalf("shards=%d: no runs", shards)
-		}
-	}
-}
-
-// TestSoakShardedEngines reuses one sharded backend per (graph, algo)
-// pair across the sweep, so the audit also covers sharded state reuse
-// (per-shard epoch filters, exchange queues surviving between runs).
-func TestSoakShardedEngines(t *testing.T) {
-	var buf bytes.Buffer
-	rep, err := Soak(SoakConfig{
-		Graphs:     []GraphSpec{{Kind: "chunglu", N: 1024, M: 8192, Gamma: 2.0, Seed: 2}},
-		Profiles:   []Profile{{Name: "baseline"}, Profiles()[0]},
-		Seeds:      2,
-		Workers:    4,
-		Shards:     2,
-		Engines:    true,
-		Log:        &buf,
-		Algorithms: []core.Algorithm{core.BFSWL, core.BFSWSL},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Failures != 0 {
-		t.Fatalf("sharded engine sweep broke invariants: %s", buf.String())
-	}
-	if rep.EngineRuns != rep.Runs || rep.Runs == 0 {
-		t.Fatalf("EngineRuns=%d Runs=%d, want all runs on shared backends", rep.EngineRuns, rep.Runs)
 	}
 }
 

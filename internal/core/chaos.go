@@ -68,14 +68,6 @@ const (
 	// sleeps the watchdog must detect) and panics (which the recovery
 	// barrier must isolate). Value is the BFS level.
 	ChaosStall
-	// ChaosShardFlush fires in a sharded engine's flushRemote between
-	// copying a (parent, vertex) pair block into a cross-shard exchange
-	// queue and publishing the advanced tail index — the cross-shard
-	// twin of ChaosBlockFlush. Delaying here stretches the window in
-	// which forwarded discoveries exist but are invisible to their
-	// owner, which the destination's barrier-ordered drain must
-	// tolerate. Value is the tail about to be published.
-	ChaosShardFlush
 	// ChaosDirectionFlip fires in a hybrid engine's barrier-time
 	// direction step (hybridAdvance), after the alpha/beta decision and
 	// before the frontier representation converts — the place a hook
@@ -114,8 +106,6 @@ func (p ChaosPoint) String() string {
 		return "block-flush"
 	case ChaosStall:
 		return "stall"
-	case ChaosShardFlush:
-		return "shard-flush"
 	case ChaosDirectionFlip:
 		return "direction-flip"
 	default:
@@ -178,12 +168,9 @@ type ChaosDirectionController interface {
 
 // chaosAt forwards to the installed hook; the nil-check is the entire
 // disabled-mode cost and keeps the call inlinable on the hot paths.
-// Under a sharded engine worker ids are offset by the shard's base so
-// one injector's per-worker streams cover every shard without
-// collisions (chaosBase is 0 otherwise).
 func (st *state) chaosAt(point ChaosPoint, worker int, value int64) {
 	if st.chaos != nil {
-		st.chaos.At(point, worker+st.chaosBase, value)
+		st.chaos.At(point, worker, value)
 	}
 }
 
@@ -216,26 +203,6 @@ func (st *state) auditLevel() {
 			q := &st.out[i]
 			unpublished += int64(len(q.buf)) - q.tail
 			unpublished += int64(len(st.blk[i]))
-		}
-		// Sharded runs extend the audit across the exchange: by this
-		// barrier every private remote block was flushed (endLevelRemote)
-		// and every outgoing exchange queue was drained and reset by its
-		// destination shard, so any residue is a forwarded vertex that
-		// would silently skip its level.
-		if ex := st.shardEx; ex != nil {
-			for i := range st.remoteBlk {
-				unpublished += int64(len(st.remoteBlk[i]) / 2)
-			}
-			for d := 0; d < ex.shards; d++ {
-				if d == st.shardID {
-					continue
-				}
-				row := ex.row(st.shardID, d)
-				for i := range row {
-					q := &row[i]
-					unpublished += int64(len(q.buf)) - q.tail
-				}
-			}
 		}
 		st.flushAudit.FlushEnd(st.level, unpublished)
 	}

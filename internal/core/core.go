@@ -23,10 +23,10 @@
 // stores the same level value), which is the paper's central
 // observation.
 //
-// Every parallel engine (Engine, ShardedEngine, MSEngine) runs its
-// levels on a crew (crew.go): Workers goroutines per engine or shard,
-// released one phase at a time by the caller's goroutine, stopped by
-// Close.
+// Every parallel engine (Engine, MSEngine) runs its levels on a crew
+// (crew.go): Workers goroutines per engine, released one phase at a
+// time by the caller's goroutine, stopped by Close. Every engine runs
+// over the one shared CSR it was built on.
 package core
 
 import (
@@ -178,16 +178,11 @@ type Options struct {
 	// disables the local preference entirely; negative values select
 	// the default 0.9; values above 1 are clamped to 1.
 	SameSocketBias float64
-	// Shards partitions the graph into this many contiguous
-	// degree-balanced vertex shards, each explored by its own pooled
-	// engine of Workers workers, with remote discoveries exchanged
-	// through per-(shard,worker) queues at the level barriers (see
-	// ShardedEngine). Honored by NewBackend and the one-shot
-	// Run/RunContext; NewEngine ignores it (that constructor is the
-	// single-engine path by contract — use NewBackend to route). 0 or
-	// 1 (the default) run the single-engine path, and the serial
-	// baseline always ignores it (one CSR, one goroutine, by
-	// definition).
+	// Shards is the retired owner-compute shard count. Only 0 and 1
+	// are accepted — every engine runs one shared CSR — and any other
+	// value makes NewEngine fail with an error naming the retirement.
+	// The field stays only because the benchmark module still sets it;
+	// it goes at the next benchmark change.
 	Shards int
 	// Hybrid enables in-core direction-optimizing traversal (Beamer,
 	// Asanović & Patterson): at every level barrier the driver decides,
@@ -218,9 +213,9 @@ type Options struct {
 	// back later. Default 18. Ignored unless Hybrid is set.
 	Beta int64
 	// StallTimeout arms the per-run stall watchdog of every engine —
-	// plain, sharded and fused (MSEngine): if no worker makes dispatch
-	// progress (segment fetches, steal-drain publications, hot-vertex
-	// chunks) for this long while a level's phase is running, the run
+	// plain and fused (MSEngine): if no worker makes dispatch progress
+	// (segment fetches, steal-drain publications, hot-vertex chunks)
+	// for this long while a level's phase is running, the run
 	// aborts with a *StallError and a partial Result. The window is
 	// suspended while the driver holds the level barrier, so a long
 	// single-threaded barrier step is never a stall. The window must
@@ -261,9 +256,6 @@ func (o Options) withDefaults() Options {
 	if o.Pools > o.Workers {
 		o.Pools = o.Workers
 	}
-	if o.Shards <= 0 {
-		o.Shards = 1
-	}
 	if o.Alpha <= 0 {
 		o.Alpha = 15
 	}
@@ -289,8 +281,8 @@ func (o Options) withDefaults() Options {
 }
 
 // Goal is a per-run traversal bound, passed to every run as an
-// argument (Engine.RunGoal, Backend.RunGoal, RunGoal) so one warm engine
-// answers queries with different goals without rebuilding. The zero
+// argument (Engine.RunGoal, MSEngine.RunGoals, RunGoal) so one warm
+// engine answers queries with different goals without rebuilding. The zero
 // Goal bounds nothing and runs to frontier exhaustion.
 //
 // A targeted search terminates at the first level barrier after the
@@ -441,10 +433,9 @@ func RunContext(ctx context.Context, g *graph.CSR, src int32, algo Algorithm, op
 }
 
 // RunGoal is RunContext under a termination goal (see Engine.RunGoal),
-// on the one-shot path: build the backend Options.Shards asks for
-// (plain Engine by default, sharded when Shards > 1), run once,
-// release. Validation order (graph, then source, then algorithm) is
-// preserved from the pre-engine implementation.
+// on the one-shot path: build an Engine, run once, release. Validation
+// order (graph, then source, then algorithm) is preserved from the
+// pre-engine implementation.
 func RunGoal(ctx context.Context, g *graph.CSR, src int32, algo Algorithm, opt Options, goal Goal) (*Result, error) {
 	if g == nil {
 		return nil, fmt.Errorf("core: nil graph")
@@ -452,7 +443,7 @@ func RunGoal(ctx context.Context, g *graph.CSR, src int32, algo Algorithm, opt O
 	if src < 0 || src >= g.NumVertices() {
 		return nil, fmt.Errorf("core: source %d out of range [0,%d)", src, g.NumVertices())
 	}
-	e, err := NewBackend(g, algo, opt)
+	e, err := NewEngine(g, algo, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -27,14 +27,13 @@ type crew struct {
 }
 
 // newCrew spawns p workers labeled with the engine's algorithm, their
-// worker id (offset by base, so a ShardedEngine's shards report
-// distinct ids) and the level phase: "search" inside a phase, "idle"
-// while parked.
-func newCrew(p int, algo Algorithm, base int) *crew {
+// worker id and the level phase: "search" inside a phase, "idle" while
+// parked.
+func newCrew(p int, algo Algorithm) *crew {
 	c := &crew{gate: newBarrier(p + 1)}
 	c.exited.Add(p)
 	for id := 0; id < p; id++ {
-		go c.work(id, pprof.Labels("algo", string(algo), "worker", strconv.Itoa(base+id)))
+		go c.work(id, pprof.Labels("algo", string(algo), "worker", strconv.Itoa(id)))
 	}
 	return c
 }

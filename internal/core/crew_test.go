@@ -82,8 +82,8 @@ func awaitCrew(t *testing.T, algo Algorithm, base []map[string]string, want int)
 }
 
 // checkCrew asserts labels describe exactly one crew of workers
-// goroutines per shard, ids 0..workers-1 (offset per shard), each
-// carrying only the algo, worker and level-phase labels.
+// goroutines, ids 0..workers-1, each carrying only the algo, worker and
+// level-phase labels.
 func checkCrew(t *testing.T, algo Algorithm, labels []map[string]string, total int) {
 	t.Helper()
 	var ids []int
@@ -110,7 +110,7 @@ func checkCrew(t *testing.T, algo Algorithm, labels []map[string]string, total i
 
 // TestCrewLifecycle pins the crew's lifetime on every engine type: an
 // open engine shows exactly its crew in the goroutine profile — Workers
-// goroutines per crew, labeled by algorithm, worker and level phase —
+// goroutines, labeled by algorithm, worker and level phase —
 // and Close leaves none behind, whether the engine never ran or was
 // poisoned by a worker panic.
 func TestCrewLifecycle(t *testing.T) {
@@ -118,42 +118,32 @@ func TestCrewLifecycle(t *testing.T) {
 	const workers = 3
 	type engine interface{ Close() }
 	type tc struct {
-		name  string
-		algo  Algorithm
-		crews int
-		open  func(chaos ChaosHook) (engine, error)
-		run   func(e engine) error
+		name string
+		algo Algorithm
+		open func(chaos ChaosHook) (engine, error)
+		run  func(e engine) error
 	}
 	var cases []tc
 	for _, algo := range parallelAlgos {
 		algo := algo
 		cases = append(cases, tc{
-			name: string(algo), algo: algo, crews: 1,
+			name: string(algo), algo: algo,
 			open: func(h ChaosHook) (engine, error) {
 				return NewEngine(g, algo, Options{Workers: workers, Chaos: h})
 			},
 			run: func(e engine) error { _, err := e.(*Engine).Run(0); return err },
 		})
 	}
-	cases = append(cases,
-		tc{
-			name: "sharded", algo: BFSWL, crews: 2,
-			open: func(h ChaosHook) (engine, error) {
-				return NewBackend(g, BFSWL, Options{Workers: workers, Shards: 2, Chaos: h})
-			},
-			run: func(e engine) error { _, err := e.(*ShardedEngine).Run(0); return err },
+	cases = append(cases, tc{
+		name: "fused", algo: MSBFSL,
+		open: func(h ChaosHook) (engine, error) {
+			return NewMSEngine(g, Options{Workers: workers, Chaos: h})
 		},
-		tc{
-			name: "fused", algo: MSBFSL, crews: 1,
-			open: func(h ChaosHook) (engine, error) {
-				return NewMSEngine(g, Options{Workers: workers, Chaos: h})
-			},
-			run: func(e engine) error { _, err := e.(*MSEngine).Run([]int32{0, 5}); return err },
-		},
-	)
+		run: func(e engine) error { _, err := e.(*MSEngine).Run([]int32{0, 5}); return err },
+	})
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			want := c.crews * workers
+			const want = workers
 			// Engines other tests left open keep their crews, parked;
 			// count relative to them.
 			base := crewLabels(t, c.algo)

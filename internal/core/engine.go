@@ -88,6 +88,9 @@ func NewEngine(g *graph.CSR, algo Algorithm, opt Options) (*Engine, error) {
 	if g == nil {
 		return nil, fmt.Errorf("core: nil graph")
 	}
+	if opt.Shards != 0 && opt.Shards != 1 {
+		return nil, fmt.Errorf("core: Shards=%d: the sharded runtime is retired; every engine runs one shared CSR (Shards must be 0 or 1)", opt.Shards)
+	}
 	opt = opt.withDefaults()
 	rg := g
 	var perm, inv []int32
@@ -140,10 +143,9 @@ func NewEngine(g *graph.CSR, algo Algorithm, opt Options) (*Engine, error) {
 }
 
 // bindingFor maps a parallel variant to its family's binding
-// constructor — the one algorithm switch shared by Engine and
-// ShardedEngine construction. Serial has no binding (it is not a
-// per-level parallel family) and reports unknown like any other
-// unrecognized name.
+// constructor — the one algorithm switch of Engine construction.
+// Serial has no binding (it is not a per-level parallel family) and
+// reports unknown like any other unrecognized name.
 func bindingFor(algo Algorithm) (bindFunc, error) {
 	switch algo {
 	case BFSC:
@@ -325,7 +327,7 @@ type parEngine struct {
 }
 
 func newParEngine(g *graph.CSR, opt Options, bf bindFunc, algo Algorithm) *parEngine {
-	st := allocState(g, opt, newRunCtl(algo, opt.Workers, opt.StallTimeout), 0)
+	st := allocState(g, opt, newRunCtl(algo, opt.Workers, opt.StallTimeout))
 	e := &parEngine{st: st}
 	e.b = bf(st)
 	if opt.Hybrid {
@@ -333,7 +335,7 @@ func newParEngine(g *graph.CSR, opt Options, bf bindFunc, algo Algorithm) *parEn
 	}
 	perLevel := e.b.perLevel
 	e.phase = func(id int) { st.workerLevel(id, perLevel) }
-	e.crew = newCrew(opt.Workers, algo, 0)
+	e.crew = newCrew(opt.Workers, algo)
 	return e
 }
 
@@ -364,3 +366,13 @@ func (e *parEngine) reseed(seed uint64) {
 func (e *parEngine) setChaos(h ChaosHook) { e.st.setChaos(h) }
 
 func (e *parEngine) close() { e.crew.close() }
+
+// Backend and NewBackend are the benchmark module's names for Engine
+// and NewEngine, kept only because that module still uses them; both
+// go at the next benchmark change.
+type Backend = *Engine
+
+// NewBackend forwards to NewEngine; see Backend.
+func NewBackend(g *graph.CSR, algo Algorithm, opt Options) (*Engine, error) {
+	return NewEngine(g, algo, opt)
+}

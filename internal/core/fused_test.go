@@ -13,7 +13,7 @@ import (
 // (drainOwnLean) and the lean scan (scanNeighborsLean) against the
 // serial oracle at several worker counts, with and without parent
 // tracking. Only states that pass lean() reach those loops — a chaos
-// hook, ParentClaim or sharding routes them to the general loop — so
+// hook or ParentClaim routes them to the general loop — so
 // the chaos soak never covers them and this table is their oracle
 // check; with TrackParents the audit also validates every parent the
 // inline claims stored. The RMAT graph has hubs above the scale-free
@@ -84,26 +84,12 @@ func TestFusedDrainMultiWorker(t *testing.T) {
 
 // TestLeanRoute pins which engine configurations run the inline claim.
 // The options every serving Guard builds (TrackParents, a 1 s stall
-// watchdog) must take the lean path; a chaos hook, ParentClaim or a
-// shard exchange must not, because only discover carries them.
+// watchdog) must take the lean path; a chaos hook or ParentClaim must
+// not, because only discover carries them.
 func TestLeanRoute(t *testing.T) {
 	g, err := gen.Graph500RMAT(1<<10, 8<<10, 3, gen.Options{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	states := func(b Backend) []*state {
-		switch e := b.(type) {
-		case *Engine:
-			return []*state{e.impl.(*parEngine).st}
-		case *ShardedEngine:
-			var sts []*state
-			for _, se := range e.shards {
-				sts = append(sts, se.st)
-			}
-			return sts
-		}
-		t.Fatalf("unexpected backend %T", b)
-		return nil
 	}
 	guard := Options{Workers: 2, TrackParents: true, StallTimeout: time.Second}
 	for _, tc := range []struct {
@@ -116,19 +102,16 @@ func TestLeanRoute(t *testing.T) {
 		{"plain", func(Options) Options { return Options{Workers: 2} }, true},
 		{"chaos", func(o Options) Options { o.Chaos = &countingHook{}; return o }, false},
 		{"parent-claim", func(o Options) Options { o.ParentClaim = true; return o }, false},
-		{"2-shards", func(o Options) Options { o.Shards = 2; return o }, false},
 	} {
 		for _, algo := range []Algorithm{BFSWL, BFSWSL} {
-			b, err := NewBackend(g, algo, tc.opt(guard))
+			e, err := NewEngine(g, algo, tc.opt(guard))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, st := range states(b) {
-				if got := st.lean(); got != tc.lean {
-					t.Errorf("%s/%s: state %d lean() = %t, want %t", tc.name, algo, i, got, tc.lean)
-				}
+			if got := e.impl.(*parEngine).st.lean(); got != tc.lean {
+				t.Errorf("%s/%s: lean() = %t, want %t", tc.name, algo, got, tc.lean)
 			}
-			b.Close()
+			e.Close()
 		}
 	}
 }

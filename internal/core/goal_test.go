@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"optibfs/internal/gen"
@@ -48,9 +47,9 @@ func goalCases(g *graph.CSR, src int32) []Goal {
 }
 
 // TestGoalDirectedMatrix is the tentpole correctness matrix: the four
-// lockfree families × {plain, hybrid} × shard counts {1, 2, 4} ×
-// reorder modes, every cell checked bit-for-bit against the serial
-// oracle's closed levels over the goal cases above. The serial engine
+// lockfree families × {plain, hybrid} × reorder modes, every cell
+// checked bit-for-bit against the serial oracle's closed levels over
+// the goal cases above. The serial engine
 // itself is a row too, pinning oracle/parallel truncation parity.
 func TestGoalDirectedMatrix(t *testing.T) {
 	graphs := testGraphs(t)
@@ -67,12 +66,6 @@ func TestGoalDirectedMatrix(t *testing.T) {
 			cell{string(algo) + "/hybrid", Options{Workers: 4, Seed: 1, Hybrid: true}, algo},
 		)
 	}
-	for _, shards := range []int{2, 4} {
-		cells = append(cells,
-			cell{fmt.Sprintf("BFS_WSL/shards%d", shards), Options{Workers: 2, Seed: 1, Shards: shards}, BFSWSL},
-			cell{fmt.Sprintf("BFS_WSL/shards%d/hybrid", shards), Options{Workers: 2, Seed: 1, Shards: shards, Hybrid: true}, BFSWSL},
-		)
-	}
 	for _, mode := range []ReorderMode{ReorderDegree, ReorderBFS} {
 		cells = append(cells,
 			cell{"BFS_WSL/reorder-" + string(mode), Options{Workers: 4, Seed: 1, Reorder: mode}, BFSWSL})
@@ -84,7 +77,7 @@ func TestGoalDirectedMatrix(t *testing.T) {
 			for name, g := range graphs {
 				opt := c.opt
 				opt.TrackParents = true
-				be, err := NewBackend(g, c.algo, opt)
+				be, err := NewEngine(g, c.algo, opt)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

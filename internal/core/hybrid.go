@@ -39,9 +39,8 @@ package core
 //     family's dispatch machinery oblivious to where the frontier came
 //     from.
 //
-// Drivers call hybridAdvance (or ShardedEngine.hybridAdvance) after
-// every swap; it is a no-op unless the state was built with
-// Options.Hybrid.
+// Drivers call hybridAdvance after every swap; it is a no-op unless
+// the state was built with Options.Hybrid.
 
 import (
 	"math/bits"
@@ -62,11 +61,9 @@ type hyLane struct {
 	_  [48]byte
 }
 
-// hybridState is the per-state half of direction optimization: the
-// bitmap frontier pair, the per-worker scan ranges, and (for a plain
-// Engine) the barrier-time decision variables. Under a ShardedEngine
-// curBits aliases the engine's global frontier bitmap and the decision
-// variables live on the engine's shardedHybrid instead.
+// hybridState is one state's direction-optimization machinery: the
+// bitmap frontier pair, the per-worker scan ranges, and the
+// barrier-time decision variables.
 type hybridState struct {
 	tg *graph.CSR // cached transpose; in-edges for bottom-up scans
 
@@ -75,7 +72,7 @@ type hybridState struct {
 	// the top-down dedup filter at the barrier. Invariant: nextBits is
 	// all-zero at every top-down barrier — dedupFrontier test-and-sets
 	// into it and every decision path cleans up (or promotes) the bits
-	// it set, and beginRunCommon re-clears wholesale so aborted runs
+	// it set, and beginRun re-clears wholesale so aborted runs
 	// cannot leak stale bits into the next search.
 	curBits  []uint64
 	nextBits []uint64
@@ -103,19 +100,18 @@ type hybridState struct {
 	// they claim — so a vertex visited in an earlier level costs 1/64th
 	// of a word load instead of an epoch compare, and an unvisited one
 	// needs no epoch load at all. Plain stores: lane interiors are
-	// word-aligned and shard boundary words live in per-shard arrays.
+	// word-aligned.
 	// Invalidated on every top-down→bottom-up switch and at run reset,
 	// so staleness from intervening top-down levels is impossible.
 	unvisBits  []uint64
 	unvisValid bool
 
 	bottomUp bool  // current direction (the level about to run)
-	curCount int64 // owned-frontier size while bottomUp (volume())
+	curCount int64 // frontier size while bottomUp (volume())
 
-	// Decision state (plain Engine only; a ShardedEngine keeps the
-	// global copy on its shardedHybrid). unexplored follows the
-	// classic Beamer convention: the out-edge budget *after*
-	// subtracting the frontier under decision, seeded as m − outdeg(src).
+	// Decision state. unexplored follows the classic Beamer convention:
+	// the out-edge budget *after* subtracting the frontier under
+	// decision, seeded as m − outdeg(src).
 	unexplored int64
 	prevNf     int64
 	alpha      int64
@@ -124,8 +120,7 @@ type hybridState struct {
 
 // newHybridState builds the hybrid machinery for one state over g,
 // computing (or fetching) the cached transpose eagerly so the first
-// Run pays no lazy-build allocation. Scan ranges cover [0, n) and are
-// re-partitioned by a ShardedEngine to the shard's owned range.
+// Run pays no lazy-build allocation. Scan ranges cover [0, n).
 func newHybridState(g *graph.CSR, opt Options) *hybridState {
 	n := g.NumVertices()
 	words := (int(n) + 63) / 64
@@ -147,7 +142,7 @@ func newHybridState(g *graph.CSR, opt Options) *hybridState {
 		alpha:     alpha,
 		beta:      beta,
 	}
-	hy.lo, hy.hi = hybridRanges(0, n, opt.Workers)
+	hy.lo, hy.hi = hybridRanges(n, opt.Workers)
 	hy.degEq = degreesEqual(g, hy.tg)
 	if !hy.degEq {
 		hy.outdeg = make([]int32, n)
@@ -176,22 +171,19 @@ func degreesEqual(g, tg *graph.CSR) bool {
 	return true
 }
 
-// hybridRanges splits [lo, hi) into p contiguous ranges with interior
+// hybridRanges splits [0, n) into p contiguous ranges with interior
 // boundaries aligned to 64-vertex (one bitmap word) multiples, so no
-// two workers' plain stores ever touch the same nextBits word. lo and
-// hi themselves need no alignment: a shard's boundary words are
-// private to that shard's bitmap arrays.
-func hybridRanges(lo, hi int32, p int) (los, his []int32) {
+// two workers' plain stores ever touch the same nextBits word.
+func hybridRanges(n int32, p int) (los, his []int32) {
 	los, his = make([]int32, p), make([]int32, p)
-	n := int64(hi) - int64(lo)
-	prev := lo
+	prev := int32(0)
 	for k := 0; k < p; k++ {
-		b := hi
+		b := n
 		if k < p-1 {
-			b = lo + int32(n*int64(k+1)/int64(p))
+			b = int32(int64(n) * int64(k+1) / int64(p))
 			b = (b + 63) &^ 63
-			if b > hi {
-				b = hi
+			if b > n {
+				b = n
 			}
 			if b < prev {
 				b = prev
@@ -206,7 +198,7 @@ func hybridRanges(lo, hi int32, p int) (los, his []int32) {
 // resetHybrid re-primes the hybrid machinery for a new run: direction
 // back to top-down, the dedup/discovery bitmap cleared (an aborted run
 // can abandon it mid-write), and the decision budget restored to the
-// full edge count (seedSource subtracts the source's degree to match
+// full edge count (beginRun subtracts the source's degree to match
 // the classic Beamer convention). The O(n/64) word clear is the only
 // per-run cost.
 func (st *state) resetHybrid() {
@@ -567,9 +559,9 @@ func (st *state) exitBottomUp() {
 
 // rangeWord reads bitmap word w masked to the vertex range [lo, hi):
 // bits below lo in the first word and at/above hi in the last word are
-// dropped. (Out-of-range bits are structurally zero in this package —
-// ranges only share words across *shards*, which use separate arrays —
-// so the mask is defense in depth, not load-bearing.)
+// dropped. (Out-of-range bits are structurally zero — interior range
+// bounds are word-aligned and nothing sets a bit at or above n — so
+// the mask is defense in depth, not load-bearing.)
 func rangeWord(bm []uint64, w, wlo, whi int, lo, hi int32) uint64 {
 	word := bm[w]
 	if w == wlo {
@@ -620,12 +612,12 @@ func hybridDecide(bu bool, nf, mf, unexplored, prevNf, n, alpha, beta, goalBound
 	return nf >= n/beta
 }
 
-// hybridAdvance is the plain Engine's barrier-time direction step,
-// called by the drivers right after swap: count the just-promoted
-// frontier exactly (lane sums for a bottom-up level, a dedup walk for
-// a top-down one), update the edge budget, decide the next level's
-// direction, and convert the frontier representation if the direction
-// changed. Runs single-threaded between level barriers on the driver
+// hybridAdvance is the barrier-time direction step, called by the
+// drivers right after swap: count the just-promoted frontier exactly
+// (lane sums for a bottom-up level, a dedup walk for a top-down one),
+// update the edge budget, decide the next level's direction, and
+// convert the frontier representation if the direction changed. Runs
+// single-threaded between level barriers on the driver
 // goroutine, inside closeLevel's recovery barrier: a panic here (a
 // chaos hook at ChaosDirectionFlip, say) poisons the run. No-op
 // without Options.Hybrid; skipped after an abort (the queues and
@@ -728,121 +720,4 @@ func wrapHybrid(st *state, b binding) binding {
 		innerPerLevel(id)
 	}
 	return b
-}
-
-// shardedHybrid is the engine-level half of direction optimization
-// under a ShardedEngine: the global frontier bitmap every shard's
-// bottom-up scan reads (in-neighbors live in other shards' frontiers),
-// and the global decision variables. Per-shard discovery bitmaps stay
-// on each shard's hybridState; the single-threaded barrier step merges
-// them here.
-type shardedHybrid struct {
-	curBits    []uint64
-	bottomUp   bool
-	unexplored int64
-	prevNf     int64
-	alpha      int64
-	beta       int64
-}
-
-// mergeShardFrontiers rebuilds the global frontier bitmap from every
-// shard's discovery bitmap: clear, then OR each shard's words over its
-// owned range. Adjacent shards can share a boundary word; the merge is
-// single-threaded at the barrier, and each shard's array holds set
-// bits only for vertices it owns, so the ORs compose. O(n/64) per
-// switch-or-bottom-up level.
-func (e *ShardedEngine) mergeShardFrontiers() {
-	global := e.hy.curBits
-	for i := range global {
-		global[i] = 0
-	}
-	for s, se := range e.shards {
-		lo, hi := e.sg.Range(s)
-		if lo >= hi {
-			continue
-		}
-		next := se.st.hy.nextBits
-		for w, end := int(lo)>>6, (int(hi)+63)>>6; w < end; w++ {
-			global[w] |= next[w]
-		}
-	}
-}
-
-// hybridAdvance is the sharded barrier-time direction step, the
-// ShardedEngine twin of state.hybridAdvance: per-shard exact counts
-// roll up into one global decision, every shard then converts its
-// frontier representation together, and each shard's curCount feeds
-// volume(). Bottom-up levels release every shard regardless of local
-// frontier (runLoop): an empty owned frontier still has unvisited
-// vertices whose in-neighbors sit in other shards' global bits.
-func (e *ShardedEngine) hybridAdvance() {
-	hy := e.hy
-	if hy == nil || e.ctl.canceled() || e.ctl.aborted() {
-		return
-	}
-	st0 := e.shards[0].st
-	wasBU := hy.bottomUp
-	var nf, mf int64
-	for _, se := range e.shards {
-		sh := se.st.hy
-		var snf, smf int64
-		if wasBU {
-			sh.unvisValid = true
-			for i := range sh.lanes {
-				snf += sh.lanes[i].nf
-				smf += sh.lanes[i].mf
-			}
-		} else {
-			snf, smf = sh.dedupFrontier(se.st)
-		}
-		sh.curCount = snf
-		nf += snf
-		mf += smf
-	}
-	if wasBU {
-		st0.counters[0].BottomUpLevels++
-	} else {
-		st0.counters[0].TopDownLevels++
-	}
-	hy.unexplored -= mf
-	if hy.unexplored < 0 {
-		hy.unexplored = 0
-	}
-	var goalBound int64
-	if d := e.goal.MaxDepth; d > 0 {
-		goalBound = int64(d - st0.level)
-	}
-	bu := hybridDecide(wasBU, nf, mf, hy.unexplored, hy.prevNf,
-		int64(e.sg.Full.NumVertices()), hy.alpha, hy.beta,
-		goalBound, e.goal.Target != 0)
-	hy.prevNf = nf
-	st0.chaosAt(ChaosDirectionFlip, 0, int64(st0.level))
-	if ctl, ok := st0.chaos.(ChaosDirectionController); ok {
-		bu = ctl.DirectionChoice(st0.level, bu)
-	}
-	switch {
-	case !wasBU && bu:
-		for _, se := range e.shards {
-			se.st.consumeFrontierQueues()
-			se.st.hy.unvisValid = false
-		}
-		e.mergeShardFrontiers()
-	case !wasBU && !bu:
-		for _, se := range e.shards {
-			se.st.hy.clearFrontierBits(se.st)
-		}
-	case wasBU && bu:
-		e.mergeShardFrontiers()
-	default:
-		for _, se := range e.shards {
-			se.st.exitBottomUp()
-		}
-	}
-	hy.bottomUp = bu
-	for _, se := range e.shards {
-		se.st.hy.bottomUp = bu
-		if !bu {
-			se.st.hy.curCount = 0
-		}
-	}
 }

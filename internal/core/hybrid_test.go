@@ -179,58 +179,6 @@ func TestHybridForcedDirectionFlips(t *testing.T) {
 	}
 }
 
-func TestHybridSharded(t *testing.T) {
-	graphs := testGraphs(t)
-	for _, shards := range shardCounts {
-		for _, algo := range []Algorithm{BFSWL, BFSWSL} {
-			shards, algo := shards, algo
-			t.Run(fmt.Sprintf("%s/s%d", algo, shards), func(t *testing.T) {
-				t.Parallel()
-				for name, g := range graphs {
-					e := newShardedForTest(t, g, shards, algo, Options{
-						Workers: 4, Seed: 11, Hybrid: true, TrackParents: true,
-					})
-					for run := 0; run < 3; run++ {
-						res, err := e.Run(0)
-						if err != nil {
-							e.Close()
-							t.Fatalf("%s run %d: %v", name, run, err)
-						}
-						func() {
-							defer func() {
-								if t.Failed() {
-									t.Logf("graph %s shards %d run %d", name, shards, run)
-								}
-							}()
-							checkHybridRun(t, g, 0, res)
-						}()
-					}
-					e.Close()
-				}
-			})
-		}
-	}
-}
-
-// TestHybridShardedForcedFlips drives the sharded conversions (global
-// bitmap merge, per-shard compaction) through forced switches.
-func TestHybridShardedForcedFlips(t *testing.T) {
-	graphs := testGraphs(t)
-	for name, g := range graphs {
-		ctl := &flipController{state: 0x5a5a}
-		e := newShardedForTest(t, g, 4, BFSWSL, Options{
-			Workers: 2, Seed: 5, Hybrid: true, TrackParents: true, Chaos: ctl,
-		})
-		res, err := e.Run(0)
-		if err != nil {
-			e.Close()
-			t.Fatalf("%s: %v", name, err)
-		}
-		checkHybridRun(t, g, 0, res)
-		e.Close()
-	}
-}
-
 func TestHybridSerialRejected(t *testing.T) {
 	g, err := gen.Path(8)
 	if err != nil {

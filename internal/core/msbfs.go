@@ -228,7 +228,7 @@ func NewMSEngine(g *graph.CSR, opt Options) (*MSEngine, error) {
 	}
 	e.expandFn = e.expandPhase
 	e.ctl = newRunCtl(MSBFSL, opt.Workers, opt.StallTimeout)
-	e.crew = newCrew(opt.Workers, MSBFSL, 0)
+	e.crew = newCrew(opt.Workers, MSBFSL)
 	return e, nil
 }
 

@@ -18,8 +18,8 @@ import (
 // work-stealing pop and its front publication (drainOwn's general loop
 // and drainOwnLean, the fused drain every plain lockfree work-stealing
 // run takes at any worker count, with its lookahead), the steal, the
-// block and exchange publications, and the fused MS-BFS expansion. Heartbeats are inlined into most of them, so beat is
-// covered too. The centralized dispatch (BFS_CL/DL fetch and slot
+// block publication, and the fused MS-BFS expansion. Heartbeats are
+// inlined into most of them, so beat is covered too. The centralized dispatch (BFS_CL/DL fetch and slot
 // zeroing, BFS_EL's edge cursor) deliberately keeps sync/atomic stores;
 // DESIGN.md explains why.
 var noRMWFuncs = []string{
@@ -31,9 +31,6 @@ var noRMWFuncs = []string{
 	"lookahead",
 	"(*wsWorker).stealLockfree",
 	"(*MSEngine).expand",
-	"(*state).discoverRemote",
-	"(*state).flushRemote",
-	"(*state).drainRemote",
 }
 
 // TestNoLockedInstructions disassembles this package's test binary and

@@ -10,10 +10,9 @@ package core
 // goroutine is fatal in Go), and a run that stops making progress
 // (which would otherwise wedge the caller forever).
 //
-// Every engine — Engine, ShardedEngine (one control shared by all its
-// shards) and MSEngine — stops through one runCtl, which follows the
-// protocols' own discipline: no atomic read-modify-write on any
-// per-vertex or per-edge path.
+// Every engine — Engine and MSEngine — stops through one runCtl, which
+// follows the protocols' own discipline: no atomic read-modify-write
+// on any per-vertex or per-edge path.
 //
 //   - Every worker executes its phase under recover() (recoverWorker).
 //     The first captured panic is recorded as a *WorkerPanicError and
@@ -141,11 +140,8 @@ func (b *beatLane) bump() {
 }
 
 // runCtl is an engine's one run-control: the abort word and its typed
-// cause, the heartbeat lanes, the level mirror, the poisoned bit and
-// the optional stall watchdog. A ShardedEngine shares one runCtl
-// across its shards — S·p beat lanes, each shard state holding its own
-// [base, base+p) slice — so a panic on any shard aborts all of them
-// and the run has one verdict.
+// cause, one heartbeat lane per worker, the level mirror, the poisoned
+// bit and the optional stall watchdog.
 type runCtl struct {
 	algo Algorithm
 	ctx  context.Context // the current run's; checked at level boundaries
@@ -171,9 +167,9 @@ type runCtl struct {
 }
 
 // newRunCtl builds the control for an engine of the given variant with
-// lanes heartbeat lanes, armed with a stall watchdog when window > 0.
-func newRunCtl(algo Algorithm, lanes int, window time.Duration) *runCtl {
-	c := &runCtl{algo: algo, beats: make([]beatLane, lanes)}
+// p heartbeat lanes, armed with a stall watchdog when window > 0.
+func newRunCtl(algo Algorithm, p int, window time.Duration) *runCtl {
+	c := &runCtl{algo: algo, beats: make([]beatLane, p)}
 	if window > 0 {
 		c.wd = &watchdog{window: window, stop: make(chan struct{}), done: make(chan struct{})}
 	}

@@ -112,36 +112,31 @@ func (h *flipPanicHook) At(point ChaosPoint, worker int, value int64) {
 // TestBarrierStepPanicPoisons drives a panic through the barrier step
 // the driver runs between levels (audit, swap, hybrid direction step):
 // it must be recovered like a worker panic — a *WorkerPanicError with
-// a partial result, then ErrPoisoned — not crash the process, on the
-// plain and the sharded engine alike.
+// a partial result, then ErrPoisoned — not crash the process.
 func TestBarrierStepPanicPoisons(t *testing.T) {
 	g, err := gen.ErdosRenyi(3000, 18000, 3, gen.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			hook := &flipPanicHook{}
-			e, err := NewBackend(g, BFSWSL, Options{Hybrid: true, Shards: shards, Chaos: hook})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
-			res, err := e.Run(0)
-			var wp *WorkerPanicError
-			if !errors.As(err, &wp) {
-				t.Fatalf("got %v, want *WorkerPanicError", err)
-			}
-			if atomic.LoadInt32(&hook.fired) == 0 {
-				t.Fatal("hook never reached ChaosDirectionFlip")
-			}
-			if res == nil {
-				t.Fatal("poisoned run returned no partial result")
-			}
-			if _, err := e.Run(0); !errors.Is(err, ErrPoisoned) {
-				t.Fatalf("second run: got %v, want ErrPoisoned", err)
-			}
-		})
+	hook := &flipPanicHook{}
+	e, err := NewEngine(g, BFSWSL, Options{Hybrid: true, Chaos: hook})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	res, err := e.Run(0)
+	var wp *WorkerPanicError
+	if !errors.As(err, &wp) {
+		t.Fatalf("got %v, want *WorkerPanicError", err)
+	}
+	if atomic.LoadInt32(&hook.fired) == 0 {
+		t.Fatal("hook never reached ChaosDirectionFlip")
+	}
+	if res == nil {
+		t.Fatal("poisoned run returned no partial result")
+	}
+	if _, err := e.Run(0); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("second run: got %v, want ErrPoisoned", err)
 	}
 }
 
@@ -149,8 +144,7 @@ func TestBarrierStepPanicPoisons(t *testing.T) {
 // requires a typed *StallError within the window (with slack), a
 // partial result, and — unlike a panic — an engine that stays fully
 // reusable once the fault source is removed, on every engine that
-// shares the run-control: plain, sharded (one watchdog over both
-// shards) and fused.
+// shares the run-control: plain and fused.
 func TestStallDetection(t *testing.T) {
 	g, err := gen.ErdosRenyi(3000, 18000, 3, gen.Options{})
 	if err != nil {
@@ -162,19 +156,9 @@ func TestStallDetection(t *testing.T) {
 		StallTimeout: 100 * time.Millisecond,
 		Chaos:        &sleepHook{d: 800 * time.Millisecond},
 	}
-	for _, c := range []struct {
-		name   string
-		algo   Algorithm
-		shards int
-	}{
-		{"BFS_CL", BFSCL, 1},
-		{"BFS_WSL", BFSWSL, 1},
-		{"BFS_WSL-shards=2", BFSWSL, 2},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			o := opt
-			o.Shards = c.shards
-			e, err := NewBackend(g, c.algo, o)
+	for _, algo := range []Algorithm{BFSCL, BFSWSL} {
+		t.Run(string(algo), func(t *testing.T) {
+			e, err := NewEngine(g, algo, opt)
 			if err != nil {
 				t.Fatal(err)
 			}

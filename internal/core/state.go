@@ -88,8 +88,7 @@ type state struct {
 	level    int32     // current BFS level being produced (dist of children)
 
 	// goal is the current run's goal, bound by the engine before each
-	// run (a sharded engine leaves every shard's goal zero and judges
-	// the goal itself). truncated records that goalDone fired this run.
+	// run. truncated records that goalDone fired this run.
 	// The predicate runs only at level barriers — the run's existing
 	// single-threaded points — so it reads epoch and level with plain
 	// loads under the barrier's happens-before edge and adds no
@@ -121,11 +120,9 @@ type state struct {
 	// untouched.
 	yield bool
 
-	// single marks a one-worker unsharded state, whose one worker never
-	// enqueues a vertex twice, so the hybrid's top-down frontier count
-	// skips its dedup bitmap. The sharded constructor clears it
-	// alongside shardEx: the exchange makes remote epoch words
-	// cross-shard shared even at one worker per shard.
+	// single marks a one-worker state, whose one worker never enqueues
+	// a vertex twice, so the hybrid's top-down frontier count skips its
+	// dedup bitmap.
 	single bool
 
 	// chaos is Options.Chaos, kept as a direct field so the hot-path
@@ -146,45 +143,20 @@ type state struct {
 	hy *hybridState
 
 	// ctl is the engine's run-control (recover.go): abort word, typed
-	// cause, poison hooks, level mirror and watchdog. beats is this
-	// state's slice of ctl's heartbeat lanes, indexed by worker id, so
-	// a dispatch-boundary beat costs one load and one store.
+	// cause, poison hooks, level mirror and watchdog. beats is ctl's
+	// heartbeat lanes, indexed by worker id, so a dispatch-boundary beat
+	// costs one load and one store.
 	ctl   *runCtl
 	beats []beatLane
-
-	// Sharded-engine fields (sharded.go); all zero for unsharded
-	// engines and for a 1-shard ShardedEngine, whose hot paths are
-	// therefore identical to the plain Engine's. When shardEx is
-	// non-nil this state belongs to the shard owning [shardLo, shardHi)
-	// and discover routes targets outside that range through the
-	// cross-shard exchange. For remote vertices the epoch array doubles
-	// as a per-shard "already forwarded" filter: it is advisory (two
-	// workers may race past it and forward twice — a benign duplicate
-	// the owner dedups), and it means epoch[v] == cur no longer implies
-	// v was *claimed* here, only that this shard touched it — which is
-	// why a sharded run's result is assembled from each shard's owned
-	// range only (mergedFinish), never from a full finish() scan.
-	// remoteBlk[id*S+d] is worker id's private block of (parent,
-	// vertex) pairs destined for shard d, published to the exchange
-	// queue with the same one-append-one-tail-store protocol as local
-	// blocks. chaosBase offsets worker ids passed to the chaos hook and
-	// reported in panics, so one injector serves all shards without
-	// stream collisions.
-	shardEx          *exchange
-	shardID          int
-	shardLo, shardHi int32
-	remoteBlk        [][]int32
-	chaosBase        int
 }
 
 // allocState allocates run state for g sized by opt, without priming it
 // for any particular source. Called once per Engine; beginRun primes it
 // per run. The per-vertex arrays start fully normalized (Unreached /
 // no-claim / no-parent) so a state that has never run still reads as an
-// empty result. The state runs under ctl, taking its heartbeat lanes
-// [base, base+p) and reporting worker ids offset by base to chaos hooks
-// and panics; a ShardedEngine passes every shard the same control.
-func allocState(g *graph.CSR, opt Options, ctl *runCtl, base int) *state {
+// empty result. The state runs under ctl, one heartbeat lane per
+// worker.
+func allocState(g *graph.CSR, opt Options, ctl *runCtl) *state {
 	p := opt.Workers
 	n := g.NumVertices()
 	blkSize := opt.PublishBlock
@@ -194,20 +166,19 @@ func allocState(g *graph.CSR, opt Options, ctl *runCtl, base int) *state {
 		blkSize = 128
 	}
 	st := &state{
-		g:         g,
-		opt:       opt,
-		dist:      make([]int32, n),
-		epoch:     make([]uint32, n),
-		in:        make([]sharedQueue, p),
-		out:       make([]outQueue, p),
-		blk:       make([][]int32, p),
-		blkSize:   blkSize,
-		counters:  stats.NewPerWorker(p),
-		yield:     p > runtime.GOMAXPROCS(0),
-		single:    p == 1,
-		ctl:       ctl,
-		beats:     ctl.beats[base : base+p],
-		chaosBase: base,
+		g:        g,
+		opt:      opt,
+		dist:     make([]int32, n),
+		epoch:    make([]uint32, n),
+		in:       make([]sharedQueue, p),
+		out:      make([]outQueue, p),
+		blk:      make([][]int32, p),
+		blkSize:  blkSize,
+		counters: stats.NewPerWorker(p),
+		yield:    p > runtime.GOMAXPROCS(0),
+		single:   p == 1,
+		ctl:      ctl,
+		beats:    ctl.beats,
 	}
 	st.setChaos(opt.Chaos)
 	for i := range st.dist {
@@ -242,19 +213,11 @@ func allocState(g *graph.CSR, opt Options, ctl *runCtl, base int) *state {
 // beginRun primes pooled state for a new search from src. Queue buffers
 // are reused at their grown capacities (re-seeding worker 0's queue
 // must not allocate a fresh 2-slot slice, and out buffers keep their
-// high-water capacity instead of resetting to 256); the per-vertex
-// arrays are invalidated wholesale by the epoch bump.
+// high-water capacity instead of resetting to 256), the per-vertex
+// arrays are invalidated wholesale by the epoch bump, and src is
+// planted in worker 0's input queue. The run-control's own per-run
+// reset is runCtl.begin.
 func (st *state) beginRun(src int32) {
-	st.beginRunCommon()
-	st.seedSource(src)
-}
-
-// beginRunCommon is the source-independent half of beginRun: epoch
-// bump, counter/trace resets, and all queues primed empty (the
-// run-control's own per-run reset is runCtl.begin). A
-// sharded run calls it on every shard and seedSource only on the
-// source's owner.
-func (st *state) beginRunCommon() {
 	st.cur++
 	if st.cur == 0 {
 		// uint32 wraparound: a stamp written 2^32 runs ago would alias
@@ -288,17 +251,9 @@ func (st *state) beginRunCommon() {
 		atomic.StoreInt64(&st.out[i].tail, 0)
 		st.blk[i] = st.blk[i][:0]
 	}
-	for i := range st.remoteBlk {
-		st.remoteBlk[i] = st.remoteBlk[i][:0]
-	}
 	if st.hy != nil {
 		st.resetHybrid()
 	}
-}
-
-// seedSource plants src in worker 0's input queue and stamps its
-// per-vertex entries. Must follow beginRunCommon in the same run.
-func (st *state) seedSource(src int32) {
 	st.in[0].buf = append(st.in[0].buf[:0], src+1, emptySlot)
 	st.in[0].origR = 1
 	atomic.StoreInt64(&st.in[0].front, 0)
@@ -313,8 +268,7 @@ func (st *state) seedSource(src int32) {
 	if st.hy != nil {
 		// The classic Beamer budget convention: unexplored
 		// excludes the frontier under decision, starting with the
-		// source. (Under a ShardedEngine this touches the owner shard's
-		// unused per-state budget; the global one lives on the engine.)
+		// source.
 		st.hy.unexplored -= st.g.OutDegree(src)
 	}
 }
@@ -393,18 +347,10 @@ func (st *state) endLevelOut(id int, block []int32) []int32 {
 // The stamp is published after the payload stores so a racer that
 // observes epoch[w] == cur is ordered after the payload it would
 // otherwise have written itself. This is the general claim, for states
-// that fail lean(): it carries the shard routing and the ParentClaim
-// store. scanNeighborsLean and drainOwnLean inline the same claim
-// (dist, parent, then epoch) for every other state.
+// that fail lean(): it carries the ParentClaim store. scanNeighborsLean
+// and drainOwnLean inline the same claim (dist, parent, then epoch) for
+// every other state.
 func (st *state) discover(id int, u, w int32, out []int32) []int32 {
-	// Owner-compute routing (sharded engines only): a target another
-	// shard owns is forwarded through the exchange instead of claimed
-	// here. Unsharded engines — and 1-shard ShardedEngines, which leave
-	// shardEx nil — pay exactly one pointer load and branch for this.
-	if st.shardEx != nil && (w < st.shardLo || w >= st.shardHi) {
-		st.discoverRemote(id, u, w)
-		return out
-	}
 	if atomic.LoadUint32(&st.epoch[w]) != st.cur {
 		storeRelaxed32(&st.dist[w], st.level+1)
 		if st.claim != nil {
@@ -434,7 +380,7 @@ const prefetchWindow = 8
 
 // scanNeighbors scans u's adjacency slice nb, discovering targets into
 // out. A state that passes lean() takes scanNeighborsLean; the loop
-// here serves chaos hooks, ParentClaim and sharded exchange, calling
+// here serves chaos hooks and ParentClaim, calling
 // discover per edge with a software-prefetched lookahead: before
 // discover runs its epoch check on nb[i], the loop has already touched
 // the epoch line of nb[i+prefetchWindow], turning the dependent
@@ -462,13 +408,13 @@ func (st *state) scanNeighbors(id int, u int32, nb []int32, out []int32) []int32
 	return out
 }
 
-// lean reports whether a state's claims can run inline: no chaos hook,
-// no ParentClaim filter and no shard exchange. drainOwn and
+// lean reports whether a state's claims can run inline: no chaos hook
+// and no ParentClaim filter. drainOwn and
 // scanNeighbors both route on it, so the fused drain and the lean scan
 // always serve the same configurations. Parent tracking passes: the
 // inline claim stores parent[w] itself.
 func (st *state) lean() bool {
-	return st.chaos == nil && st.claim == nil && st.shardEx == nil
+	return st.chaos == nil && st.claim == nil
 }
 
 // scanNeighborsLean is scanNeighbors for states that pass lean().
@@ -708,18 +654,10 @@ func (st *state) aborted() bool { return st.ctl.aborted() }
 // run is already aborted: the bindings' own abort checks make it
 // cheap, and skipping it here would strand peers at the scale-free
 // phase barrier, which expects all p parties.
-// Sharded engines add a trailing exchange flush: whatever the binding
-// left in the worker's private remote blocks is published before the
-// global barrier, the cross-shard analogue of the bindings' own
-// endLevelOut — placed here because it is the one point every family's
-// worker passes in every phase.
 func (st *state) workerLevel(id int, perLevel func(id int)) {
-	defer st.ctl.recoverWorker(st.chaosBase + id)
+	defer st.ctl.recoverWorker(id)
 	st.chaosAt(ChaosStall, id, int64(st.level))
 	perLevel(id)
-	if st.shardEx != nil {
-		st.endLevelRemote(id)
-	}
 }
 
 // segmentSize returns the dispatch segment length for a queue with

@@ -14,7 +14,7 @@ import (
 // newState allocates state and primes it for a search from src, for
 // the protocol-level tests that drive one state without an engine.
 func newState(g *graph.CSR, src int32, opt Options) *state {
-	st := allocState(g, opt, newRunCtl("", opt.Workers, 0), 0)
+	st := allocState(g, opt, newRunCtl("", opt.Workers, 0))
 	st.beginRun(src)
 	return st
 }

@@ -223,8 +223,7 @@ const stealCheckPeriod = 32
 // — never by checking the (possibly thief-modified) rear — so stolen-
 // ahead regions produce at most duplicate work and nothing is skipped.
 // States that pass lean() — parent tracking included — run it as the
-// fused drainOwnLean; the loop here serves chaos hooks, ParentClaim and
-// sharded engines.
+// fused drainOwnLean; the loop here serves chaos hooks and ParentClaim.
 // Locked mode lives in drainOwnLocked, so this function's machine code
 // holds no locked instruction at all (normw_amd64_test.go checks it).
 func (w *wsWorker) drainOwn(d *segDesc) {

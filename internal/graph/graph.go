@@ -34,7 +34,7 @@ type CSR struct {
 
 	// Transpose cache. CSRs are immutable once built, so the reverse
 	// graph is computed at most once and shared by every caller
-	// (reorder passes, shard builds, the bottom-up kernel all want it).
+	// (reorder passes and the bottom-up kernel both want it).
 	// CSR values must not be copied once Transpose has been called; the
 	// repository always passes *CSR.
 	tmu       sync.Mutex
@@ -118,10 +118,10 @@ func (g *CSR) String() string {
 // Transpose returns the reverse graph (every edge u->v becomes v->u).
 // The result is computed on first call — counting and scatter passes
 // run in parallel over contiguous edge chunks — and cached on the
-// receiver, so repeated callers (reorder passes, shard builds, the
-// bottom-up kernel) share one copy. The cached CSR is immutable like
-// any other and its in-neighbor lists are in ascending source order,
-// identical to the serial algorithm's output.
+// receiver, so repeated callers (reorder passes, the bottom-up kernel)
+// share one copy. The cached CSR is immutable like any other and its
+// in-neighbor lists are in ascending source order, identical to the
+// serial algorithm's output.
 func (g *CSR) Transpose() *CSR {
 	g.tmu.Lock()
 	defer g.tmu.Unlock()

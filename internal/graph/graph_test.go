@@ -430,3 +430,60 @@ func TestPropertyTransposeConserves(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func randomCSR(t *testing.T, seed uint64, n int32, m int) *CSR {
+	t.Helper()
+	r := rng.NewXoshiro256(seed)
+	edges := make([]Edge, m)
+	for i := range edges {
+		edges[i] = Edge{Src: r.Int32n(n), Dst: r.Int32n(n)}
+	}
+	return MustFromEdges(n, edges, BuildOptions{})
+}
+
+// Transpose determinism: the parallel counting/scatter passes must
+// produce byte-identical output to the naive serial algorithm (the
+// binary format checksums are order-sensitive, and tests elsewhere
+// assume in-neighbor lists ascend by source).
+func TestTransposeParallelMatchesSerial(t *testing.T) {
+	// Big enough to cross the parallel threshold (1<<17 edges).
+	g := randomCSR(t, 6, 5000, 1<<17+4096)
+	got := g.Transpose()
+
+	n := g.NumVertices()
+	offsets := make([]int64, n+1)
+	for _, w := range g.Edges {
+		offsets[w+1]++
+	}
+	for v := int32(0); v < n; v++ {
+		offsets[v+1] += offsets[v]
+	}
+	edges := make([]int32, len(g.Edges))
+	cursor := make([]int64, n)
+	copy(cursor, offsets[:n])
+	for u := int32(0); u < n; u++ {
+		for _, w := range g.Neighbors(u) {
+			edges[cursor[w]] = u
+			cursor[w]++
+		}
+	}
+
+	for v := int32(0); v <= n; v++ {
+		if got.Offsets[v] != offsets[v] {
+			t.Fatalf("Offsets[%d] = %d, want %d", v, got.Offsets[v], offsets[v])
+		}
+	}
+	for i := range edges {
+		if got.Edges[i] != edges[i] {
+			t.Fatalf("Edges[%d] = %d, want %d", i, got.Edges[i], edges[i])
+		}
+	}
+}
+
+func TestTransposeCached(t *testing.T) {
+	g := randomCSR(t, 7, 64, 256)
+	a := g.Transpose()
+	if b := g.Transpose(); a != b {
+		t.Fatal("Transpose not cached: distinct results")
+	}
+}

@@ -82,17 +82,15 @@ func (a AlgoSpec) Run(g *graph.CSR, src int32, opt core.Options) (*core.Result, 
 // NewRunner builds a reusable engine for the spec over g: the paper's
 // variants and DirectionOptimizing run on pooled engines, the
 // baselines fall back to one-shot dispatch per run (see
-// optibfs.Engine). Options.Reorder and Options.Shards reach the core
-// engines only; the Baseline1/Baseline2 runtimes traverse the graph as
-// given.
+// optibfs.Engine). Options.Reorder reaches the core engines only; the
+// Baseline1/Baseline2 runtimes traverse the graph as given.
 func (a AlgoSpec) NewRunner(g *graph.CSR, opt core.Options) (*optibfs.Engine, error) {
 	return optibfs.NewEngine(g, a.algo, a.options(opt))
 }
 
 // options adapts one sweep-wide option set to the spec: the serial
-// baseline drops the parallel-only Hybrid knob (the same way
-// core.NewBackend ignores Shards for it), so one option set can sweep
-// a whole algorithm table. The public BFS(Serial, Hybrid) still
+// baseline drops the parallel-only Hybrid knob, so one option set can
+// sweep a whole algorithm table. The public BFS(Serial, Hybrid) still
 // refuses the combination.
 func (a AlgoSpec) options(opt core.Options) *core.Options {
 	if a.IsSerial() {

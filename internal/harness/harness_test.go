@@ -99,22 +99,20 @@ func TestAlgoSpecsRunEverywhere(t *testing.T) {
 	}
 }
 
-// TestAlgoSpecsShardedEverySuiteGraph and
+// TestAlgoSpecsEverySuiteGraph and
 // TestAlgoSpecsHybridEverySuiteGraph validate the core engines against
 // the serial oracle on every graph of the paper's Table IV suite (scaled
 // down), without and with the in-core direction-optimizing switch.
-func TestAlgoSpecsShardedEverySuiteGraph(t *testing.T) { checkOracleMatrix(t, false) }
+func TestAlgoSpecsEverySuiteGraph(t *testing.T) { checkOracleMatrix(t, false) }
 
 func TestAlgoSpecsHybridEverySuiteGraph(t *testing.T) { checkOracleMatrix(t, true) }
 
 // checkOracleMatrix runs every suite graph × {BFS_WL, BFS_WSL} across
-// the classic and sharded backends (1, 2, 4 shards), both reorder modes,
-// and both an unbounded run and an s-t goal at a depth-3 vertex, all
-// through NewRunner(...).RunGoal. Cross-shard forwarding and bottom-up
-// levels may duplicate work but must never lose or corrupt a discovery:
-// every distance at a closed level is exact, everything deeper is
-// Unreached, and under Hybrid every level is counted as exactly one
-// direction. Sharded backends reject relabeling, hybrid or not.
+// both reorder modes, and both an unbounded run and an s-t goal at a
+// depth-3 vertex, all through NewRunner(...).RunGoal. Bottom-up levels
+// may duplicate work but must never lose or corrupt a discovery: every
+// distance at a closed level is exact, everything deeper is Unreached,
+// and under Hybrid every level is counted as exactly one direction.
 func checkOracleMatrix(t *testing.T, hybrid bool) {
 	t.Helper()
 	ctx := context.Background()
@@ -139,37 +137,27 @@ func checkOracleMatrix(t *testing.T, hybrid bool) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, shards := range []int{1, 2, 4} {
-				for _, reorder := range []core.ReorderMode{core.ReorderNone, core.ReorderDegree} {
-					cell := fmt.Sprintf("%s/%s shards=%d hybrid=%v reorder=%s", spec.Name, name, shards, hybrid, reorder)
-					r, err := algo.NewRunner(g, core.Options{
-						Workers: 4, Seed: 9, Hybrid: hybrid,
-						Shards: shards, Reorder: reorder,
-					})
-					if shards > 1 && reorder != core.ReorderNone {
-						if err == nil {
-							r.Close()
-							t.Fatalf("%s: sharded run accepted relabeling", cell)
-						}
-						continue
-					}
-					if err != nil {
-						t.Fatalf("%s: %v", cell, err)
-					}
-					for _, goal := range goals {
-						res, err := r.RunGoal(ctx, 0, goal)
-						if err != nil {
-							t.Fatalf("%s goal=%+v: %v", cell, goal, err)
-						}
-						if err := core.AuditError(core.Audit(g, 0, want, goal, res)); err != nil {
-							t.Fatalf("%s goal=%+v: %v", cell, goal, err)
-						}
-						if got := res.Counters.TopDownLevels + res.Counters.BottomUpLevels; hybrid && got != int64(res.Levels) {
-							t.Fatalf("%s goal=%+v: direction levels %d != levels %d", cell, goal, got, res.Levels)
-						}
-					}
-					r.Close()
+			for _, reorder := range []core.ReorderMode{core.ReorderNone, core.ReorderDegree} {
+				cell := fmt.Sprintf("%s/%s hybrid=%v reorder=%s", spec.Name, name, hybrid, reorder)
+				r, err := algo.NewRunner(g, core.Options{
+					Workers: 4, Seed: 9, Hybrid: hybrid, Reorder: reorder,
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", cell, err)
 				}
+				for _, goal := range goals {
+					res, err := r.RunGoal(ctx, 0, goal)
+					if err != nil {
+						t.Fatalf("%s goal=%+v: %v", cell, goal, err)
+					}
+					if err := core.AuditError(core.Audit(g, 0, want, goal, res)); err != nil {
+						t.Fatalf("%s goal=%+v: %v", cell, goal, err)
+					}
+					if got := res.Counters.TopDownLevels + res.Counters.BottomUpLevels; hybrid && got != int64(res.Levels) {
+						t.Fatalf("%s goal=%+v: direction levels %d != levels %d", cell, goal, got, res.Levels)
+					}
+				}
+				r.Close()
 			}
 		}
 	}

@@ -26,9 +26,8 @@ type MapOptions struct {
 // MappedGraph owns a graph whose Offsets/Edges arrays alias a
 // memory-mapped v2 binary file. The mapping stays live until every
 // reference is released; anything that captured the CSR (an engine
-// fleet, a ShardedCSR whose shards alias the edge array) must hold a
-// reference for as long as it might read the arrays — reading after
-// the final Release faults.
+// fleet, say) must hold a reference for as long as it might read the
+// arrays — reading after the final Release faults.
 //
 // The reference count starts at 1 (the load itself). Retain/Release
 // are cheap atomics; Release of the last reference unmaps.

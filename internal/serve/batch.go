@@ -421,10 +421,12 @@ func (b *batcher) dispatch(batch []*fusedReq) {
 		}
 	default:
 		// Engine failure: the fused run cannot be trusted for any lane.
-		// Count it, replace the engine, and walk every surviving lane
-		// through the solo ladder.
+		// Count it, replace the engine unless it merely stalled, and
+		// walk every surviving lane through the solo ladder.
 		b.ffailures(failureKind(err)).Inc()
-		b.rebuildFused(err)
+		if needsRebuild(err) {
+			b.rebuildFused(err)
+		}
 		for _, r := range live {
 			if cerr := r.ctx.Err(); cerr != nil {
 				r.out <- fusedResp{err: cerr}

@@ -235,6 +235,15 @@ func TestFusedEngineFailureRerunsSolo(t *testing.T) {
 			if n := gd.Abandoned(); n != 0 {
 				t.Fatalf("abandoned engines = %d, want 0", n)
 			}
+			// A panic poisons the fused engine, so it is replaced; a
+			// stalled one wound down cooperatively and is kept.
+			wantRebuilds := int64(0)
+			if kind == "panic" {
+				wantRebuilds = 1
+			}
+			if n := reg.Counter("optibfs_serve_engine_rebuilds_total").Value(); n != wantRebuilds {
+				t.Fatalf("engine rebuilds = %d, want %d", n, wantRebuilds)
+			}
 		})
 	}
 }

@@ -14,8 +14,8 @@ import (
 )
 
 // TestQueryGoal runs target, depth-bound, and combined goals through
-// solo Guards — plain and sharded — and checks the truncated answers
-// bit-for-bit against the oracle's closed levels.
+// a solo Guard and checks the truncated answers bit-for-bit against
+// the oracle's closed levels.
 func TestQueryGoal(t *testing.T) {
 	g := testGraph(t)
 	want := graph.ReferenceBFS(g, 0)
@@ -38,36 +38,30 @@ func TestQueryGoal(t *testing.T) {
 		{MaxDepth: ecc + 5},
 		{Target: far + 1, MaxDepth: 1},
 	}
-	for _, shards := range []int{0, 2} {
-		gd, err := New(g, Config{Concurrency: 1, Options: core.Options{Workers: 2, Shards: shards}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, goal := range goals {
-			ans, err := gd.QueryGoal(context.Background(), 0, goal)
-			if err != nil {
-				gd.Close()
-				t.Fatalf("shards=%d goal %+v: %v", shards, goal, err)
-			}
-			if ans.Outcome != "ok" {
-				gd.Close()
-				t.Fatalf("shards=%d goal %+v: outcome %q", shards, goal, ans.Outcome)
-			}
-			checkAnswer(t, g, 0, goal, ans)
-		}
-		// The goal must not leak into the next unbounded query.
-		ans, err := gd.Query(context.Background(), 0)
-		if err != nil {
-			gd.Close()
-			t.Fatal(err)
-		}
-		if ans.Truncated {
-			gd.Close()
-			t.Fatal("unbounded query after goals marked truncated")
-		}
-		checkAnswer(t, g, 0, core.Goal{}, ans)
-		gd.Close()
+	gd, err := New(g, Config{Concurrency: 1, Options: core.Options{Workers: 2}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer gd.Close()
+	for _, goal := range goals {
+		ans, err := gd.QueryGoal(context.Background(), 0, goal)
+		if err != nil {
+			t.Fatalf("goal %+v: %v", goal, err)
+		}
+		if ans.Outcome != "ok" {
+			t.Fatalf("goal %+v: outcome %q", goal, ans.Outcome)
+		}
+		checkAnswer(t, g, 0, goal, ans)
+	}
+	// The goal must not leak into the next unbounded query.
+	ans, err := gd.Query(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ans.Truncated {
+		t.Fatal("unbounded query after goals marked truncated")
+	}
+	checkAnswer(t, g, 0, core.Goal{}, ans)
 }
 
 func TestQueryGoalValidation(t *testing.T) {

@@ -1,6 +1,5 @@
 // Package serve hardens the BFS engines for long-running request
-// serving. A Guard wraps a small fleet of core.Backend instances —
-// plain engines, or sharded engines when Options.Shards asks for them —
+// serving. A Guard wraps a small fleet of pooled core.Engine instances
 // with the failure-containment policy a daemon needs and batch tools
 // don't:
 //
@@ -13,11 +12,13 @@
 //     bound.
 //   - Escalation ladder: a query whose run dies of an engine failure —
 //     a recovered worker panic, a watchdog-detected stall, a poisoned
-//     engine, or a wedge past its grace window — discards the engine,
-//     rebuilds a fresh one, and retries once on the same algorithm;
-//     if that also fails it degrades to the serial oracle, which has
-//     no shared state to corrupt. Callers get a correct answer marked
-//     degraded rather than an error, whenever the deadline allows.
+//     engine, or a wedge past its grace window — retries once on the
+//     same algorithm; if that also fails it degrades to the serial
+//     oracle, which has no shared state to corrupt. A panicked,
+//     poisoned or wedged engine is replaced before the retry; a
+//     stalled one wound down cooperatively and is reused as is.
+//     Callers get a correct answer marked degraded rather than an
+//     error, whenever the deadline allows.
 //   - Observability: every outcome (ok, recovered, degraded, shed,
 //     deadline, canceled, error) and every engine failure kind is
 //     counted in an obs.Registry, with an in-flight gauge and a
@@ -70,9 +71,7 @@ type Config struct {
 	// Options configures the engines. TrackParents is forced on (the
 	// serving API answers parent queries) and StallTimeout defaults to
 	// one second so the watchdog converts wedged workers into typed
-	// stalls the ladder can recover from. Options.Shards > 1 gives each
-	// slot a sharded engine (core.NewBackend decides); the ladder,
-	// wedge handling, and rebuilds are backend-agnostic.
+	// stalls the ladder can recover from.
 	Options core.Options
 	// Concurrency is the engine-fleet size: the maximum number of
 	// queries in flight at once. Default 2.
@@ -123,7 +122,7 @@ func (c Config) withDefaults() Config {
 // Guard's buffered channel; a query owns at most one at a time.
 // eng is nil after a failed rebuild; the next owner retries the build.
 type slot struct {
-	eng core.Backend
+	eng *core.Engine
 }
 
 // Answer is one query's result, deep-copied out of the engine's pooled
@@ -218,7 +217,7 @@ func New(g *graph.CSR, cfg Config) (*Guard, error) {
 	gd.latency = reg.Histogram("optibfs_serve_latency_seconds",
 		[]float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10})
 	for i := 0; i < cfg.Concurrency; i++ {
-		eng, err := core.NewBackend(g, cfg.Algo, cfg.Options)
+		eng, err := core.NewEngine(g, cfg.Algo, cfg.Options)
 		if err != nil {
 			gd.drainAndClose(i)
 			return nil, fmt.Errorf("serve: building engine %d: %w", i, err)
@@ -307,7 +306,8 @@ func (gd *Guard) checkGoal(goal core.Goal) error {
 }
 
 // ladder runs the escalation policy on an already-acquired slot:
-// primary, rebuild + retry once, then the serial oracle. Shared by
+// primary, retry once (on a rebuilt engine when needsRebuild), then
+// the serial oracle. Shared by
 // Query, the fused bypass and the batcher's solo re-runs; counts
 // request outcomes.
 func (gd *Guard) ladder(ctx context.Context, s *slot, src int32, goal core.Goal) (*Answer, error) {
@@ -340,7 +340,9 @@ func (gd *Guard) ladder(ctx context.Context, s *slot, src int32, goal core.Goal)
 			return ans, rerr
 		}
 		gd.failures(failureKind(rerr)).Inc()
-		gd.rebuild(s)
+		if needsRebuild(rerr) {
+			gd.rebuild(s)
+		}
 		if ctx.Err() != nil {
 			gd.requests(outcomeForCtx(ctx.Err())).Inc()
 			return nil, ctx.Err()
@@ -488,7 +490,7 @@ func (gd *Guard) rebuild(s *slot) error {
 		s.eng.Close()
 		s.eng = nil
 	}
-	eng, err := core.NewBackend(gd.g, gd.cfg.Algo, gd.cfg.Options)
+	eng, err := core.NewEngine(gd.g, gd.cfg.Algo, gd.cfg.Options)
 	if err != nil {
 		return err
 	}
@@ -532,6 +534,16 @@ func isEngineFailure(err error) bool {
 	var se *core.StallError
 	return errors.As(err, &wp) || errors.As(err, &se) ||
 		errors.Is(err, core.ErrPoisoned) || errors.Is(err, errWedged)
+}
+
+// needsRebuild reports whether an engine failure leaves the engine
+// unfit to run again: a worker panic poisons it and a wedged run
+// abandons it. A stall aborts cooperatively — the workers wind down
+// through their normal barriers (core's recover.go) — so a stalled
+// engine is structurally sound and the retry reuses it.
+func needsRebuild(err error) bool {
+	var wp *core.WorkerPanicError
+	return errors.As(err, &wp) || errors.Is(err, core.ErrPoisoned) || errors.Is(err, errWedged)
 }
 
 // failureKind labels an engine failure for the failures_total metric.

@@ -198,6 +198,10 @@ func TestStallDegrades(t *testing.T) {
 	if n := reg.Counter("optibfs_serve_failures_total", obs.L("kind", "stall")).Value(); n < 1 {
 		t.Fatalf("stall failures counted = %d, want >= 1", n)
 	}
+	// A stalled engine is structurally sound: the retry reuses it.
+	if n := reg.Counter("optibfs_serve_engine_rebuilds_total").Value(); n != 0 {
+		t.Fatalf("engine rebuilds = %d, want 0", n)
+	}
 }
 
 // TestShedWhenBusy: with one engine held busy and no queue wait, a

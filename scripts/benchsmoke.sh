@@ -6,11 +6,10 @@
 # Each row names a benchmark prefix, its allocs/op ceiling and the
 # minimum number of result lines it must produce:
 #
-# - BenchmarkEngineSteadyState, BenchmarkShardedSteadyState and the
-#   s-t rows of BenchmarkGoalSteadyState get a small headroom (8):
-#   racy duplicate counts vary run to run, so pooled-queue (and, when
-#   sharded, exchange-queue) high-water marks settle stochastically and
-#   a sample can still land on a late growth event. The s-t rows
+# - BenchmarkEngineSteadyState and the s-t rows of
+#   BenchmarkGoalSteadyState get a small headroom (8): racy duplicate
+#   counts vary run to run, so pooled-queue high-water marks settle
+#   stochastically and a sample can still land on a late growth event. The s-t rows
 #   include st-parents, the serving configuration (parent tracking and
 #   the stall watchdog, whose per-run goroutine launch costs 1 alloc);
 #   their min-results of 4 fails the gate if those rows disappear.
@@ -33,13 +32,12 @@ out="${1:-bench-smoke.txt}"
 gates=(
   '^BenchmarkEngineSteadyState'           8           4
   '^BenchmarkDrainLocality'               0           6
-  '^BenchmarkShardedSteadyState'          8           6
   '^BenchmarkHybridSteadyState'           0           2
   '^BenchmarkGoalSteadyState/.*depth'     0           2
   '^BenchmarkGoalSteadyState/.*/st'       8           4
 )
 
-go test -run '^$' -bench 'BenchmarkEngineSteadyState|BenchmarkEngineRunMany|BenchmarkDrainLocality|BenchmarkShardedSteadyState|BenchmarkHybridSteadyState|BenchmarkGoalSteadyState' \
+go test -run '^$' -bench 'BenchmarkEngineSteadyState|BenchmarkEngineRunMany|BenchmarkDrainLocality|BenchmarkHybridSteadyState|BenchmarkGoalSteadyState' \
   -benchtime 3x -benchmem . | tee "$out"
 
 fail=0
