@@ -27,14 +27,16 @@ const (
 	// Delaying here lets the victim or another thief race past the
 	// midpoint, producing a stale steal. Value is the midpoint.
 	ChaosStealPublish ChaosPoint = iota
-	// ChaosSlotZero fires in drainOwn and exploreSegmentLockfree
-	// between reading a queue slot and zeroing it. Delaying here lets
+	// ChaosSlotZero fires in drainOwnLean (the lockfree work-stealing
+	// drain) and exploreSegmentLockfree between reading a queue slot
+	// and zeroing it. Delaying here lets
 	// a thief or an overlapping segment pop the same slot, producing
 	// a duplicate exploration. Value is the slot index.
 	ChaosSlotZero
-	// ChaosDrainAdvance fires in lockfree drainOwn between zeroing a
-	// slot and publishing the advanced front, the window in which the
-	// worker's descriptor understates its progress. Value is the
+	// ChaosDrainAdvance fires in drainOwnLean between zeroing a slot
+	// and publishing the advanced front, the window in which the
+	// worker's descriptor understates its progress; it fires before
+	// every publication, the drain's final one included. Value is the
 	// front about to be published.
 	ChaosDrainAdvance
 	// ChaosFrontStore fires in the decentralized fetch between

@@ -2,27 +2,27 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"optibfs/internal/gen"
 	"optibfs/internal/graph"
 )
 
-// TestFusedDrainMultiWorker checks the fused lockfree drain
-// (drainOwnLean) and the lean scan (scanNeighborsLean) against the
+// TestFusedDrainMultiWorker checks the one lockfree work-stealing drain
+// (drainOwnLean) and the adjacency claim (scanNeighbors) against the
 // serial oracle at several worker counts, with and without parent
-// tracking. Only states that pass lean() reach those loops — a chaos
-// hook or ParentClaim routes them to the general loop — so
-// the chaos soak never covers them and this table is their oracle
-// check; with TrackParents the audit also validates every parent the
-// inline claims stored. The RMAT graph has hubs above the scale-free
-// threshold, so BFS_WSL defers vertices and runs phase 2; the path and
-// the grid give long chains of small frontiers, where drains and
-// steals are short. BFS_CL and BFS_DL reach scanNeighborsLean through
-// exploreVertex; their rows track parents. -short (the race run) keeps
-// two worker counts. SegmentSize is not a dimension: it sizes only the
-// centralized dispatch.
+// tracking and the ParentClaim filter. Every lockfree run takes these
+// loops, chaos soak runs included; this table is their deterministic
+// oracle check, and with TrackParents the audit also validates every
+// parent the inline claims stored. The RMAT graph has hubs above the
+// scale-free threshold, so BFS_WSL defers vertices and runs phase 2;
+// the path and the grid give long chains of small frontiers, where
+// drains and steals are short. BFS_CL and BFS_DL reach scanNeighbors
+// through exploreVertex. The hooked rows install a counting no-op hook
+// and check that the drain fired both of its chaos points. -short (the
+// race run) keeps two worker counts. SegmentSize is not a dimension: it
+// sizes only the centralized dispatch.
 func TestFusedDrainMultiWorker(t *testing.T) {
 	must := func(g *graph.CSR, err error) *graph.CSR {
 		if err != nil {
@@ -30,26 +30,38 @@ func TestFusedDrainMultiWorker(t *testing.T) {
 		}
 		return g
 	}
+	scale, pathLen, side := 12, int32(1500), int32(48)
+	workers := []int{2, 3, 4, 8}
+	if testing.Short() {
+		// CI repeats the -short table under the race detector, where
+		// per-level barriers dominate: smaller graphs of the same
+		// shapes keep that repeat cheap.
+		scale, pathLen, side = 11, 300, 24
+		workers = []int{2, 4}
+	}
 	graphs := []struct {
 		name string
 		g    *graph.CSR
 	}{
-		{"rmat", must(gen.Graph500RMAT(1<<12, 16<<12, 5, gen.Options{}))},
-		{"path", must(gen.Path(1500))},
-		{"grid", must(gen.Grid2D(48, 48, false))},
-	}
-	workers := []int{2, 3, 4, 8}
-	if testing.Short() {
-		workers = []int{2, 4}
+		{"rmat", must(gen.Graph500RMAT(1<<scale, 16<<scale, 5, gen.Options{}))},
+		{"path", must(gen.Path(pathLen))},
+		{"grid", must(gen.Grid2D(side, side, false))},
 	}
 	rows := []struct {
 		algo    Algorithm
 		parents []bool
+		claim   bool // ParentClaim
+		hooked  bool // a counting no-op chaos hook
 	}{
-		{BFSWL, []bool{false, true}},
-		{BFSWSL, []bool{false, true}},
-		{BFSCL, []bool{true}},
-		{BFSDL, []bool{true}},
+		{BFSWL, []bool{false, true}, false, false},
+		{BFSWSL, []bool{false, true}, false, false},
+		{BFSCL, []bool{true}, false, false},
+		{BFSDL, []bool{true}, false, false},
+		{BFSWL, []bool{false, true}, true, false},
+		{BFSWSL, []bool{false, true}, true, false},
+		{BFSCL, []bool{false, true}, true, false},
+		{BFSWL, []bool{true}, false, true},
+		{BFSWSL, []bool{true}, false, true},
 	}
 	var steals int64
 	for _, gc := range graphs {
@@ -60,9 +72,23 @@ func TestFusedDrainMultiWorker(t *testing.T) {
 					// PublishBlock 1 flushes every discovery from inside the
 					// fused loop; 0 is the default block.
 					for _, blk := range []int{0, 1} {
-						name := fmt.Sprintf("%s/%s/p%d/blk%d/parents=%t", gc.name, algo, p, blk, parents)
-						opt := Options{Workers: p, PublishBlock: blk, Seed: uint64(p), TrackParents: parents}
+						name := fmt.Sprintf("%s/%s/p%d/blk%d/parents=%t/claim=%t/hooked=%t",
+							gc.name, algo, p, blk, parents, row.claim, row.hooked)
+						opt := Options{Workers: p, PublishBlock: blk, Seed: uint64(p),
+							TrackParents: parents, ParentClaim: row.claim}
+						var hook *countingHook
+						if row.hooked {
+							hook = &countingHook{}
+							opt.Chaos = hook
+						}
 						res := checkRun(t, gc.g, 0, algo, opt)
+						if hook != nil {
+							for _, point := range []ChaosPoint{ChaosSlotZero, ChaosDrainAdvance} {
+								if atomic.LoadInt64(&hook.fired[point]) == 0 {
+									t.Fatalf("%s: chaos point %s never fired in the drain", name, point)
+								}
+							}
+						}
 						if parents && res.Parent == nil {
 							t.Fatalf("%s: TrackParents run returned no parents", name)
 						}
@@ -79,39 +105,5 @@ func TestFusedDrainMultiWorker(t *testing.T) {
 	}
 	if steals == 0 {
 		t.Fatal("no row stole work: the fused drain's steal path went unexercised")
-	}
-}
-
-// TestLeanRoute pins which engine configurations run the inline claim.
-// The options every serving Guard builds (TrackParents, a 1 s stall
-// watchdog) must take the lean path; a chaos hook or ParentClaim must
-// not, because only discover carries them.
-func TestLeanRoute(t *testing.T) {
-	g, err := gen.Graph500RMAT(1<<10, 8<<10, 3, gen.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	guard := Options{Workers: 2, TrackParents: true, StallTimeout: time.Second}
-	for _, tc := range []struct {
-		name string
-		opt  func(Options) Options
-		lean bool
-	}{
-		{"guard", func(o Options) Options { return o }, true},
-		{"guard/1-shard", func(o Options) Options { o.Shards = 1; return o }, true},
-		{"plain", func(Options) Options { return Options{Workers: 2} }, true},
-		{"chaos", func(o Options) Options { o.Chaos = &countingHook{}; return o }, false},
-		{"parent-claim", func(o Options) Options { o.ParentClaim = true; return o }, false},
-	} {
-		for _, algo := range []Algorithm{BFSWL, BFSWSL} {
-			e, err := NewEngine(g, algo, tc.opt(guard))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := e.impl.(*parEngine).st.lean(); got != tc.lean {
-				t.Errorf("%s/%s: lean() = %t, want %t", tc.name, algo, got, tc.lean)
-			}
-			e.Close()
-		}
 	}
 }

@@ -530,7 +530,7 @@ func (e *MSEngine) expand(id int) {
 				storeRelaxedU64(&mk.mask, m|cand)
 				if m == 0 {
 					// Stamp published after the payload store, as in
-					// state.discover: a racer that sees the stamp is
+					// state.scanNeighbors: a racer that sees the stamp is
 					// ordered after a valid mask.
 					storeRelaxedU32(&mk.epoch, cur)
 				}

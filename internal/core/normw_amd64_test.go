@@ -14,17 +14,16 @@ import (
 )
 
 // noRMWFuncs are the lockfree hot paths whose machine code must hold no
-// locked instruction: the claim (discover, scanNeighborsLean), the
-// work-stealing pop and its front publication (drainOwn's general loop
-// and drainOwnLean, the fused drain every plain lockfree work-stealing
-// run takes at any worker count, with its lookahead), the steal, the
-// block publication, and the fused MS-BFS expansion. Heartbeats are
-// inlined into most of them, so beat is covered too. The centralized dispatch (BFS_CL/DL fetch and slot
-// zeroing, BFS_EL's edge cursor) deliberately keeps sync/atomic stores;
-// DESIGN.md explains why.
+// locked instruction: the adjacency claim (scanNeighbors), the
+// work-stealing pop and its front publication (drainOwn and
+// drainOwnLean, the fused drain every lockfree work-stealing run takes,
+// hooked or not, with its lookahead), the steal, the block publication,
+// and the fused MS-BFS expansion. Heartbeats are inlined into most of
+// them, so beat is covered too. The centralized dispatch (BFS_CL/DL
+// fetch and slot zeroing, BFS_EL's edge cursor) deliberately keeps
+// sync/atomic stores; DESIGN.md explains why.
 var noRMWFuncs = []string{
-	"(*state).discover",
-	"(*state).scanNeighborsLean",
+	"(*state).scanNeighbors",
 	"(*state).flushBlock",
 	"(*wsWorker).drainOwn",
 	"(*wsWorker).drainOwnLean",
@@ -72,7 +71,7 @@ func TestNoLockedInstructions(t *testing.T) {
 	for sc.Scan() {
 		line := sc.Text()
 		if rest, ok := strings.CutPrefix(line, "TEXT "); ok {
-			// "TEXT optibfs/internal/core.(*state).discover(SB) file.go"
+			// "TEXT optibfs/internal/core.(*state).scanNeighbors(SB) file.go"
 			name, _, _ := strings.Cut(rest, "(SB)")
 			fn = strings.TrimPrefix(name, pkg+".")
 			seen[fn]++

@@ -55,7 +55,7 @@ type state struct {
 	// epoch[v] == cur. Bumping cur invalidates every vertex in O(1),
 	// replacing the O(n) re-initialization of three arrays; a full
 	// sweep happens only when the uint32 counter wraps (once every
-	// 2^32-1 runs). Within a run, discover publishes the epoch stamp
+	// 2^32-1 runs). Within a run, the claim publishes the epoch stamp
 	// after the payload stores, and finish normalizes stale entries so
 	// Result.Dist/Parent read as plain single-run arrays.
 	epoch []uint32
@@ -337,99 +337,39 @@ func (st *state) endLevelOut(id int, block []int32) []int32 {
 	return block
 }
 
-// discover processes edge u->w for worker id at the current level:
-// if w is undiscovered it is assigned level+1 and appended to the
-// worker's private discovery block, which is published to the shared
-// output queue whenever it reaches PublishBlock entries. The epoch
-// check-then-store is the paper's benign race on dist, carried over to
-// the stamp: two workers may both discover w, all racing stores write
-// the same values, and w appears in (at most) both their output queues.
-// The stamp is published after the payload stores so a racer that
-// observes epoch[w] == cur is ordered after the payload it would
-// otherwise have written itself. This is the general claim, for states
-// that fail lean(): it carries the ParentClaim store. scanNeighborsLean
-// and drainOwnLean inline the same claim (dist, parent, then epoch) for
-// every other state.
-func (st *state) discover(id int, u, w int32, out []int32) []int32 {
-	if atomic.LoadUint32(&st.epoch[w]) != st.cur {
-		storeRelaxed32(&st.dist[w], st.level+1)
-		if st.claim != nil {
-			storeRelaxed32(&st.claim[w], int32(id))
-		}
-		if st.parent != nil {
-			// Arbitrary concurrent write: racing discoverers are all at
-			// the same level, so whichever store survives names a valid
-			// BFS-tree parent.
-			storeRelaxed32(&st.parent[w], u)
-		}
-		storeRelaxedU32(&st.epoch[w], st.cur)
-		st.counters[id].Discovered++
-		out = append(out, w+1)
-		if len(out) >= st.blkSize {
-			out = st.flushBlock(id, out)
-		}
-	}
-	return out
-}
-
 // prefetchWindow is how many adjacency targets ahead scanNeighbors
 // touches the epoch line before the claim-check loop reaches them —
 // deep enough to cover a memory round-trip at BFS edge-scan pace,
 // shallow enough that the warmed lines survive until used.
 const prefetchWindow = 8
 
-// scanNeighbors scans u's adjacency slice nb, discovering targets into
-// out. A state that passes lean() takes scanNeighborsLean; the loop
-// here serves chaos hooks and ParentClaim, calling
-// discover per edge with a software-prefetched lookahead: before
-// discover runs its epoch check on nb[i], the loop has already touched
-// the epoch line of nb[i+prefetchWindow], turning the dependent
-// random-access load into an in-flight one. The touch is an atomic
-// load because the epoch word is concurrently stored by racing
-// discoverers — a plain read would be a data race — and because Go
-// never eliminates an atomic op, so the prefetch cannot be
-// dead-code-eliminated out of the loop.
+// scanNeighbors scans u's adjacency slice nb for worker id, discovering
+// targets into out: the adjacency claim. An undiscovered target w is
+// assigned level+1 and appended to the worker's private discovery
+// block, which is published to the shared output queue whenever it
+// reaches PublishBlock entries. The epoch check-then-store is the
+// paper's benign race on dist, carried over to the stamp: two workers
+// may both discover w, all racing stores write the same values, and w
+// appears in (at most) both their output queues. The claim stores dist,
+// then claim[w] = id under ParentClaim, then parent[w] = u under parent
+// tracking (an arbitrary concurrent write: racing discoverers are all
+// at the same level, so whichever store survives names a valid BFS-tree
+// parent), and publishes the epoch stamp last, so a racer that observes
+// epoch[w] == cur is ordered after the payload it would otherwise have
+// written itself. drainOwnLean inlines the same claim for short rows.
+//
+// Every loop-invariant load is hoisted. On rows longer than
+// 2·prefetchWindow the loop runs a software-prefetched lookahead:
+// before the epoch check on nb[i] it touches the epoch line of
+// nb[i+prefetchWindow], turning the dependent random-access load into
+// an in-flight one. Short rows skip it, where the warm-up touches would
+// nearly double the epoch traffic without covering any memory latency.
+// The touch is an atomic load because the epoch word is concurrently
+// stored by racing discoverers — a plain read would be a data race —
+// and because Go never eliminates an atomic op, so the prefetch cannot
+// be dead-code-eliminated out of the loop.
 func (st *state) scanNeighbors(id int, u int32, nb []int32, out []int32) []int32 {
-	if st.lean() {
-		return st.scanNeighborsLean(id, u, nb, out)
-	}
-	n := len(nb)
-	for i := 0; i < prefetchWindow && i < n; i++ {
-		_ = atomic.LoadUint32(&st.epoch[nb[i]])
-	}
-	i := 0
-	for ; i < n-prefetchWindow; i++ {
-		_ = atomic.LoadUint32(&st.epoch[nb[i+prefetchWindow]])
-		out = st.discover(id, u, nb[i], out)
-	}
-	for ; i < n; i++ {
-		out = st.discover(id, u, nb[i], out)
-	}
-	return out
-}
-
-// lean reports whether a state's claims can run inline: no chaos hook
-// and no ParentClaim filter. drainOwn and
-// scanNeighbors both route on it, so the fused drain and the lean scan
-// always serve the same configurations. Parent tracking passes: the
-// inline claim stores parent[w] itself.
-func (st *state) lean() bool {
-	return st.chaos == nil && st.claim == nil
-}
-
-// scanNeighborsLean is scanNeighbors for states that pass lean().
-// discover's generality costs a function call plus dead branches per
-// scanned edge; at one or two claims per edge that overhead rivals the
-// useful work, and on low-degree high-diameter graphs it dominated
-// whole searches. This copy hoists every loop-invariant load and
-// inlines the claim, and skips the prefetch lookahead entirely on
-// short adjacency rows, where the warm-up touches would nearly double
-// the epoch traffic without covering any memory latency. With parent
-// tracking on, a claim stores parent[w] = u between the dist and epoch
-// stores, as discover does. Claim protocol and counter semantics are
-// identical to discover's.
-func (st *state) scanNeighborsLean(id int, u int32, nb []int32, out []int32) []int32 {
-	epoch, dist, parent := st.epoch, st.dist, st.parent
+	epoch, dist, parent, claim := st.epoch, st.dist, st.parent, st.claim
 	cur, lvl := st.cur, st.level+1
 	c := &st.counters[id]
 	n := len(nb)
@@ -443,6 +383,9 @@ func (st *state) scanNeighborsLean(id int, u int32, nb []int32, out []int32) []i
 			w := nb[i]
 			if atomic.LoadUint32(&epoch[w]) != cur {
 				storeRelaxed32(&dist[w], lvl)
+				if claim != nil {
+					storeRelaxed32(&claim[w], int32(id))
+				}
 				if parent != nil {
 					storeRelaxed32(&parent[w], u)
 				}
@@ -459,6 +402,9 @@ func (st *state) scanNeighborsLean(id int, u int32, nb []int32, out []int32) []i
 		w := nb[i]
 		if atomic.LoadUint32(&epoch[w]) != cur {
 			storeRelaxed32(&dist[w], lvl)
+			if claim != nil {
+				storeRelaxed32(&claim[w], int32(id))
+			}
 			if parent != nil {
 				storeRelaxed32(&parent[w], u)
 			}

@@ -92,7 +92,7 @@ func TestFlushBlockAtCapacity(t *testing.T) {
 	st := newState(g, 0, Options{Workers: 2, PublishBlock: 2}.withDefaults())
 	out := st.blk[0]
 	for _, w := range []int32{3, 5, 7} {
-		out = st.discover(0, 0, w, out)
+		out = st.scanNeighbors(0, 0, []int32{w}, out)
 	}
 	if len(out) != 1 || out[0] != 8 {
 		t.Fatalf("open block after 3 discoveries: %v, want [8]", out)
@@ -123,15 +123,15 @@ func TestFlushBlockAtCapacity(t *testing.T) {
 
 func TestDiscoverIsIdempotentPerVertex(t *testing.T) {
 	st, _ := newTestState(t, 2)
-	out := st.discover(0, 0, 7, nil)
+	out := st.scanNeighbors(0, 0, []int32{7}, nil)
 	if len(out) != 1 || out[0] != 8 {
-		t.Fatalf("discover output %v", out)
+		t.Fatalf("claim output %v", out)
 	}
 	if st.dist[7] != 1 {
 		t.Fatalf("dist[7]=%d", st.dist[7])
 	}
 	// Second discovery of the same vertex is a no-op.
-	out = st.discover(0, 0, 7, out)
+	out = st.scanNeighbors(0, 0, []int32{7}, out)
 	if len(out) != 1 {
 		t.Fatalf("re-discovery appended: %v", out)
 	}
@@ -146,7 +146,7 @@ func TestClaimAllows(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := newState(g, 0, Options{Workers: 2, ParentClaim: true}.withDefaults())
-	st.discover(1, 0, 5, nil) // worker 1 claims vertex 5
+	st.scanNeighbors(1, 0, []int32{5}, nil) // worker 1 claims vertex 5
 	if !st.claimAllows(1, 5) {
 		t.Fatal("claimer denied")
 	}

@@ -147,8 +147,9 @@ type wsWorker struct {
 	flat      []int32 // pooled phase-2 unit buffer (Phase2Stealing only)
 }
 
-// process explores popped vertex v from queue qid, or defers it to
-// phase 2 if it is a scale-free hot spot.
+// process explores vertex v that the locked drain popped from queue
+// qid, or defers it to phase 2 if it is a scale-free hot spot. The
+// lockfree drain inlines the same steps.
 func (w *wsWorker) process(qid int, v int32) {
 	w.c.VerticesPopped++
 	if !w.st.claimAllows(qid, v) {
@@ -222,8 +223,7 @@ const stealCheckPeriod = 32
 // clear it, publish the advanced front, explore; stop only at a 0 slot
 // — never by checking the (possibly thief-modified) rear — so stolen-
 // ahead regions produce at most duplicate work and nothing is skipped.
-// States that pass lean() — parent tracking included — run it as the
-// fused drainOwnLean; the loop here serves chaos hooks and ParentClaim.
+// Every lockfree run, hooked or not, takes the fused drainOwnLean.
 // Locked mode lives in drainOwnLocked, so this function's machine code
 // holds no locked instruction at all (normw_amd64_test.go checks it).
 func (w *wsWorker) drainOwn(d *segDesc) {
@@ -233,52 +233,7 @@ func (w *wsWorker) drainOwn(d *segDesc) {
 		return
 	}
 	qi := atomic.LoadInt64(&d.q)
-	buf := w.st.in[qi].buf
-	j := atomic.LoadInt64(&d.f)
-	if w.st.lean() {
-		storeRelaxed64(&d.f, w.drainOwnLean(d, buf, j))
-		return
-	}
-	popped := 0
-	// The shared front is published once per stealCheckPeriod pops
-	// instead of once per pop (see the constant's comment); published
-	// tracks the last value actually stored to d.f.
-	published := j
-	for {
-		slot := atomic.LoadInt32(&buf[j])
-		if slot == emptySlot {
-			if j != published {
-				w.st.chaosAt(ChaosDrainAdvance, w.id, j)
-				storeRelaxed64(&d.f, j)
-			}
-			return
-		}
-		w.st.chaosAt(ChaosSlotZero, w.id, j)
-		storeRelaxed32(&buf[j], emptySlot)
-		j++
-		if j-published >= stealCheckPeriod {
-			w.st.chaosAt(ChaosDrainAdvance, w.id, j)
-			storeRelaxed64(&d.f, j)
-			published = j
-			w.st.beat(w.id)
-			if w.st.aborted() {
-				// The front was just published, so a cooperative exit
-				// here leaves the descriptor accurate; remaining slots
-				// stay unconsumed, which only an aborted run permits.
-				return
-			}
-		}
-		// Peek the next slot (atomic: a concurrent thief's drain zeroes
-		// slots) and warm its vertex's CSR offsets before the current
-		// vertex's adjacency scan hides the latency.
-		if nxt := atomic.LoadInt32(&buf[j]); nxt != emptySlot {
-			w.st.prefetchVertex(nxt - 1)
-		}
-		w.process(int(qi), slot-1)
-		if popped++; popped%yieldEvery == 0 {
-			w.st.maybeYield()
-		}
-	}
+	w.drainOwnLean(d, qi, w.st.in[qi].buf, atomic.LoadInt64(&d.f))
 }
 
 // drainOwnLocked is drainOwn for the locked variants: the front
@@ -325,19 +280,24 @@ func (w *wsWorker) drainOwnLocked(d *segDesc) {
 	}
 }
 
-// drainOwnLean is drainOwn's fused loop, the lockfree drain at every
-// worker count for states that pass lean() (the caller checks). It
-// keeps the general loop's slot ledger, publication cadence,
-// heartbeats, abort checks and hot-vertex deferral, but inlines the pop → scan → claim chain that the general
-// loop pays three calls for per vertex; long rows still go through
-// scanNeighborsLean's prefetch pipeline. Its inline claim stores the
-// popped vertex as parent between the dist and epoch stores when parent
-// tracking is on, as discover does. Every lookaheadBatch slots it
-// touches the offsets of the batch after next and the row heads of the
-// next batch. Returns the final front, which the caller publishes.
-func (w *wsWorker) drainOwnLean(d *segDesc, buf []int32, j int64) int64 {
+// drainOwnLean is drainOwn's fused loop, the one lockfree work-stealing
+// drain, which drains queue qi's buf from front j. It keeps the
+// protocol's slot ledger, publication cadence, heartbeats, abort checks
+// and hot-vertex deferral, and inlines the pop → scan → claim chain;
+// long rows still go through scanNeighbors' prefetch pipeline. Its
+// inline claim keeps scanNeighbors' store order: dist, the ParentClaim
+// owner, the popped vertex as parent, then epoch. A chaos hook fires
+// ChaosSlotZero before each slot is zeroed and ChaosDrainAdvance before
+// each front publication, the final one included; with ParentClaim a
+// pop whose claim names another queue is counted and dropped before the
+// hot-vertex deferral. The hook and the filter cost one hoisted nil
+// check per pop, the claim store one per discovery. Every
+// lookaheadBatch slots it touches the offsets of the batch after next
+// and the row heads of the next batch.
+func (w *wsWorker) drainOwnLean(d *segDesc, qi int64, buf []int32, j int64) {
 	st := w.st
-	epoch, dist, parent := st.epoch, st.dist, st.parent
+	epoch, dist, parent, claim := st.epoch, st.dist, st.parent, st.claim
+	chaos := st.chaos
 	cur, lvl := st.cur, st.level+1
 	goff, gedges := st.g.Offsets, st.g.Edges
 	threshold := w.threshold
@@ -360,13 +320,22 @@ func (w *wsWorker) drainOwnLean(d *segDesc, buf []int32, j int64) int64 {
 		if slot == emptySlot {
 			break
 		}
+		if chaos != nil {
+			chaos.At(ChaosSlotZero, w.id, j)
+		}
 		storeRelaxed32(&buf[j], emptySlot)
 		j++
 		if j-published >= stealCheckPeriod {
+			if chaos != nil {
+				chaos.At(ChaosDrainAdvance, w.id, j)
+			}
 			storeRelaxed64(&d.f, j)
 			published = j
 			st.beat(w.id)
 			if st.aborted() {
+				// The front was just published, so a cooperative exit
+				// here leaves the descriptor accurate; remaining slots
+				// stay unconsumed, which only an aborted run permits.
 				break
 			}
 		}
@@ -374,17 +343,22 @@ func (w *wsWorker) drainOwnLean(d *segDesc, buf []int32, j int64) int64 {
 		c.VerticesPopped++
 		o0, o1 := goff[v], goff[v+1]
 		switch {
+		case claim != nil && atomic.LoadInt32(&claim[v]) != int32(qi):
+			// ParentClaim: another queue owns v's exploration.
 		case threshold > 0 && o1-o0 >= threshold:
 			w.ctx.hot[w.id] = append(w.ctx.hot[w.id], v)
 			c.HotVertices++
 		case o1-o0 > 2*prefetchWindow:
 			c.EdgesScanned += o1 - o0
-			out = st.scanNeighborsLean(w.id, v, gedges[o0:o1], out)
+			out = st.scanNeighbors(w.id, v, gedges[o0:o1], out)
 		default:
 			c.EdgesScanned += o1 - o0
 			for _, x := range gedges[o0:o1] {
 				if atomic.LoadUint32(&epoch[x]) != cur {
 					storeRelaxed32(&dist[x], lvl)
+					if claim != nil {
+						storeRelaxed32(&claim[x], int32(w.id))
+					}
 					if parent != nil {
 						storeRelaxed32(&parent[x], v)
 					}
@@ -401,8 +375,13 @@ func (w *wsWorker) drainOwnLean(d *segDesc, buf []int32, j int64) int64 {
 			st.maybeYield()
 		}
 	}
+	if j != published {
+		if chaos != nil {
+			chaos.At(ChaosDrainAdvance, w.id, j)
+		}
+		storeRelaxed64(&d.f, j)
+	}
 	w.out = out
-	return j
 }
 
 // lookaheadBatch is drainOwnLean's lookahead batch. A pop's chain slot
