@@ -545,25 +545,30 @@ func (st *state) finish() *Result {
 		Events:        st.events,
 		EventsDropped: st.dropped,
 	}
-	cur := st.cur
-	for v := int32(0); v < st.g.NumVertices(); v++ {
-		if st.epoch[v] != cur {
-			st.dist[v] = graph.Unreached
-			if st.parent != nil {
-				st.parent[v] = -1
+	// Hoisted: the dist/parent stores below would otherwise make every
+	// iteration reload st's fields and the graph's Offsets header.
+	cur, n, offs := st.cur, st.g.NumVertices(), st.g.Offsets
+	epoch, dist, parent, sizes := st.epoch, st.dist, st.parent, res.LevelSizes
+	var reached, edges int64
+	for v := int32(0); v < n; v++ {
+		if epoch[v] != cur {
+			dist[v] = graph.Unreached
+			if parent != nil {
+				parent[v] = -1
 			}
 			continue
 		}
-		res.Reached++
-		res.EdgesTraversed += st.g.OutDegree(v)
+		reached++
+		edges += offs[v+1] - offs[v]
 		// An aborted run can leave discovered vertices beyond the last
 		// completed level; they count toward Reached (their dist is
 		// settled and correct) but fall outside the completed-level
 		// histogram.
-		if d := st.dist[v]; int(d) < len(res.LevelSizes) {
-			res.LevelSizes[d]++
+		if d := dist[v]; int(d) < len(sizes) {
+			sizes[d]++
 		}
 	}
+	res.Reached, res.EdgesTraversed = reached, edges
 	st.finishTimeline(res)
 	return res
 }

@@ -73,3 +73,27 @@ func BenchmarkWriteReadMatrixMarket(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkVerifyV2 times the load's one verification pass over a graph
+// whose sections both split into chunks: "sums" is a verified load,
+// "structure" the SkipVerify half alone.
+func BenchmarkVerifyV2(b *testing.B) {
+	g := splitCSR()
+	n, m := int64(g.NumVertices()), g.NumEdges()
+	h := v2Header{n: n, m: m, sec: v2Layout(n, m)}
+	h.sec[0].sum, _ = scanOffsets(g.Offsets, true)
+	h.sec[1].sum, _ = scanEdges(g.Edges, true)
+	for _, bc := range []struct {
+		name     string
+		withSums bool
+	}{{"sums", true}, {"structure", false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(h.sec[0].length + h.sec[1].length))
+			for i := 0; i < b.N; i++ {
+				if err := verifyV2Sections(g, h, bc.withSums); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -13,7 +13,8 @@ import (
 
 // Binary CSR format, version 2 — designed so a reader can mmap the
 // file and hand the section bytes directly to the engine as the
-// Offsets/Edges arrays (zero copies, load cost O(page faults)):
+// Offsets/Edges arrays (zero copies; the load reads each page once, to
+// verify it):
 //
 //	0x00  magic     [8]byte "OPTIBFS2"
 //	0x08  n         int64   vertices
@@ -62,57 +63,115 @@ func align64(x uint64) uint64 {
 }
 
 // sumChunkMin is the smallest per-goroutine chunk worth forking for in
-// the parallel section checksums.
+// the section verification pass.
 const sumChunkMin = 1 << 18
 
-// sumOffsets checksums an offsets section. XOR-combining makes the sum
-// independent of chunking, so it is computed in parallel.
-func sumOffsets(offs []int64) uint64 {
-	return parallelSum(len(offs), func(lo, hi int) uint64 {
-		var h uint64
-		for i := lo; i < hi; i++ {
-			h ^= rng.Mix64(uint64(offs[i]) + uint64(i)*0x9e37)
-		}
-		return h
-	})
-}
+// Section checksum salts: element i of a section contributes
+// Mix64(value + i*salt) to the section's XOR sum.
+const (
+	offsetsSalt = 0x9e37
+	edgesSalt   = 0x85eb
+)
 
-// sumEdges checksums an edges section, chunk-independent like sumOffsets.
-func sumEdges(edges []int32) uint64 {
-	return parallelSum(len(edges), func(lo, hi int) uint64 {
-		var h uint64
-		for i := lo; i < hi; i++ {
-			h ^= rng.Mix64(uint64(uint32(edges[i])) + uint64(i)*0x85eb)
-		}
-		return h
-	})
-}
-
-// parallelSum XOR-combines f over chunks of [0, n) using up to
-// GOMAXPROCS goroutines for large n.
-func parallelSum(n int, f func(lo, hi int) uint64) uint64 {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		workers = 8
+// scanChunks splits [0, n) into min(GOMAXPROCS, 8) contiguous chunks
+// (one below sumChunkMin), scans each on its own goroutine (the first
+// on the caller's) and returns the per-chunk results in order.
+func scanChunks[T any](n int, scan func(lo, hi int) T) []T {
+	k := min(runtime.GOMAXPROCS(0), 8)
+	if n < sumChunkMin {
+		k = 1
 	}
-	if n < sumChunkMin || workers < 2 {
-		return f(0, n)
-	}
-	parts := make([]uint64, workers)
+	parts := make([]T, k)
 	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
+	for c := 1; c < k; c++ {
 		wg.Add(1)
-		go func(k int) {
+		go func(c int) {
 			defer wg.Done()
-			parts[k] = f(n*k/workers, n*(k+1)/workers)
-		}(k)
+			parts[c] = scan(n*c/k, n*(c+1)/k)
+		}(c)
 	}
+	parts[0] = scan(0, n/k)
 	wg.Wait()
-	var h uint64
-	for _, p := range parts {
-		h ^= p
+	return parts
+}
+
+// offsetsScan is one chunk's share of the offsets pass.
+type offsetsScan struct {
+	sum      uint64
+	monotone bool
+}
+
+// scanOffsets is the one verification pass over an offsets section: it
+// returns the section checksum (0 unless withSum) and whether offs never
+// decreases, including across chunk boundaries.
+func scanOffsets(offs []int64, withSum bool) (sum uint64, monotone bool) {
+	monotone = true
+	for _, p := range scanChunks(len(offs), func(lo, hi int) offsetsScan {
+		return offsetsChunk(offs, lo, hi, withSum)
+	}) {
+		sum ^= p.sum
+		monotone = monotone && p.monotone
 	}
-	return h
+	return sum, monotone
+}
+
+// offsetsChunk scans offs[lo:hi], comparing offs[lo] with offs[lo-1] so
+// the pair that straddles two chunks is checked too.
+func offsetsChunk(offs []int64, lo, hi int, withSum bool) offsetsScan {
+	if lo >= hi {
+		return offsetsScan{monotone: true}
+	}
+	prev := offs[max(lo-1, 0)]
+	var h uint64
+	x := uint64(lo) * offsetsSalt
+	down := false
+	for _, v := range offs[lo:hi] {
+		if withSum {
+			h ^= rng.Mix64(uint64(v) + x)
+			x += offsetsSalt
+		}
+		if v < prev {
+			down = true
+		}
+		prev = v
+	}
+	return offsetsScan{h, !down}
+}
+
+// edgesScan is one chunk's share of the edges pass.
+type edgesScan struct {
+	sum uint64
+	max uint32
+}
+
+// scanEdges is the one verification pass over an edges section: it
+// returns the section checksum (0 unless withSum) and the largest
+// target read as uint32, so a negative target wraps above any valid
+// vertex count.
+func scanEdges(edges []int32, withSum bool) (sum uint64, maxTarget uint32) {
+	for _, p := range scanChunks(len(edges), func(lo, hi int) edgesScan {
+		return edgesChunk(edges, lo, hi, withSum)
+	}) {
+		sum ^= p.sum
+		maxTarget = max(maxTarget, p.max)
+	}
+	return sum, maxTarget
+}
+
+// edgesChunk scans edges[lo:hi].
+func edgesChunk(edges []int32, lo, hi int, withSum bool) edgesScan {
+	var h uint64
+	var m uint32
+	x := uint64(lo) * edgesSalt
+	for _, e := range edges[lo:hi] {
+		u := uint32(e)
+		if withSum {
+			h ^= rng.Mix64(uint64(u) + x)
+			x += edgesSalt
+		}
+		m = max(m, u)
+	}
+	return edgesScan{h, m}
 }
 
 // v2HeaderSum hashes the first 0x50 header bytes as ten uint64 words.
@@ -211,8 +270,8 @@ func WriteBinaryV2(w io.Writer, g *graph.CSR) error {
 		offsets = []int64{0}
 	}
 	h := v2Header{n: n, m: m, sec: v2Layout(n, m)}
-	h.sec[0].sum = sumOffsets(offsets)
-	h.sec[1].sum = sumEdges(g.Edges)
+	h.sec[0].sum, _ = scanOffsets(offsets, true)
+	h.sec[1].sum, _ = scanEdges(g.Edges, true)
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := bw.Write(encodeV2Header(h)); err != nil {
 		return err
@@ -236,7 +295,7 @@ func WriteBinaryV2(w io.Writer, g *graph.CSR) error {
 // readBinaryV2 reads the stream form of a v2 file whose 8 magic bytes
 // have already been consumed. Streaming always verifies section
 // checksums and structural validity — it is the trust-establishing
-// path; only LoadMapped offers the O(page faults) fast load.
+// path; only LoadMapped can skip the checksums.
 func readBinaryV2(br *bufio.Reader) (*graph.CSR, error) {
 	hdr := make([]byte, v2HeaderSize)
 	copy(hdr, binaryMagic2[:])
@@ -247,11 +306,8 @@ func readBinaryV2(br *bufio.Reader) (*graph.CSR, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &graph.CSR{
-		Offsets: make([]int64, h.n+1),
-		Edges:   make([]int32, h.m),
-	}
-	if err := binary.Read(br, binary.LittleEndian, g.Offsets); err != nil {
+	g := &graph.CSR{}
+	if g.Offsets, err = readLE[int64](br, h.n+1); err != nil {
 		return nil, readErr(err, "offsets")
 	}
 	if pad := int(h.sec[1].off - (h.sec[0].off + h.sec[0].length)); pad > 0 {
@@ -259,25 +315,33 @@ func readBinaryV2(br *bufio.Reader) (*graph.CSR, error) {
 			return nil, readErr(err, "section padding")
 		}
 	}
-	if h.m > 0 {
-		if err := binary.Read(br, binary.LittleEndian, g.Edges); err != nil {
-			return nil, readErr(err, "edges")
-		}
+	if g.Edges, err = readLE[int32](br, h.m); err != nil {
+		return nil, readErr(err, "edges")
 	}
-	return g, verifyV2Sections(g, h)
+	return g, verifyV2Sections(g, h, true)
 }
 
-// verifyV2Sections checks both section checksums and the structural
-// CSR invariants of an already-materialized v2 graph.
-func verifyV2Sections(g *graph.CSR, h v2Header) error {
-	if got := sumOffsets(g.Offsets); got != h.sec[0].sum {
-		return malformed("offsets checksum mismatch: file %#x, computed %#x", h.sec[0].sum, got)
+// verifyV2Sections is the one verification pass over a materialized v2
+// graph: each section is scanned once, in parallel chunks, for its
+// checksum (unless withSums is false) and its CSR invariants together —
+// Offsets[0] == 0, offsets non-decreasing, Offsets[n] == m and every
+// target in [0, n). Checksum errors take precedence, offsets first. On
+// a structural mismatch graph.Validate reruns only to name the first
+// violation.
+func verifyV2Sections(g *graph.CSR, h v2Header, withSums bool) error {
+	offSum, monotone := scanOffsets(g.Offsets, withSums)
+	if withSums && offSum != h.sec[0].sum {
+		return malformed("offsets checksum mismatch: file %#x, computed %#x", h.sec[0].sum, offSum)
 	}
-	if got := sumEdges(g.Edges); got != h.sec[1].sum {
-		return malformed("edges checksum mismatch: file %#x, computed %#x", h.sec[1].sum, got)
+	edgeSum, maxTarget := scanEdges(g.Edges, withSums)
+	if withSums && edgeSum != h.sec[1].sum {
+		return malformed("edges checksum mismatch: file %#x, computed %#x", h.sec[1].sum, edgeSum)
 	}
-	if err := g.Validate(); err != nil {
-		return malformed("%v", err)
+	n, m := len(g.Offsets)-1, len(g.Edges)
+	if !monotone || g.Offsets[0] != 0 || g.Offsets[n] != int64(m) || (m > 0 && int64(maxTarget) >= int64(n)) {
+		if err := g.Validate(); err != nil {
+			return malformed("%v", err)
+		}
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package mmio
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -100,6 +101,19 @@ func FuzzReadBinary(f *testing.F) {
 	badSum := append([]byte(nil), valid2...)
 	badSum[v2HeaderSize+16] ^= 0x80 // offsets payload; section checksum catches it
 	f.Add(badSum)
+	// Valid section sums over an invalid CSR: only the structural half
+	// of the verification pass can reject these.
+	for _, mutate := range []func(offs []int64, edges []int32){
+		func(_ []int64, e []int32) { e[5] = int32(n) },
+		func(_ []int64, e []int32) { e[len(e)-1] = -1 },
+		func(o []int64, _ []int32) { o[10] = o[11] + 1 },
+		func(o []int64, _ []int32) { o[0] = 1 },
+		func(o []int64, _ []int32) { o[n] = m - 1 },
+	} {
+		offs, edges := slices.Clone(g.Offsets), slices.Clone(g.Edges)
+		mutate(offs, edges)
+		f.Add(validSumsV2(offs, edges))
+	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		g, err := ReadBinary(bytes.NewReader(in))
 		if err == nil && g.Validate() != nil {

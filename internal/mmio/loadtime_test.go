@@ -10,9 +10,11 @@ import (
 // file named by OPTIBFS_LOADTIME_FILE (skipped otherwise — generating
 // a scale-22 graph is too slow for CI). The acceptance bar: a warm
 // load of a scale-22 RMAT (4.2M vertices, 67M edges, ~300 MB) must
-// map in under a second. The mmap itself is O(1); the time is the
-// trust-establishing section-checksum pass over the mapped payload,
-// which SkipVerify can elide for callers that trust the file.
+// map in under a second. The mmap itself is O(1); the time is the one
+// verification pass over the mapped payload, which reads each section
+// once and computes its checksum and the CSR invariants together.
+// SkipVerify elides the checksums for callers that trust the file but
+// keeps the structural half, so it still reads every page once.
 func TestLoadMappedWarmLatency(t *testing.T) {
 	path := os.Getenv("OPTIBFS_LOADTIME_FILE")
 	if path == "" {
@@ -51,7 +53,7 @@ func TestLoadMappedWarmLatency(t *testing.T) {
 	}
 	warmMean := warm / rounds
 
-	// SkipVerify measures the map-only floor for comparison.
+	// SkipVerify measures the structure-only floor for comparison.
 	start = time.Now()
 	m, err = LoadMapped(path, MapOptions{SkipVerify: true})
 	if err != nil {

@@ -13,13 +13,15 @@ import (
 
 // MapOptions configures LoadMapped.
 type MapOptions struct {
-	// SkipVerify skips the section-checksum and structural-validation
-	// scans, making the load cost O(page faults): only the header and
-	// two boundary words are touched eagerly, and graph pages fault in
-	// as the engine first reads them. Use only for files this process
-	// (or another trusted writer) produced; a corrupt offsets array
-	// read unverified can panic a worker at query time (the serving
-	// layer's panic isolation contains, but does not excuse, that).
+	// SkipVerify skips the section checksums, the hashing half of the
+	// load's one verification pass. The structural half always runs:
+	// offsets start at 0, never decrease and end at m, and every edge
+	// target lies in [0, n), so a corrupt file cannot become an
+	// out-of-bounds read in a kernel. That still reads every graph
+	// page once; what SkipVerify saves is the per-element hashing. Use
+	// it only for files this process (or another trusted writer)
+	// produced: a file with valid structure but wrong contents loads
+	// and answers queries wrongly.
 	SkipVerify bool
 }
 
@@ -123,18 +125,17 @@ func newMapped(data []byte, size int64, opt MapOptions) (*MappedGraph, error) {
 		edgesArr = unsafe.Slice((*int32)(unsafe.Pointer(&data[h.sec[1].off])), h.m)
 	}
 	g := &graph.CSR{Offsets: offsets, Edges: edgesArr}
-	// Boundary spot checks are always on: two page touches that catch
-	// the most common way a stale/foreign file slips past the header.
+	// The boundary words are checked before the full pass: two page
+	// touches that reject a stale or foreign file without reading the
+	// rest of it.
 	if offsets[0] != 0 {
 		return nil, malformed("Offsets[0] = %d, want 0", offsets[0])
 	}
 	if offsets[h.n] != h.m {
 		return nil, malformed("Offsets[n] = %d, want m = %d", offsets[h.n], h.m)
 	}
-	if !opt.SkipVerify {
-		if err := verifyV2Sections(g, h); err != nil {
-			return nil, err
-		}
+	if err := verifyV2Sections(g, h, !opt.SkipVerify); err != nil {
+		return nil, err
 	}
 	mg := &MappedGraph{g: g, data: data}
 	mg.refs.Store(1)

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -64,6 +65,30 @@ func readErr(err error, what string) error {
 		return malformed("truncated input reading %s", what)
 	}
 	return fmt.Errorf("mmio: reading %s: %w: %w", what, err, ErrIO)
+}
+
+// readStep is readLE's first allocation and largest single read, in
+// elements. The result then grows fourfold at a time, so a header that
+// promises more data than its stream holds costs memory in proportion
+// to the stream, not to the promise, which MaxVertices alone leaves at
+// gigabytes.
+const readStep = 1 << 16
+
+// readLE reads n little-endian values from r into a slice that grows
+// (capped at n) as the data arrives.
+func readLE[T int32 | int64](r io.Reader, n int64) ([]T, error) {
+	out := make([]T, 0, min(n, readStep))
+	for int64(len(out)) < n {
+		if len(out) == cap(out) {
+			out = slices.Grow(out, int(min(n, 4*int64(len(out))))-len(out))
+		}
+		k := len(out) + int(min(n-int64(len(out)), int64(cap(out)-len(out)), readStep))
+		if err := binary.Read(r, binary.LittleEndian, out[len(out):k]); err != nil {
+			return nil, err
+		}
+		out = out[:k]
+	}
+	return out, nil
 }
 
 // ReadMatrixMarket parses a MatrixMarket coordinate-format stream into
@@ -339,17 +364,13 @@ func ReadBinary(r io.Reader) (*graph.CSR, error) {
 	if n < 0 || m < 0 || n > MaxVertices || m > 64*MaxVertices {
 		return nil, malformed("implausible header n=%d m=%d", n, m)
 	}
-	g := &graph.CSR{
-		Offsets: make([]int64, n+1),
-		Edges:   make([]int32, m),
-	}
-	if err := binary.Read(br, binary.LittleEndian, g.Offsets); err != nil {
+	g := &graph.CSR{}
+	var err error
+	if g.Offsets, err = readLE[int64](br, n+1); err != nil {
 		return nil, readErr(err, "offsets")
 	}
-	if m > 0 {
-		if err := binary.Read(br, binary.LittleEndian, g.Edges); err != nil {
-			return nil, readErr(err, "edges")
-		}
+	if g.Edges, err = readLE[int32](br, m); err != nil {
+		return nil, readErr(err, "edges")
 	}
 	if got := binChecksum(g); got != check {
 		return nil, malformed("checksum mismatch: file %#x, computed %#x", check, got)

@@ -2,7 +2,10 @@ package mmio
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -106,6 +109,23 @@ func TestMaxVerticesGuards(t *testing.T) {
 	}
 	if _, err := ReadEdgeList(strings.NewReader("999999999999 1\n")); err == nil {
 		t.Fatal("edge list accepted absurd vertex id")
+	}
+	// A short binary stream whose header promises the largest plausible
+	// arrays (2 GiB of offsets, 64 GiB of edges) must fail as truncated,
+	// allocating in proportion to the bytes present: allocating the
+	// promise up front is a fatal out-of-memory, not an error.
+	n, m := MaxVertices, 64*MaxVertices
+	var v1 bytes.Buffer
+	v1.Write(binaryMagic[:])
+	for _, x := range []uint64{uint64(n), uint64(m), 0} {
+		binary.Write(&v1, binary.LittleEndian, x)
+	}
+	v2 := encodeV2Header(v2Header{n: n, m: m, sec: v2Layout(n, m)})
+	for name, hdr := range map[string][]byte{"v1": v1.Bytes(), "v2": v2} {
+		data := append(slices.Clone(hdr), make([]byte, 4096)...)
+		if _, err := ReadBinary(bytes.NewReader(data)); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("%s header promising n=%d m=%d: %v, want ErrMalformed", name, n, m, err)
+		}
 	}
 }
 
