@@ -6,6 +6,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -105,6 +106,57 @@ func TestLoadPathTooLarge(t *testing.T) {
 	// Startup -load takes the same gate.
 	if err := loadFile(d, path); err == nil {
 		t.Fatal("loadFile accepted a file over -max-body")
+	}
+}
+
+// A MatrixMarket header promising 2^30 entries with none behind it
+// must be refused as malformed, by upload and by path alike, without
+// sizing anything from the promise: the daemon answers afterwards.
+func TestLoadMatrixMarketEntryPromise(t *testing.T) {
+	_, ts := testDaemon(t)
+	const body = "%%MatrixMarket matrix coordinate pattern general\n2 2 1073741824\n"
+	postJSON(t, ts.URL+"/load?format=mtx", body, http.StatusBadRequest)
+	path := filepath.Join(t.TempDir(), "promise.mtx")
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	postJSON(t, ts.URL+"/load?path="+url.QueryEscape(path), "", http.StatusBadRequest)
+	getJSON(t, ts.URL+"/healthz", http.StatusOK)
+}
+
+// Generator loads take the -max-body gate too: a request whose CSR,
+// 8·(n+1) + 4·m bytes, exceeds it is refused with 413 before anything
+// is built.
+func TestLoadGeneratorTooLarge(t *testing.T) {
+	d := newDaemon(serve.Config{Concurrency: 1, Options: core.Options{Workers: 2}}, obs.New(), 4096)
+	ts := httptest.NewServer(d.handler())
+	t.Cleanup(func() {
+		ts.Close()
+		d.registry.Close()
+	})
+	postJSON(t, ts.URL+"/load?gen=er&n=1024&m=8192&seed=3", "", http.StatusRequestEntityTooLarge)
+	postJSON(t, ts.URL+"/load?gen=er&n=64&m=256&seed=2", "", http.StatusOK) // 2,568 bytes
+
+	// The -max-body default (1 GiB) against 2^34 edges: m passes
+	// generate's range check, and building it would take 64 GiB.
+	def := newDaemon(serve.Config{Concurrency: 1, Options: core.Options{Workers: 2}}, obs.New(), 1<<30)
+	t.Cleanup(def.registry.Close)
+	h := def.handler()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/load?gen=rmat&n=1024&m=17179869184", nil))
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2^34-edge generator request: status %d, want 413: %s", rec.Code, rec.Body)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<24 {
+		t.Fatalf("refused generator request allocated %d bytes", grew)
+	}
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("healthz after refusal: %d", rec.Code)
 	}
 }
 

@@ -291,9 +291,13 @@ func (d *daemon) handleLoad(w http.ResponseWriter, r *http.Request, name string)
 			return g, mapped, err
 		}
 	} else if kind := r.URL.Query().Get("gen"); kind != "" {
-		g, gdesc, err := generate(kind, r.URL.Query())
+		g, gdesc, err := generate(kind, r.URL.Query(), d.maxBody)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
+			status := http.StatusBadRequest
+			if errors.Is(err, errFileTooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			writeJSON(w, status, map[string]any{"error": err.Error()})
 			return
 		}
 		desc = gdesc
@@ -372,8 +376,10 @@ func (d *daemon) handleLoad(w http.ResponseWriter, r *http.Request, name string)
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// generate builds a graph from generator query parameters.
-func generate(kind string, q map[string][]string) (*graph.CSR, string, error) {
+// generate builds a graph from generator query parameters. A graph
+// whose CSR, 8·(n+1) + 4·m bytes, exceeds maxBody (when positive) is
+// refused before anything is built, the same gate a file load takes.
+func generate(kind string, q map[string][]string, maxBody int64) (*graph.CSR, string, error) {
 	get := func(name string, def int64) (int64, error) {
 		vs := q[name]
 		if len(vs) == 0 || vs[0] == "" {
@@ -400,6 +406,9 @@ func generate(kind string, q map[string][]string) (*graph.CSR, string, error) {
 		// Same edge ceiling the binary reader enforces: a negative or
 		// absurd m must die here, not inside a generator.
 		return nil, "", fmt.Errorf("m=%d out of range [0, %d]", m, 64*mmio.MaxVertices)
+	}
+	if csr := 8*(n+1) + 4*m; maxBody > 0 && csr > maxBody {
+		return nil, "", fmt.Errorf("%w: generated CSR of %d bytes > limit %d", errFileTooLarge, csr, maxBody)
 	}
 	var g *graph.CSR
 	switch kind {
@@ -729,10 +738,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// errFileTooLarge reports a path load whose file exceeds -max-body.
-// File loads used to bypass the body limit entirely; the limit is the
-// operator's memory budget, so it applies to every ingest route.
-var errFileTooLarge = errors.New("bfsd: graph file exceeds -max-body")
+// errFileTooLarge refuses a graph file, or a generated graph's CSR,
+// larger than -max-body: the limit is the operator's memory budget,
+// so it applies to every ingest route.
+var errFileTooLarge = errors.New("bfsd: graph exceeds -max-body")
 
 // openGraphFile loads a server-side graph file by extension, applying
 // the -max-body budget to the file size up front. Binary files go

@@ -134,7 +134,7 @@ func TestPartialAnswerOn504(t *testing.T) {
 	// A dst query's 504 projects dst from the same partial answer: the
 	// farthest vertex from the source is still unsettled at the
 	// deadline, or settled at its exact distance.
-	g, _, err := generate("er", map[string][]string{"n": {"2000"}, "m": {"12000"}, "seed": {"7"}})
+	g, _, err := generate("er", map[string][]string{"n": {"2000"}, "m": {"12000"}, "seed": {"7"}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

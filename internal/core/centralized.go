@@ -107,7 +107,7 @@ func bindDecentralized(st *state) binding {
 	for i := range rngs {
 		rngs[i] = rng.NewXoshiro256(opt.Seed ^ rng.Mix64(uint64(i)+1))
 	}
-	poolRetries := maxSteal(opt.MaxStealFactor, j)
+	poolRetries := maxSteal(j)
 
 	// fetch grabs one segment from pl without locks or atomic RMW:
 	// load the pool's q, walk forward to the first queue whose front is

@@ -5,22 +5,7 @@ import (
 	"testing"
 
 	"optibfs/internal/gen"
-	"optibfs/internal/graph"
 )
-
-func TestRunContextCompletesNormally(t *testing.T) {
-	g, err := gen.ErdosRenyi(1000, 6000, 1, gen.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunContext(context.Background(), g, 0, BFSCL, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := graph.EqualDistances(res.Dist, graph.ReferenceBFS(g, 0)); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestRunContextAlreadyCanceled(t *testing.T) {
 	g, err := gen.Path(5000)

@@ -104,11 +104,6 @@ type Options struct {
 	// 0 selects the paper's adaptive sizing (recomputed per dispatch
 	// from the remaining work and worker count).
 	SegmentSize int
-	// MaxStealFactor is c in the MAX_STEAL = c·p·log2(p) bound on
-	// consecutive failed steal attempts (and c·j·log2(j) pool retries
-	// for BFS_DL). The paper requires a small constant c > 1;
-	// default 2.
-	MaxStealFactor int
 	// Pools is j, the number of centralized queue pools for BFS_DL,
 	// clamped to [1, Workers]. Default 1 (the configuration the paper
 	// benchmarked; footnote 6).
@@ -201,17 +196,6 @@ type Options struct {
 	// the Serial algorithm, which has no per-level parallel machinery
 	// to switch; run a parallel variant with Workers: 1 instead.
 	Hybrid bool
-	// Alpha is the top-down→bottom-up switch aggressiveness: switch
-	// when mf > unexplored/Alpha and the frontier is growing, where mf
-	// is the number of edges incident to the (deduplicated) frontier
-	// and unexplored is the remaining untraversed-edge budget. Larger
-	// values switch earlier. Default 15 (the Beamer paper's tuned
-	// value). Ignored unless Hybrid is set.
-	Alpha int64
-	// Beta is the bottom-up→top-down switch threshold: switch back when
-	// the frontier shrinks below n/Beta vertices. Larger values switch
-	// back later. Default 18. Ignored unless Hybrid is set.
-	Beta int64
 	// StallTimeout arms the per-run stall watchdog of every engine —
 	// plain and fused (MSEngine): if no worker makes dispatch progress
 	// (segment fetches, steal-drain publications, hot-vertex chunks)
@@ -241,9 +225,6 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.MaxStealFactor <= 0 {
-		o.MaxStealFactor = 2
-	}
 	if o.LockBatch <= 0 {
 		o.LockBatch = 16
 	}
@@ -255,12 +236,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Pools > o.Workers {
 		o.Pools = o.Workers
-	}
-	if o.Alpha <= 0 {
-		o.Alpha = 15
-	}
-	if o.Beta <= 0 {
-		o.Beta = 18
 	}
 	if o.Sockets <= 0 {
 		o.Sockets = 1
@@ -339,13 +314,18 @@ func (g Goal) Validate(n int32) error {
 	return nil
 }
 
+// maxStealFactor is c in the MAX_STEAL = c·p·log2(p) bound on
+// consecutive failed steal attempts (and c·j·log2(j) pool retries for
+// BFS_DL). The paper requires a small constant c > 1.
+const maxStealFactor = 2
+
 // maxSteal returns the MAX_STEAL bound c·k·log2(k) for k targets,
 // at least 1.
-func maxSteal(factor, k int) int {
+func maxSteal(k int) int {
 	if k <= 1 {
 		return 1
 	}
-	v := float64(factor) * float64(k) * math.Log2(float64(k))
+	v := maxStealFactor * float64(k) * math.Log2(float64(k))
 	if v < 1 {
 		return 1
 	}

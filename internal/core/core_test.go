@@ -1,164 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"testing"
-	"testing/quick"
 
 	"optibfs/internal/gen"
-	"optibfs/internal/graph"
 )
-
-// testGraphs returns a labeled set of graphs covering the structural
-// extremes the algorithms must survive: deep paths, hub hotspots,
-// dense duplicate storms, scale-free skew, meshes, and random graphs.
-func testGraphs(t testing.TB) map[string]*graph.CSR {
-	t.Helper()
-	must := func(g *graph.CSR, err error) *graph.CSR {
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
-	return map[string]*graph.CSR{
-		"single":    must(graph.FromEdges(1, nil, graph.BuildOptions{})),
-		"two":       must(graph.FromEdges(2, []graph.Edge{{Src: 0, Dst: 1}}, graph.BuildOptions{})),
-		"path":      must(gen.Path(257)),
-		"star":      must(gen.Star(300)),
-		"cycle":     must(gen.Cycle(100)),
-		"tree":      must(gen.BinaryTree(255)),
-		"complete":  must(gen.Complete(40)),
-		"grid":      must(gen.Grid2D(17, 19, false)),
-		"rmat":      must(gen.Graph500RMAT(2048, 16384, 42, gen.Options{})),
-		"chunglu":   must(gen.ChungLu(2048, 16384, 2.2, 7, gen.Options{})),
-		"layered":   must(gen.LayeredRandom(2000, 12000, 23, 9, gen.Options{})),
-		"er":        must(gen.ErdosRenyi(1500, 6000, 3, gen.Options{})),
-		"disjoint":  must(graph.FromEdges(100, []graph.Edge{{Src: 0, Dst: 1}, {Src: 2, Dst: 3}}, graph.BuildOptions{})),
-		"selfloops": must(graph.FromEdges(50, []graph.Edge{{Src: 0, Dst: 0}, {Src: 0, Dst: 1}, {Src: 1, Dst: 1}, {Src: 1, Dst: 2}}, graph.BuildOptions{})),
-	}
-}
-
-var parallelAlgos = []Algorithm{BFSC, BFSCL, BFSDL, BFSW, BFSWL, BFSWS, BFSWSL, BFSEL}
-
-// requireClean fails the test when the audit contract reports any
-// violation; format and args name the run.
-func requireClean(t testing.TB, vs []Violation, format string, args ...any) {
-	t.Helper()
-	if err := AuditError(vs); err != nil {
-		t.Fatalf("%s: %v", fmt.Sprintf(format, args...), err)
-	}
-}
-
-// checkRun executes algo and holds its result to the audit contract.
-func checkRun(t *testing.T, g *graph.CSR, src int32, algo Algorithm, opt Options) *Result {
-	t.Helper()
-	res, err := Run(g, src, algo, opt)
-	if err != nil {
-		t.Fatalf("%s: %v", algo, err)
-	}
-	requireClean(t, Audit(g, src, nil, Goal{}, res), "%s (workers=%d)", algo, opt.Workers)
-	return res
-}
-
-func TestSerialMatchesOracleEverywhere(t *testing.T) {
-	for name, g := range testGraphs(t) {
-		res, err := Run(g, 0, Serial, Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if err := graph.EqualDistances(res.Dist, graph.ReferenceBFS(g, 0)); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if res.Duplicates() != 0 {
-			t.Fatalf("%s: serial BFS reported %d duplicates", name, res.Duplicates())
-		}
-	}
-}
-
-func TestAllAlgorithmsAllGraphs(t *testing.T) {
-	graphs := testGraphs(t)
-	for _, workers := range []int{1, 2, 3, 4, 8} {
-		for _, algo := range parallelAlgos {
-			algo, workers := algo, workers
-			t.Run(fmt.Sprintf("%s/p%d", algo, workers), func(t *testing.T) {
-				t.Parallel()
-				for name, g := range graphs {
-					opt := Options{Workers: workers, Seed: 1}
-					res := checkRun(t, g, 0, algo, opt)
-					if res.Workers != workers {
-						t.Fatalf("%s: Workers=%d, want %d", name, res.Workers, workers)
-					}
-				}
-			})
-		}
-	}
-}
-
-func TestPersistentWorkersMode(t *testing.T) {
-	graphs := testGraphs(t)
-	for _, algo := range parallelAlgos {
-		for name, g := range graphs {
-			res, err := Run(g, 0, algo, Options{Workers: 4, Seed: 2})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", algo, name, err)
-			}
-			if err := graph.EqualDistances(res.Dist, graph.ReferenceBFS(g, 0)); err != nil {
-				t.Fatalf("%s/%s: %v", algo, name, err)
-			}
-		}
-	}
-}
-
-func TestPersistentWorkersDeepGraph(t *testing.T) {
-	// Many levels: every level is one crew phase, so a path graph
-	// cycles the gate thousands of times in one run.
-	g, err := gen.Path(2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, algo := range []Algorithm{BFSCL, BFSWSL, BFSEL} {
-		res, err := Run(g, 0, algo, Options{Workers: 8, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Levels != 2000 {
-			t.Fatalf("%s: levels %d", algo, res.Levels)
-		}
-	}
-}
-
-func TestRepeatedRunsStayCorrect(t *testing.T) {
-	// Races make scheduling different every run; hammer a scale-free
-	// graph (maximum contention) repeatedly per algorithm.
-	g, err := gen.ChungLu(4096, 32768, 2.1, 21, gen.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := graph.ReferenceBFS(g, 0)
-	for _, algo := range parallelAlgos {
-		for rep := 0; rep < 10; rep++ {
-			res, err := Run(g, 0, algo, Options{Workers: 8, Seed: uint64(rep)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := graph.EqualDistances(res.Dist, want); err != nil {
-				t.Fatalf("%s rep %d: %v", algo, rep, err)
-			}
-		}
-	}
-}
-
-func TestDifferentSources(t *testing.T) {
-	g, err := gen.LayeredRandom(1200, 7000, 15, 5, gen.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, src := range []int32{0, 1, 599, 1199} {
-		for _, algo := range parallelAlgos {
-			checkRun(t, g, src, algo, Options{Workers: 4, Seed: 3})
-		}
-	}
-}
 
 func TestRunInputValidation(t *testing.T) {
 	g, _ := gen.Path(10)
@@ -181,8 +27,11 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.Workers <= 0 {
 		t.Fatalf("Workers default %d", o.Workers)
 	}
-	if o.MaxStealFactor != 2 || o.Pools != 1 || o.Sockets != 1 {
+	if o.Pools != 1 || o.Sockets != 1 {
 		t.Fatalf("defaults wrong: %+v", o)
+	}
+	if hybridAlpha != 15 || hybridBeta != 18 {
+		t.Fatalf("hybrid switch constants %d/%d, want Beamer's 15/18", hybridAlpha, hybridBeta)
 	}
 	if o.SameSocketBias != 0 {
 		t.Fatalf("zero-value bias changed to %g; an explicit 0 must stay 0", o.SameSocketBias)
@@ -210,14 +59,17 @@ func TestLockfreePredicate(t *testing.T) {
 }
 
 func TestMaxStealBound(t *testing.T) {
-	if v := maxSteal(4, 1); v != 1 {
-		t.Fatalf("maxSteal(4,1)=%d", v)
+	if maxStealFactor != 2 {
+		t.Fatalf("maxStealFactor=%d, want the paper's 2", maxStealFactor)
 	}
-	if v := maxSteal(4, 2); v != 8 {
-		t.Fatalf("maxSteal(4,2)=%d", v) // 4*2*log2(2)=8
+	if v := maxSteal(1); v != 1 {
+		t.Fatalf("maxSteal(1)=%d", v)
 	}
-	if v := maxSteal(4, 8); v != 96 {
-		t.Fatalf("maxSteal(4,8)=%d", v) // 4*8*3=96
+	if v := maxSteal(2); v != 4 {
+		t.Fatalf("maxSteal(2)=%d", v) // 2*2*log2(2)=4
+	}
+	if v := maxSteal(8); v != 48 {
+		t.Fatalf("maxSteal(8)=%d", v) // 2*8*3=48
 	}
 }
 
@@ -327,28 +179,6 @@ func TestParentClaimReducesDuplicates(t *testing.T) {
 	}
 }
 
-func TestDecentralizedPoolSweep(t *testing.T) {
-	g, err := gen.LayeredRandom(3000, 18000, 12, 8, gen.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pools := range []int{1, 2, 3, 8, 100} {
-		checkRun(t, g, 0, BFSDL, Options{Workers: 8, Pools: pools, Seed: 4})
-	}
-}
-
-func TestSegmentSizeSweep(t *testing.T) {
-	g, err := gen.ErdosRenyi(2000, 10000, 2, gen.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []int{1, 2, 7, 64, 100000} {
-		for _, algo := range []Algorithm{BFSC, BFSCL} {
-			checkRun(t, g, 0, algo, Options{Workers: 4, SegmentSize: s, Seed: 11})
-		}
-	}
-}
-
 func TestSimulatedNUMA(t *testing.T) {
 	g, err := gen.ChungLu(4096, 32768, 2.2, 17, gen.Options{})
 	if err != nil {
@@ -429,63 +259,5 @@ func TestCentralizedFetchCounters(t *testing.T) {
 	if resC.Counters.LockAcquisitions < resC.Counters.Fetches {
 		t.Fatalf("BFS_C: %d lock acquisitions < %d fetches",
 			resC.Counters.LockAcquisitions, resC.Counters.Fetches)
-	}
-}
-
-// Property: any algorithm, any random graph, any source, any worker
-// count in [1,8] produces exactly the oracle distances, with and
-// without the direction-optimizing Hybrid mode.
-func TestPropertyAllAlgorithmsCorrect(t *testing.T) {
-	f := func(seed uint64) bool {
-		n := int32(2 + seed%300)
-		m := int64(seed % 2000)
-		g, err := gen.Graph500RMAT(n, m, seed, gen.Options{})
-		if err != nil {
-			return false
-		}
-		src := int32(seed % uint64(n))
-		want := graph.ReferenceBFS(g, src)
-		workers := 1 + int(seed%8)
-		algo := parallelAlgos[seed%uint64(len(parallelAlgos))]
-		for _, hybrid := range []bool{false, true} {
-			res, err := Run(g, src, algo, Options{Workers: workers, Seed: seed, Hybrid: hybrid})
-			if err != nil || graph.EqualDistances(res.Dist, want) != nil {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestManyWorkersFewVertices(t *testing.T) {
-	// More workers than vertices: most workers have empty queues and
-	// must terminate cleanly.
-	g, err := gen.Path(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, algo := range parallelAlgos {
-		checkRun(t, g, 0, algo, Options{Workers: 16, Seed: 1})
-	}
-}
-
-func TestUnreachedVerticesStayUnreached(t *testing.T) {
-	g, err := graph.FromEdges(10, []graph.Edge{{Src: 0, Dst: 1}, {Src: 5, Dst: 6}}, graph.BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, algo := range parallelAlgos {
-		res := checkRun(t, g, 0, algo, Options{Workers: 4, Seed: 1})
-		if res.Reached != 2 {
-			t.Fatalf("%s: reached %d, want 2", algo, res.Reached)
-		}
-		for v := int32(2); v < 10; v++ {
-			if res.Dist[v] != graph.Unreached {
-				t.Fatalf("%s: vertex %d reached erroneously", algo, v)
-			}
-		}
 	}
 }

@@ -114,7 +114,7 @@ func checkCrew(t *testing.T, algo Algorithm, labels []map[string]string, total i
 // and Close leaves none behind, whether the engine never ran or was
 // poisoned by a worker panic.
 func TestCrewLifecycle(t *testing.T) {
-	g := engineTestGraph(t)
+	g := matrixGraph(t, "chunglu-2048")
 	const workers = 3
 	type engine interface{ Close() }
 	type tc struct {

@@ -10,51 +10,11 @@ import (
 	"optibfs/internal/graph"
 )
 
-func engineTestGraph(t *testing.T) *graph.CSR {
-	t.Helper()
-	g, err := gen.ChungLu(2048, 16384, 2.1, 7, gen.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
-
-// TestEngineReuseMatchesOracle runs every variant repeatedly on one
-// engine, alternating sources, and checks each search against the
-// serial reference — the basic state-reuse contract: a second run must
-// not see any trace of the first.
-func TestEngineReuseMatchesOracle(t *testing.T) {
-	g := engineTestGraph(t)
-	sources := []int32{0, 1, 5, 0, 1023, 5}
-	oracle := map[int32][]int32{}
-	for _, s := range sources {
-		if oracle[s] == nil {
-			oracle[s] = graph.ReferenceBFS(g, s)
-		}
-	}
-	for _, algo := range Algorithms {
-		e, err := NewEngine(g, algo, Options{Workers: 4, Seed: 42})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, s := range sources {
-			res, err := e.Run(s)
-			if err != nil {
-				t.Fatalf("%s run %d: %v", algo, i, err)
-			}
-			if err := graph.EqualDistances(res.Dist, oracle[s]); err != nil {
-				t.Fatalf("%s run %d from %d: %v", algo, i, s, err)
-			}
-		}
-		e.Close()
-	}
-}
-
 // TestOneShotFreshArrays checks that the package-level Run keeps the
 // pre-engine contract: every call returns its own arrays, not a pooled
 // view a later call would overwrite.
 func TestOneShotFreshArrays(t *testing.T) {
-	g := engineTestGraph(t)
+	g := matrixGraph(t, "chunglu-2048")
 	r1, err := Run(g, 0, BFSCL, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +31,7 @@ func TestOneShotFreshArrays(t *testing.T) {
 // TestEngineClosed checks that a closed engine refuses to run and that
 // Close is idempotent.
 func TestEngineClosed(t *testing.T) {
-	g := engineTestGraph(t)
+	g := matrixGraph(t, "chunglu-2048")
 	e, err := NewEngine(g, BFSWSL, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -127,9 +87,7 @@ func TestEngineCancelMidLevelThenReuse(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: run after cancel: %v", algo, err)
 		}
-		if err := graph.EqualDistances(res.Dist, want); err != nil {
-			t.Fatalf("%s: engine not reusable after cancel: %v", algo, err)
-		}
+		requireClean(t, Audit(g, 0, want, Goal{}, res), "%s: engine not reusable after cancel", algo)
 		e.Close()
 	}
 }
@@ -139,7 +97,7 @@ func TestEngineCancelMidLevelThenReuse(t *testing.T) {
 // wrap time, stamps from 2^32 runs ago would alias the new epoch and
 // leave phantom "visited" vertices.
 func TestEngineEpochWraparound(t *testing.T) {
-	g := engineTestGraph(t)
+	g := matrixGraph(t, "chunglu-2048")
 	want := graph.ReferenceBFS(g, 0)
 	// The hybrid's bottom-up kernel reads the same epoch stamps to find
 	// unvisited vertices, so it must see the wrap sweep too.
@@ -166,9 +124,7 @@ func TestEngineEpochWraparound(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := graph.EqualDistances(res.Dist, want); err != nil {
-					t.Fatalf("run %d across wraparound: %v", i, err)
-				}
+				requireClean(t, Audit(g, 0, want, Goal{}, res), "run %d across wraparound", i)
 				if tc.opt.Hybrid && res.Counters.BottomUpLevels == 0 {
 					t.Fatalf("run %d never went bottom-up; the wrap is not exercised by the hybrid kernel", i)
 				}
@@ -193,9 +149,7 @@ func TestEngineEpochWraparound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := graph.EqualDistances(res.Dist, want); err != nil {
-				t.Fatalf("run %d across wraparound: %v", i, err)
-			}
+			requireClean(t, Audit(g, 0, want, Goal{}, res), "run %d across wraparound", i)
 		}
 	})
 }
@@ -205,7 +159,7 @@ func TestEngineEpochWraparound(t *testing.T) {
 // each engine is single-caller. Two engines over one *graph.CSR run
 // concurrently; any write to shared state would trip -race.
 func TestEnginesConcurrentOnSharedGraph(t *testing.T) {
-	g := engineTestGraph(t)
+	g := matrixGraph(t, "chunglu-2048")
 	want := graph.ReferenceBFS(g, 0)
 	iters := 8
 	if testing.Short() {
@@ -250,7 +204,7 @@ func TestEnginesConcurrentOnSharedGraph(t *testing.T) {
 // rotates buffers through swap, so pointer identity is only defined
 // across consecutive beginRun calls.
 func TestBeginRunReusesBuffers(t *testing.T) {
-	g := engineTestGraph(t)
+	g := matrixGraph(t, "chunglu-2048")
 	e, err := NewEngine(g, BFSCL, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +248,7 @@ func TestEngineRunAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting is noisy under -short race runs")
 	}
-	g := engineTestGraph(t)
+	g := matrixGraph(t, "chunglu-2048")
 	for _, algo := range []Algorithm{BFSCL, BFSWL, BFSWSL} {
 		e, err := NewEngine(g, algo, Options{Workers: 4, Seed: 3})
 		if err != nil {
@@ -324,7 +278,7 @@ func TestEngineRunAllocs(t *testing.T) {
 // strong, so compare the full distance output plus determinism of the
 // RNG streams via a pair of runs.
 func TestEngineReseedMatchesFreshEngine(t *testing.T) {
-	g := engineTestGraph(t)
+	g := matrixGraph(t, "chunglu-2048")
 	want := graph.ReferenceBFS(g, 0)
 	e, err := NewEngine(g, BFSDL, Options{Workers: 4, Pools: 3, Seed: 1})
 	if err != nil {
@@ -337,8 +291,6 @@ func TestEngineReseedMatchesFreshEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := graph.EqualDistances(res.Dist, want); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		requireClean(t, Audit(g, 0, want, Goal{}, res), "seed %d", seed)
 	}
 }

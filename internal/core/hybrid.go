@@ -114,8 +114,6 @@ type hybridState struct {
 	// decision, seeded as m − outdeg(src).
 	unexplored int64
 	prevNf     int64
-	alpha      int64
-	beta       int64
 }
 
 // newHybridState builds the hybrid machinery for one state over g,
@@ -124,23 +122,12 @@ type hybridState struct {
 func newHybridState(g *graph.CSR, opt Options) *hybridState {
 	n := g.NumVertices()
 	words := (int(n) + 63) / 64
-	alpha, beta := opt.Alpha, opt.Beta
-	if alpha <= 0 {
-		// States built directly from zero-valued Options (protocol
-		// tests) bypass withDefaults, like allocState's blkSize guard.
-		alpha = 15
-	}
-	if beta <= 0 {
-		beta = 18
-	}
 	hy := &hybridState{
 		tg:        g.Transpose(),
 		curBits:   make([]uint64, words),
 		nextBits:  make([]uint64, words),
 		unvisBits: make([]uint64, words),
 		lanes:     make([]hyLane, opt.Workers),
-		alpha:     alpha,
-		beta:      beta,
 	}
 	hy.lo, hy.hi = hybridRanges(n, opt.Workers)
 	hy.degEq = degreesEqual(g, hy.tg)
@@ -573,6 +560,16 @@ func rangeWord(bm []uint64, w, wlo, whi int, lo, hi int32) uint64 {
 	return word
 }
 
+// The direction switch's tuning constants, Beamer's values: switch
+// top-down → bottom-up when mf > unexplored/hybridAlpha and the
+// frontier is growing (mf counts the edges incident to the
+// deduplicated frontier, unexplored the untraversed-edge budget), and
+// back when the frontier shrinks below n/hybridBeta vertices.
+const (
+	hybridAlpha = 15
+	hybridBeta  = 18
+)
+
 // hybridDecide applies the Beamer heuristics to the frontier just
 // counted. Accounting follows the classic Beamer convention —
 // unexplored excludes the frontier under decision, the alpha test
@@ -657,7 +654,7 @@ func (st *state) hybridAdvance() {
 		goalBound = int64(d - st.level)
 	}
 	bu := hybridDecide(wasBU, nf, mf, hy.unexplored, hy.prevNf,
-		int64(st.g.NumVertices()), hy.alpha, hy.beta,
+		int64(st.g.NumVertices()), hybridAlpha, hybridBeta,
 		goalBound, st.goal.Target != 0)
 	hy.prevNf = nf
 	st.chaosAt(ChaosDirectionFlip, 0, int64(st.level))

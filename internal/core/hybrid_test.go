@@ -7,66 +7,18 @@ import (
 
 	"optibfs/internal/gen"
 	"optibfs/internal/graph"
+	"optibfs/internal/rng"
 )
 
 // checkHybridRun holds a hybrid Result to the audit contract, which
 // relaxes the queue-shaped bounds once a level went bottom-up, and to
-// the per-direction level split.
-func checkHybridRun(t *testing.T, g *graph.CSR, src int32, res *Result) {
+// the per-direction level split. want and goal are Audit's (nil want
+// computes the oracle).
+func checkHybridRun(t testing.TB, g *graph.CSR, src int32, want []int32, goal Goal, res *Result) {
 	t.Helper()
-	requireClean(t, Audit(g, src, nil, Goal{}, res), "hybrid run")
+	requireClean(t, Audit(g, src, want, goal, res), "hybrid run")
 	if got := res.Counters.TopDownLevels + res.Counters.BottomUpLevels; got != int64(res.Levels) {
 		t.Fatalf("TopDownLevels+BottomUpLevels = %d, want Levels = %d", got, res.Levels)
-	}
-}
-
-// TestHybridMatchesOracleEverywhere audits three hybrid runs per family
-// and test graph. The persistent axis is the crew's lifetime:
-// persistent=false runs each search on the one-shot path (a fresh
-// engine, crew spawned and stopped per run), persistent=true reuses
-// one engine, so its crew persists across the runs.
-func TestHybridMatchesOracleEverywhere(t *testing.T) {
-	graphs := testGraphs(t)
-	for _, algo := range parallelAlgos {
-		for _, persistent := range []bool{false, true} {
-			algo, persistent := algo, persistent
-			t.Run(fmt.Sprintf("%s/persistent=%v", algo, persistent), func(t *testing.T) {
-				t.Parallel()
-				opt := Options{Workers: 4, Seed: 7, Hybrid: true, TrackParents: true}
-				for name, g := range graphs {
-					var e *Engine
-					if persistent {
-						var err error
-						if e, err = NewEngine(g, algo, opt); err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-					}
-					for run := 0; run < 3; run++ {
-						var res *Result
-						var err error
-						if e != nil {
-							res, err = e.Run(0)
-						} else {
-							res, err = Run(g, 0, algo, opt)
-						}
-						if err != nil {
-							t.Fatalf("%s run %d: %v", name, run, err)
-						}
-						func() {
-							defer func() {
-								if t.Failed() {
-									t.Logf("graph %s run %d", name, run)
-								}
-							}()
-							checkHybridRun(t, g, 0, res)
-						}()
-					}
-					if e != nil {
-						e.Close()
-					}
-				}
-			})
-		}
 	}
 }
 
@@ -102,22 +54,6 @@ func TestHybridActuallySwitches(t *testing.T) {
 	}
 }
 
-// TestHybridParentClaimFilter runs the §IV-D claim filter through both
-// representation conversions: vertices discovered bottom-up re-enter
-// the queues via the compaction scatter, which must record the claim
-// the pop-side filter checks.
-func TestHybridParentClaimFilter(t *testing.T) {
-	for name, g := range testGraphs(t) {
-		res, err := Run(g, 0, BFSWL, Options{
-			Workers: 4, Hybrid: true, ParentClaim: true, TrackParents: true,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		checkHybridRun(t, g, 0, res)
-	}
-}
-
 // flipController forces a direction change at every level boundary
 // whose (seeded, deterministic) coin lands heads, regardless of what
 // the heuristics chose — driving the representation conversions
@@ -131,12 +67,9 @@ type flipController struct {
 func (f *flipController) At(point ChaosPoint, worker int, value int64) {}
 
 func (f *flipController) DirectionChoice(level int32, bottomUp bool) bool {
-	// SplitMix64 step; deterministic across runs for a given seed.
+	// One SplitMix64 step; deterministic across runs for a given seed.
+	z := rng.Mix64(f.state)
 	f.state += 0x9e3779b97f4a7c15
-	z := f.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
 	if z&1 == 0 {
 		atomic.AddInt64(&f.flips, 1)
 		return !bottomUp
@@ -145,9 +78,9 @@ func (f *flipController) DirectionChoice(level int32, bottomUp bool) bool {
 }
 
 func TestHybridForcedDirectionFlips(t *testing.T) {
-	graphs := testGraphs(t)
 	for _, algo := range []Algorithm{BFSWL, BFSWSL, BFSEL} {
-		for name, g := range graphs {
+		for _, name := range suiteGraphs {
+			g := matrixGraph(t, name)
 			ctl := &flipController{state: 0xf11b}
 			e, err := NewEngine(g, algo, Options{
 				Workers: 4, Seed: 3, Hybrid: true, TrackParents: true,
@@ -162,14 +95,7 @@ func TestHybridForcedDirectionFlips(t *testing.T) {
 					e.Close()
 					t.Fatalf("%s/%s run %d: %v", algo, name, run, err)
 				}
-				func() {
-					defer func() {
-						if t.Failed() {
-							t.Logf("algo %s graph %s run %d", algo, name, run)
-						}
-					}()
-					checkHybridRun(t, g, 0, res)
-				}()
+				checkHybridRun(cellT{t, fmt.Sprintf("%s/%s run %d", algo, name, run)}, g, 0, oracle(g, 0), Goal{}, res)
 			}
 			e.Close()
 			if ctl.flips == 0 {
@@ -189,30 +115,6 @@ func TestHybridSerialRejected(t *testing.T) {
 	}
 	if _, err := Run(g, 0, Serial, Options{Hybrid: true}); err == nil {
 		t.Fatal("Run(Serial, Hybrid) succeeded, want error")
-	}
-}
-
-// TestHybridReorderCompose runs hybrid over both reorder modes: the
-// transpose is taken from the relabeled CSR, so distances must still
-// come back in original ids.
-func TestHybridReorderCompose(t *testing.T) {
-	graphs := testGraphs(t)
-	for _, mode := range []ReorderMode{ReorderDegree, ReorderBFS} {
-		for name, g := range graphs {
-			e, err := NewEngine(g, BFSWSL, Options{
-				Workers: 4, Hybrid: true, Reorder: mode, TrackParents: true,
-			})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", mode, name, err)
-			}
-			res, err := e.Run(0)
-			if err != nil {
-				e.Close()
-				t.Fatalf("%s/%s: %v", mode, name, err)
-			}
-			checkHybridRun(t, g, 0, res)
-			e.Close()
-		}
 	}
 }
 
@@ -365,7 +267,7 @@ func TestHybridSwitchScheduleExactUnderDuplicates(t *testing.T) {
 		t.Fatalf("dedup of %d-fold duplicated layer: nf=%d mf=%d, want %d/%d", len(st.in), nf, mf, b, wantMf)
 	}
 
-	want := oracleSchedule(g, 0, 15, 18)
+	want := oracleSchedule(g, 0, hybridAlpha, hybridBeta)
 	var sawBottomUp bool
 	for _, b := range want {
 		sawBottomUp = sawBottomUp || b
@@ -379,16 +281,13 @@ func TestHybridSwitchScheduleExactUnderDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	oracle := graph.ReferenceBFS(g, 0)
 	for run := 0; run < 20; run++ {
 		rec.dirs = rec.dirs[:0]
 		res, err := e.Run(0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := graph.EqualDistances(res.Dist, oracle); err != nil {
-			t.Fatalf("run %d: %v", run, err)
-		}
+		checkHybridRun(t, g, 0, oracle(g, 0), Goal{}, res)
 		got := rec.dirs
 		if len(got) != len(want) {
 			t.Fatalf("run %d: %d decisions, want %d (%v vs %v)", run, len(got), len(want), got, want)
@@ -439,7 +338,7 @@ func TestHybridKernelCounterParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkHybridRun(t, g, 0, res)
+		checkHybridRun(t, g, 0, nil, Goal{}, res)
 		if got := res.Counters.BottomUpLevels > 0; got != bottomUp {
 			t.Fatalf("bottom-up levels %d, want level 1 bottom-up = %v", res.Counters.BottomUpLevels, bottomUp)
 		}

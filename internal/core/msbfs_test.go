@@ -15,79 +15,18 @@ type msHook func(point ChaosPoint, worker int, value int64)
 func (f msHook) At(point ChaosPoint, worker int, value int64) { f(point, worker, value) }
 
 // checkLane holds one lane of a fused run to the answer tier of the
-// audit contract. Fused lanes always track parents.
-func checkLane(t *testing.T, g *graph.CSR, lr *LaneResult) {
+// audit contract against the oracle distances want (nil computes
+// them). Fused lanes always track parents.
+func checkLane(t testing.TB, g *graph.CSR, want []int32, lr *LaneResult) {
 	t.Helper()
 	if lr.Parent == nil {
 		t.Fatalf("lane src=%d: no parents", lr.Src)
 	}
-	requireClean(t, AuditAnswer(g, lr.Src, nil, Goal{}, lr.AsResult()), "lane src=%d", lr.Src)
-}
-
-// laneSources spreads k sources over g, with deliberate duplicates
-// once k exceeds the vertex count or 8 (two lanes sharing a source is
-// a case the mask merge must handle).
-func laneSources(g *graph.CSR, k int) []int32 {
-	n := g.NumVertices()
-	srcs := make([]int32, k)
-	for i := range srcs {
-		srcs[i] = int32(i*7) % n
-	}
-	if k > 8 {
-		srcs[k-1] = srcs[0] // forced duplicate source
-	}
-	return srcs
-}
-
-func TestMSBFSMatchesOracle(t *testing.T) {
-	for name, g := range testGraphs(t) {
-		for _, workers := range []int{1, 3, 8} {
-			for _, lanes := range []int{1, 8, 64} {
-				e, err := NewMSEngine(g, Options{Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				srcs := laneSources(g, lanes)
-				res, err := e.Run(srcs)
-				if err != nil {
-					t.Fatalf("%s workers=%d lanes=%d: %v", name, workers, lanes, err)
-				}
-				if res.Lanes != lanes {
-					t.Fatalf("%s: Lanes=%d, want %d", name, res.Lanes, lanes)
-				}
-				for i := 0; i < lanes; i++ {
-					checkLane(t, g, res.Lane(i))
-				}
-				e.Close()
-			}
-		}
-	}
-}
-
-// TestMSBFSEngineReuse runs a warm engine across shrinking and growing
-// lane counts: epoch invalidation and the lane-major pooling must keep
-// every run's views exact.
-func TestMSBFSEngineReuse(t *testing.T) {
-	g := testGraphs(t)["rmat"]
-	e, err := NewMSEngine(g, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	for _, lanes := range []int{64, 3, 17, 64, 1} {
-		srcs := laneSources(g, lanes)
-		res, err := e.Run(srcs)
-		if err != nil {
-			t.Fatalf("lanes=%d: %v", lanes, err)
-		}
-		for i := 0; i < lanes; i++ {
-			checkLane(t, g, res.Lane(i))
-		}
-	}
+	requireClean(t, AuditAnswer(g, lr.Src, want, Goal{}, lr.AsResult()), "lane src=%d", lr.Src)
 }
 
 func TestMSBFSSourceValidation(t *testing.T) {
-	g := testGraphs(t)["er"]
+	g := matrixGraph(t, "er")
 	e, err := NewMSEngine(g, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -110,15 +49,15 @@ func TestMSBFSSourceValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkLane(t, g, res.Lane(0))
-	checkLane(t, g, res.Lane(1))
+	checkLane(t, g, nil, res.Lane(0))
+	checkLane(t, g, nil, res.Lane(1))
 }
 
 // TestMSBFSCancelPartial cancels a fused run mid-traversal: the error
 // is ctx's, every settled per-lane distance matches the oracle, and
 // the engine stays reusable.
 func TestMSBFSCancelPartial(t *testing.T) {
-	g := testGraphs(t)["layered"] // deep enough for many levels
+	g := matrixGraph(t, "layered") // deep enough for many levels
 	var levels int32
 	ctx, cancel := context.WithCancel(context.Background())
 	hook := msHook(func(p ChaosPoint, _ int, _ int64) {
@@ -165,7 +104,7 @@ func TestMSBFSCancelPartial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		checkLane(t, g, res.Lane(i))
+		checkLane(t, g, nil, res.Lane(i))
 	}
 }
 
@@ -173,7 +112,7 @@ func TestMSBFSCancelPartial(t *testing.T) {
 // a *WorkerPanicError with partial lanes instead of crashing, and the
 // engine must refuse reuse with ErrPoisoned.
 func TestMSBFSPanicPoisons(t *testing.T) {
-	g := testGraphs(t)["er"]
+	g := matrixGraph(t, "er")
 	var fired int32
 	hook := msHook(func(p ChaosPoint, _ int, _ int64) {
 		if p == ChaosStall && atomic.CompareAndSwapInt32(&fired, 0, 1) {
@@ -203,7 +142,7 @@ func TestMSBFSPanicPoisons(t *testing.T) {
 
 // TestMSBFSClosed: a closed engine refuses runs.
 func TestMSBFSClosed(t *testing.T) {
-	g := testGraphs(t)["two"]
+	g := matrixGraph(t, "two")
 	e, err := NewMSEngine(g, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)

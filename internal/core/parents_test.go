@@ -4,28 +4,7 @@ import (
 	"testing"
 
 	"optibfs/internal/gen"
-	"optibfs/internal/graph"
 )
-
-func TestParentsValidForAllAlgorithms(t *testing.T) {
-	g, err := gen.Graph500RMAT(4096, 32768, 9, gen.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	algos := append([]Algorithm{Serial}, parallelAlgos...)
-	for _, algo := range algos {
-		res, err := Run(g, 0, algo, Options{Workers: 8, Seed: 3, TrackParents: true})
-		if err != nil {
-			t.Fatalf("%s: %v", algo, err)
-		}
-		if res.Parent == nil {
-			t.Fatalf("%s: TrackParents produced no parent array", algo)
-		}
-		if err := graph.ValidateParents(g, 0, res.Dist, res.Parent); err != nil {
-			t.Fatalf("%s: %v", algo, err)
-		}
-	}
-}
 
 func TestParentsNilByDefault(t *testing.T) {
 	g, err := gen.Path(10)
@@ -38,29 +17,6 @@ func TestParentsNilByDefault(t *testing.T) {
 	}
 	if res.Parent != nil {
 		t.Fatal("parents tracked without the option")
-	}
-}
-
-func TestParentsWithScaleFreeAndClaim(t *testing.T) {
-	// All option combinations that touch the discovery path together.
-	g, err := gen.ChungLu(4096, 32768, 2.1, 5, gen.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, algo := range []Algorithm{BFSWSL, BFSCL, BFSEL} {
-		res, err := Run(g, 0, algo, Options{
-			Workers: 8, Seed: 1,
-			TrackParents: true, ParentClaim: true, Phase2Stealing: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := graph.EqualDistances(res.Dist, graph.ReferenceBFS(g, 0)); err != nil {
-			t.Fatalf("%s: %v", algo, err)
-		}
-		if err := graph.ValidateParents(g, 0, res.Dist, res.Parent); err != nil {
-			t.Fatalf("%s: %v", algo, err)
-		}
 	}
 }
 
@@ -83,23 +39,5 @@ func TestLevelSizesProfile(t *testing.T) {
 				t.Fatalf("%s: level %d size %d, want %d", algo, d, res.LevelSizes[d], w)
 			}
 		}
-	}
-}
-
-func TestLevelSizesSumToReached(t *testing.T) {
-	g, err := gen.ErdosRenyi(2000, 12000, 2, gen.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(g, 0, BFSDL, Options{Workers: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum int64
-	for _, s := range res.LevelSizes {
-		sum += s
-	}
-	if sum != res.Reached {
-		t.Fatalf("level sizes sum %d != reached %d", sum, res.Reached)
 	}
 }

@@ -480,9 +480,7 @@ func TestLockBatchOption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := graph.EqualDistances(res.Dist, want); err != nil {
-			t.Fatalf("batch=%d: %v", batch, err)
-		}
+		requireClean(t, Audit(g, 0, want, Goal{}, res), "batch=%d", batch)
 		lockCounts = append(lockCounts, res.Counters.LockAcquisitions)
 	}
 	// Bigger batches must acquire the lock less often.

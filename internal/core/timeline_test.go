@@ -11,7 +11,7 @@ import (
 // every level must be represented, and the frontier/duplicate
 // accounting must reconcile with LevelSizes.
 func TestLevelTimelineConsistency(t *testing.T) {
-	g := engineTestGraph(t)
+	g := matrixGraph(t, "chunglu-2048")
 	for _, algo := range []Algorithm{BFSC, BFSCL, BFSDL, BFSWL, BFSWSL, BFSEL} {
 		e, err := NewEngine(g, algo, Options{
 			Workers: 4, Seed: 9, LevelTimeline: true,
@@ -66,7 +66,7 @@ func TestLevelTimelineConsistency(t *testing.T) {
 // TestLevelTimelineDisabledByDefault pins the zero-option behavior:
 // no timeline unless asked for.
 func TestLevelTimelineDisabledByDefault(t *testing.T) {
-	g := engineTestGraph(t)
+	g := matrixGraph(t, "chunglu-2048")
 	res, err := Run(g, 0, BFSCL, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)

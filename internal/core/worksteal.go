@@ -85,7 +85,7 @@ func bindWorkSteal(locked, scaleFree bool) bindFunc {
 				threshold: threshold,
 			}
 		}
-		maxStealAttempts := maxSteal(opt.MaxStealFactor, p)
+		maxStealAttempts := maxSteal(p)
 
 		setup := func() {
 			for i := range ctx.descs {

@@ -31,6 +31,14 @@ func FuzzReadMatrixMarket(f *testing.F) {
 	// reject them instead of wrapping into a bogus in-range index.
 	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 1\n99999999999999999999 1 1\n")
 	f.Add("%%MatrixMarket matrix coordinate real general\n99999999999999999999 2 1\n1 2 1\n")
+	// An entry count of 4·MaxVertices with no entries behind it: the
+	// parser must not allocate the promise.
+	f.Add("%%MatrixMarket matrix coordinate pattern general\n2 2 1073741824\n")
+	// The size line's vertex count is still trusted up to MaxVertices
+	// (a 2^28-row header costs the 2 GiB of offsets its CSR needs), so
+	// exploration runs under a 2^20 cap to keep each input small.
+	defer func(old int64) { MaxVertices = old }(MaxVertices)
+	MaxVertices = 1 << 20
 	f.Fuzz(func(t *testing.T, in string) {
 		g, err := ReadMatrixMarket(strings.NewReader(in))
 		if err == nil && g.Validate() != nil {

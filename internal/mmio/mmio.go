@@ -158,7 +158,10 @@ func ReadMatrixMarket(r io.Reader) (*graph.CSR, error) {
 		return nil, malformed("implausible entry count %d", entries)
 	}
 
-	edges := make([]graph.Edge, 0, entries)
+	// The header's entry count is only a promise: start at readStep
+	// and let append grow the slice as entries arrive, as readLE does,
+	// so a short body that promises 2^30 entries costs what it holds.
+	edges := make([]graph.Edge, 0, min(entries, readStep))
 	var seen int64
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())

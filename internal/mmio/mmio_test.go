@@ -107,6 +107,12 @@ func TestMaxVerticesGuards(t *testing.T) {
 	if _, err := ReadMatrixMarket(strings.NewReader(manyEntries)); err == nil {
 		t.Fatal("accepted absurd entry count")
 	}
+	// The largest plausible entry count with no entries behind it: the
+	// edge slice must not be sized from the promise (8 GiB).
+	promise := "%%MatrixMarket matrix coordinate pattern general\n2 2 1073741824\n"
+	if _, err := ReadMatrixMarket(strings.NewReader(promise)); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("header promising 2^30 entries: %v, want ErrMalformed", err)
+	}
 	if _, err := ReadEdgeList(strings.NewReader("999999999999 1\n")); err == nil {
 		t.Fatal("edge list accepted absurd vertex id")
 	}
