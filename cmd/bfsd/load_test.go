@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -157,6 +158,48 @@ func TestLoadGeneratorTooLarge(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("healthz after refusal: %d", rec.Code)
+	}
+}
+
+// Text uploads and text path loads take the -max-body gate as a CSR
+// budget: a ~75-byte body whose size line (or one edge-list line) names
+// 2^28 vertices would otherwise build 2 GiB of offsets. Both are
+// refused with 413 before the CSR is built, and the daemon keeps
+// serving.
+func TestLoadTextVertexCountTooLarge(t *testing.T) {
+	d := newDaemon(serve.Config{Concurrency: 1, Options: core.Options{Workers: 2}}, obs.New(), 1<<30)
+	t.Cleanup(d.registry.Close)
+	h := d.handler()
+	for _, c := range []struct{ format, file, body string }{
+		{"mtx", "huge.mtx", "%%MatrixMarket matrix coordinate pattern general\n268435456 268435456 1\n1 1\n"},
+		{"edges", "huge.txt", "268435455 0\n"},
+	} {
+		format, body := c.format, c.body
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/load?format="+format, strings.NewReader(body)))
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s upload naming 2^28 vertices: status %d, want 413: %s", format, rec.Code, rec.Body)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<24 {
+			t.Fatalf("refused %s upload allocated %d bytes", format, grew)
+		}
+		path := filepath.Join(t.TempDir(), c.file)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/load?path="+url.QueryEscape(path), nil))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s path load naming 2^28 vertices: status %d, want 413: %s", format, rec.Code, rec.Body)
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("healthz after refusals: %d", rec.Code)
 	}
 }
 

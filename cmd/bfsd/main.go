@@ -317,9 +317,9 @@ func (d *daemon) handleLoad(w http.ResponseWriter, r *http.Request, name string)
 		var err error
 		switch format {
 		case "edges":
-			g, err = mmio.ReadEdgeList(body)
+			g, err = mmio.ReadEdgeListBudget(body, d.maxBody)
 		case "mtx":
-			g, err = mmio.ReadMatrixMarket(body)
+			g, err = mmio.ReadMatrixMarketBudget(body, d.maxBody)
 		case "bin":
 			g, err = mmio.ReadBinary(body)
 		default:
@@ -330,7 +330,7 @@ func (d *daemon) handleLoad(w http.ResponseWriter, r *http.Request, name string)
 			status := http.StatusInternalServerError
 			var mbe *http.MaxBytesError
 			switch {
-			case errors.As(err, &mbe):
+			case errors.As(err, &mbe), errors.Is(err, mmio.ErrTooLarge):
 				status = http.StatusRequestEntityTooLarge
 			case errors.Is(err, mmio.ErrMalformed):
 				// The bytes are the client's fault; a broken stream
@@ -348,7 +348,7 @@ func (d *daemon) handleLoad(w http.ResponseWriter, r *http.Request, name string)
 	if err := d.registry.Load(r.Context(), name, source); err != nil {
 		status := http.StatusInternalServerError
 		switch {
-		case errors.Is(err, errFileTooLarge):
+		case errors.Is(err, errFileTooLarge), errors.Is(err, mmio.ErrTooLarge):
 			status = http.StatusRequestEntityTooLarge
 		case errors.Is(err, mmio.ErrMalformed):
 			status = http.StatusBadRequest
@@ -747,7 +747,8 @@ var errFileTooLarge = errors.New("bfsd: graph exceeds -max-body")
 // the -max-body budget to the file size up front. Binary files go
 // through mmio.LoadMapped: v2 files map zero-copy (the returned
 // MappedGraph owns the mapping), v1 files fall back to a heap read.
-// Text formats stream from the opened file. Errors keep the mmio
+// Text formats stream from the opened file, with -max-body also as the
+// budget of the CSR they build (mmio.ErrTooLarge). Errors keep the mmio
 // taxonomy: ErrMalformed is the file's fault, everything else is I/O.
 func openGraphFile(path string, maxBody int64) (*graph.CSR, *mmio.MappedGraph, string, error) {
 	fi, err := os.Stat(path)
@@ -771,9 +772,9 @@ func openGraphFile(path string, maxBody int64) (*graph.CSR, *mmio.MappedGraph, s
 	defer f.Close()
 	var g *graph.CSR
 	if strings.HasSuffix(path, ".mtx") {
-		g, err = mmio.ReadMatrixMarket(f)
+		g, err = mmio.ReadMatrixMarketBudget(f, maxBody)
 	} else {
-		g, err = mmio.ReadEdgeList(f)
+		g, err = mmio.ReadEdgeListBudget(f, maxBody)
 	}
 	if err != nil {
 		return nil, nil, "", err

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -41,10 +42,9 @@ func main() {
 		artifacts   = flag.String("artifacts", "soak-artifacts", "directory for JSON repro artifacts (empty = don't write)")
 		replay      = flag.String("replay", "", "re-execute one repro artifact instead of sweeping")
 		list        = flag.Bool("list", false, "list perturbation profiles and exit")
-		engines     = flag.Bool("engines", false, "reuse one engine per (graph, algorithm) so the audit covers state-reuse bugs")
 		verbose     = flag.Bool("v", false, "log every run, not just failures")
 		metricsAddr = flag.String("metrics-addr", "", "serve live /metrics, /debug/vars, /debug/pprof on this address while sweeping (empty = off)")
-		hybrid      = flag.Bool("hybrid", false, "pin direction-optimizing mode on for every run (default: each run draws it 1-in-4; serial cells always drop it)")
+		hybrid      = flag.Bool("hybrid", false, "pin direction-optimizing mode on for every run (default: each run draws it 1-in-4; serial and fused cells always drop it)")
 		registry    = flag.Bool("registry", false, "run the serve.Registry lifecycle soak (load/evict/query/swap/close interleavings) instead of the engine sweep")
 		regRounds   = flag.Int("registry-rounds", 12, "registry soak rounds (every third round closes mid-flight)")
 		regWorkers  = flag.Int("registry-workers", 8, "registry soak concurrent clients per round")
@@ -77,7 +77,7 @@ func main() {
 	}
 	// os.Exit skips defers: drain the metrics listener explicitly on
 	// every exit path so the final scrape isn't dropped mid-response.
-	code, err := run(os.Stdout, *duration, *seeds, *workers, *seed, *profiles, *algos, *artifacts, *replay, *list, *engines, *verbose, *hybrid, reg)
+	code, err := run(os.Stdout, *duration, *seeds, *workers, *seed, *profiles, *algos, *artifacts, *replay, *list, *verbose, *hybrid, reg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bfssoak:", err)
 		code = 2
@@ -131,7 +131,7 @@ func runRegistry(w io.Writer, rounds, workers, ops, graphs int, seed uint64, pro
 
 // run executes the selected mode and returns the process exit code.
 func run(w io.Writer, duration time.Duration, seeds, workers int, seed uint64,
-	profiles, algos, artifacts, replay string, list, engines, verbose, hybrid bool, reg *obs.Registry) (int, error) {
+	profiles, algos, artifacts, replay string, list, verbose, hybrid bool, reg *obs.Registry) (int, error) {
 	if list {
 		for _, p := range chaos.Profiles() {
 			fmt.Fprintf(w, "%-12s yields=%d spin=%d prob=%v\n", p.Name, p.Yields, p.Spin, p.Prob)
@@ -143,12 +143,11 @@ func run(w io.Writer, duration time.Duration, seeds, workers int, seed uint64,
 		if err != nil {
 			return 0, err
 		}
-		vs, res, err := chaos.Replay(r)
+		vs, _, err := chaos.Replay(r)
 		if err != nil {
 			return 0, err
 		}
-		fmt.Fprintf(w, "replayed %s on %s profile=%s: reached=%d pops=%d dup=%d\n",
-			r.Algorithm, r.Graph, r.Profile.Name, res.Reached, res.Pops, res.Duplicates())
+		fmt.Fprintf(w, "replayed %s on %s profile=%s: %d violations\n", r.Algorithm, r.Graph, r.Profile.Name, len(vs))
 		if len(vs) == 0 {
 			fmt.Fprintln(w, "no violations this replay (racy repros may need several attempts)")
 			return 0, nil
@@ -165,7 +164,6 @@ func run(w io.Writer, duration time.Duration, seeds, workers int, seed uint64,
 		Hybrid:      hybrid,
 		BaseSeed:    seed,
 		Duration:    duration,
-		Engines:     engines,
 		ArtifactDir: artifacts,
 		Log:         w,
 		Verbose:     verbose,
@@ -210,15 +208,11 @@ func selectAlgos(spec string) ([]core.Algorithm, error) {
 	if spec == "" || spec == "all" {
 		return nil, nil // SoakConfig default
 	}
-	known := map[string]core.Algorithm{}
-	for _, a := range core.Algorithms {
-		known[string(a)] = a
-	}
 	var out []core.Algorithm
 	for _, name := range strings.Split(spec, ",") {
-		a, ok := known[strings.TrimSpace(name)]
-		if !ok {
-			return nil, fmt.Errorf("unknown algorithm %q (want one of %v)", name, core.Algorithms)
+		a := core.Algorithm(strings.TrimSpace(name))
+		if !slices.Contains(chaos.SoakAlgorithms, a) {
+			return nil, fmt.Errorf("unknown algorithm %q (want one of %v)", name, chaos.SoakAlgorithms)
 		}
 		out = append(out, a)
 	}

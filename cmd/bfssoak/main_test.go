@@ -13,7 +13,7 @@ import (
 
 func TestListProfiles(t *testing.T) {
 	var buf bytes.Buffer
-	code, err := run(&buf, 0, 0, 0, 0, "all", "all", "", "", true, false, false, false, nil)
+	code, err := run(&buf, 0, 0, 0, 0, "all", "all", "", "", true, false, false, nil)
 	if err != nil || code != 0 {
 		t.Fatalf("run = %d, %v", code, err)
 	}
@@ -25,13 +25,13 @@ func TestListProfiles(t *testing.T) {
 }
 
 func TestSelectorErrors(t *testing.T) {
-	if _, err := run(os.Stdout, 0, 1, 4, 0, "no-such-profile", "all", "", "", false, false, false, false, nil); err == nil {
+	if _, err := run(os.Stdout, 0, 1, 4, 0, "no-such-profile", "all", "", "", false, false, false, nil); err == nil {
 		t.Fatal("unknown profile accepted")
 	}
-	if _, err := run(os.Stdout, 0, 1, 4, 0, "all", "BFS_NOPE", "", "", false, false, false, false, nil); err == nil {
+	if _, err := run(os.Stdout, 0, 1, 4, 0, "all", "BFS_NOPE", "", "", false, false, false, nil); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
-	if _, err := run(os.Stdout, 0, 1, 4, 0, "all", "all", "", "no-such-artifact.json", false, false, false, false, nil); err == nil {
+	if _, err := run(os.Stdout, 0, 1, 4, 0, "all", "all", "", "no-such-artifact.json", false, false, false, nil); err == nil {
 		t.Fatal("missing replay artifact accepted")
 	}
 }
@@ -41,8 +41,8 @@ func TestSelectors(t *testing.T) {
 	if err != nil || len(ps) != 2 || ps[0].Name != "steal-storm" || ps[1].Name != "mixed" {
 		t.Fatalf("selectProfiles = %v, %v", ps, err)
 	}
-	as, err := selectAlgos("BFS_WL,BFS_WSL")
-	if err != nil || len(as) != 2 || as[0] != core.BFSWL || as[1] != core.BFSWSL {
+	as, err := selectAlgos("BFS_WL,BFS_WSL,MS_BFSL")
+	if err != nil || len(as) != 3 || as[0] != core.BFSWL || as[1] != core.BFSWSL || as[2] != core.MSBFSL {
 		t.Fatalf("selectAlgos = %v, %v", as, err)
 	}
 	if ps, err := selectProfiles("all"); err != nil || ps != nil {
@@ -57,26 +57,15 @@ func TestSmokeSweep(t *testing.T) {
 		t.Skip("sweep smoke skipped in -short")
 	}
 	var buf bytes.Buffer
-	code, err := run(&buf, 0, 1, 4, 0, "steal-storm", "BFS_WL,BFS_WSL", "", "", false, false, false, false, nil)
+	code, err := run(&buf, 0, 1, 4, 0, "steal-storm", "BFS_WL,BFS_WSL,MS_BFSL", "", "", false, false, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if code != 0 {
 		t.Fatalf("exit %d:\n%s", code, buf.String())
 	}
-	if !strings.Contains(buf.String(), "0 failures") {
+	if !strings.Contains(buf.String(), "0 failures") || !strings.Contains(buf.String(), "fused lanes audited") {
 		t.Fatalf("summary missing:\n%s", buf.String())
-	}
-	buf.Reset()
-	code, err = run(&buf, 0, 1, 4, 0, "steal-storm", "BFS_WL,BFS_WSL", "", "", false, true, false, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != 0 {
-		t.Fatalf("engines sweep exit %d:\n%s", code, buf.String())
-	}
-	if !strings.Contains(buf.String(), "shared engines") {
-		t.Fatalf("engines summary missing:\n%s", buf.String())
 	}
 }
 
@@ -100,7 +89,7 @@ func TestReplayRoundTrip(t *testing.T) {
 		t.Fatalf("artifact %q not JSON-named", path)
 	}
 	var buf bytes.Buffer
-	code, err := run(&buf, 0, 1, 4, 0, "all", "all", "", path, false, false, false, false, nil)
+	code, err := run(&buf, 0, 1, 4, 0, "all", "all", "", path, false, false, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,12 +20,15 @@
 //     the run's goal, plus discovery conservation, pop coverage and
 //     level-size accounting. The injector adds the per-level
 //     unconsumed-slot and flush audits from the lockfree runners.
-//   - Soak sweeps variants × graphs × profiles × seeds × goals,
-//     auditing every run; a failure emits a minimal JSON repro
-//     artifact (graph params, seeds, options, profile) that Replay
-//     re-executes and re-audits. MSLaneSoak and RegistrySoak hold
-//     fused lanes and registry answers to the contract's answer tier,
-//     core.AuditAnswer.
+//   - Soak sweeps variants × graphs × profiles × seeds × goals, the
+//     fused multi-source engine (core.MSBFSL) among the variants. Each
+//     cell runs one engine twice — its own run, then an unbounded
+//     reuse run — and audits every run: fused lanes by the contract's
+//     answer tier, core.AuditAnswer, and every aborted run's partial
+//     result by core.AuditPartial. A failing cell emits a minimal JSON
+//     repro artifact (graph params, seeds, options, lanes, profile)
+//     that Replay re-executes and re-audits. RegistrySoak holds
+//     registry answers to the answer tier too.
 package chaos
 
 import (
@@ -81,8 +84,9 @@ type Profile struct {
 
 // Disruptive reports whether the profile injects malign faults —
 // panics or forced stalls — that legitimately abort runs. The soak
-// treats such aborts as expected recovery outcomes (counted, engine
-// discarded) rather than harness failures, and arms the watchdog.
+// treats such aborts as expected recovery outcomes (counted, partial
+// result audited, a panicked engine closed without its reuse run)
+// rather than harness failures, and arms the watchdog.
 func (p Profile) Disruptive() bool { return p.PanicProb > 0 || p.StallMillis > 0 }
 
 // prob builds a per-point probability table from (point, prob) pairs.

@@ -109,7 +109,10 @@ func TestAuditGoalContract(t *testing.T) {
 }
 
 // TestAuditAnswerTierCatches plants one corruption per answer field
-// into clean runs: each must yield exactly its named invariant.
+// into clean runs: each must yield exactly its named invariant. Rows
+// whose invariant is a partial-* one judge with core.AuditPartial; their
+// base is the goal-truncated run, which has a partial result's shape —
+// a settled prefix that Reached counts exactly.
 func TestAuditAnswerTierCatches(t *testing.T) {
 	g, err := gen.LayeredRandom(1500, 7500, 30, 9, gen.Options{})
 	if err != nil {
@@ -148,15 +151,26 @@ func TestAuditAnswerTierCatches(t *testing.T) {
 		}},
 		{"reached off by one", "reach-matches-oracle", core.Goal{}, full, func(r *core.Result) { r.Reached++ }},
 		{"edges off by one", "reach-matches-oracle", core.Goal{}, full, func(r *core.Result) { r.EdgesTraversed-- }},
+		{"partial reached overstated", "partial-reach-count", k5, bounded, func(r *core.Result) { r.Reached++ }},
+		{"partial settled distance wrong", "partial-distances-exact", k5, bounded, func(r *core.Result) {
+			r.Dist = append([]int32(nil), r.Dist...)
+			r.Dist[deep]++
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if vs := core.AuditAnswer(g, 0, want, c.goal, c.base); len(vs) != 0 {
+			audit := func(r *core.Result) []core.Violation {
+				if strings.HasPrefix(c.invariant, "partial-") {
+					return core.AuditPartial(g, 0, want, r)
+				}
+				return core.AuditAnswer(g, 0, want, c.goal, r)
+			}
+			if vs := audit(c.base); len(vs) != 0 {
 				t.Fatalf("clean run flagged: %v", vs)
 			}
 			bad := *c.base
 			c.plant(&bad)
-			vs := core.AuditAnswer(g, 0, want, c.goal, &bad)
+			vs := audit(&bad)
 			if len(vs) != 1 || vs[0].Invariant != c.invariant {
 				t.Fatalf("want exactly %s, got %v", c.invariant, vs)
 			}
@@ -168,35 +182,31 @@ func TestAuditAnswerTierCatches(t *testing.T) {
 // goals (targets and shallow depth bounds) genuinely truncate runs:
 // the sweep must come back clean under core.Audit, some
 // cells must actually have terminated early, and the report line must
-// say so. The engine sweep reuses one engine per pair across bounded
-// and unbounded cells — a leaked truncation (stale goal surviving into
-// the next run) would surface as a goal-levels-match violation there.
+// say so. Each cell's second run reuses the engine unbounded — a
+// leaked truncation (stale goal surviving into the next run) would
+// surface as a goal-levels-match violation there. Fused cells draw a
+// goal per lane.
 func TestSoakGoalDimension(t *testing.T) {
-	graphs := []GraphSpec{{Kind: "layered", N: 1500, M: 7500, Layers: 30, Seed: 9}}
-	profiles := []Profile{{Name: "baseline"}, mustProfile(t, "mixed")}
-	for _, engines := range []bool{false, true} {
-		var buf bytes.Buffer
-		rep, err := Soak(SoakConfig{
-			Graphs:     graphs,
-			Profiles:   profiles,
-			Seeds:      3,
-			Workers:    4,
-			Engines:    engines,
-			Log:        &buf,
-			Algorithms: []core.Algorithm{core.Serial, core.BFSWL, core.BFSWSL},
-		})
-		if err != nil {
-			t.Fatalf("engines=%v: %v", engines, err)
-		}
-		if rep.Failures != 0 {
-			t.Fatalf("engines=%v: goal sweep broke invariants:\n%s", engines, buf.String())
-		}
-		if rep.Truncated == 0 {
-			t.Fatalf("engines=%v: no cell terminated early; the goal dimension is dead", engines)
-		}
-		if !strings.Contains(rep.String(), "goal-truncated") {
-			t.Fatalf("engines=%v: report line omits the goal dimension: %s", engines, rep)
-		}
+	var buf bytes.Buffer
+	rep, err := Soak(SoakConfig{
+		Graphs:     []GraphSpec{{Kind: "layered", N: 1500, M: 7500, Layers: 30, Seed: 9}},
+		Profiles:   []Profile{{Name: "baseline"}, mustProfile(t, "mixed")},
+		Seeds:      3,
+		Workers:    4,
+		Log:        &buf,
+		Algorithms: []core.Algorithm{core.Serial, core.BFSWL, core.BFSWSL, core.MSBFSL},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failures != 0 {
+		t.Fatalf("goal sweep broke invariants:\n%s", buf.String())
+	}
+	if rep.Truncated == 0 {
+		t.Fatal("no cell terminated early; the goal dimension is dead")
+	}
+	if !strings.Contains(rep.String(), "goal-truncated") {
+		t.Fatalf("report line omits the goal dimension: %s", rep)
 	}
 }
 
@@ -236,18 +246,5 @@ func TestReplayGoalRun(t *testing.T) {
 	}
 	if !res.Truncated || res.Levels != 4 {
 		t.Fatalf("goal replay: Levels=%d Truncated=%v, want 4/true", res.Levels, res.Truncated)
-	}
-
-	// The engine-run replay path honors the artifact's goal too.
-	got.EngineRun = true
-	vs, res, err = Replay(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vs) != 0 {
-		t.Fatalf("engine goal replay reported violations: %v", vs)
-	}
-	if !res.Truncated || res.Levels != 4 {
-		t.Fatalf("engine goal replay: Levels=%d Truncated=%v, want 4/true", res.Levels, res.Truncated)
 	}
 }

@@ -123,7 +123,7 @@ func TestSoakHybridSerialStillRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Failures != 0 || rep.Runs != 2 {
+	if rep.Failures != 0 || rep.Runs != 4 { // two cells, two runs each
 		t.Fatalf("runs=%d failures=%d:\n%s", rep.Runs, rep.Failures, buf.String())
 	}
 }

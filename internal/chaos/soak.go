@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -140,28 +141,31 @@ func (o RunOptions) Core() core.Options {
 // goal returns the run's termination goal.
 func (o RunOptions) goal() core.Goal { return core.Goal{Target: o.Target, MaxDepth: o.MaxDepth} }
 
-// Repro is the minimal JSON artifact emitted when a soak run breaks an
-// invariant: everything needed to re-execute the exact run — graph
-// parameters, algorithm, options, perturbation profile, and both
-// seeds — plus the violations observed when it was recorded.
+// Repro describes one soak cell, and is the minimal JSON artifact
+// emitted when the cell breaks an invariant: everything needed to
+// re-execute it — graph parameters, algorithm, options, lanes,
+// perturbation profile, and both seeds — plus the violations observed
+// when it was recorded. A cell runs one engine twice (see Soak); the
+// second run's seeds derive from these, so the artifact covers both.
+// Decoding ignores fields it no longer knows ("engine_run", say).
 type Repro struct {
 	// Graph regenerates the input graph.
 	Graph GraphSpec `json:"graph"`
-	// Source is the BFS source vertex.
+	// Source is the BFS source vertex of a solo cell.
 	Source int32 `json:"source"`
+	// Sources are the lane sources of a fused (core.MSBFSL) cell.
+	Sources []int32 `json:"sources,omitempty"`
+	// Goals are the fused lanes' goals, one per source.
+	Goals []core.Goal `json:"goals,omitempty"`
 	// Algorithm is the variant that failed.
 	Algorithm core.Algorithm `json:"algorithm"`
-	// Options is the run configuration.
+	// Options is the run configuration; a solo cell's goal is its
+	// Target and MaxDepth.
 	Options RunOptions `json:"options"`
 	// Profile is the perturbation profile that was active.
 	Profile Profile `json:"profile"`
 	// InjectionSeed seeds the injector's decision streams.
 	InjectionSeed uint64 `json:"injection_seed"`
-	// EngineRun records that the failure was observed on a reused
-	// engine (SoakConfig.Engines); Replay then re-executes the run
-	// several times on one engine so state-reuse bugs (stale epochs,
-	// leaked queue contents) get a chance to reappear.
-	EngineRun bool `json:"engine_run,omitempty"`
 	// Violations are the invariant violations observed at record time.
 	Violations []core.Violation `json:"violations"`
 }
@@ -197,84 +201,179 @@ func LoadRepro(path string) (Repro, error) {
 	return r, nil
 }
 
-// Replay re-executes the run a repro artifact describes — same graph,
-// options, profile, and seeds — and re-audits it, returning the
-// violations observed this time (goroutine interleaving still varies,
-// so a racy violation may take several replays to reappear).
+// Replay re-executes the cell a repro artifact describes — same graph,
+// options, lanes, profile, and seeds, on one engine run twice as in
+// Soak — and re-audits it, returning the violations observed this time
+// and the first run's Result (goroutine interleaving still varies, so a
+// racy violation may take several replays to reappear). The Result's
+// scalar fields are the first run's; its slices alias pooled state the
+// second run reused.
 func Replay(r Repro) ([]core.Violation, *core.Result, error) {
 	g, err := r.Graph.Generate()
 	if err != nil {
 		return nil, nil, err
 	}
+	runs, err := runCell(g, oracles(g), r)
+	if err != nil {
+		return nil, nil, err
+	}
+	var vs []core.Violation
+	for _, cr := range runs {
+		vs = append(vs, cr.vs...)
+	}
+	return vs, runs[0].res, nil
+}
+
+// cellRun is one audited run of a cell.
+type cellRun struct {
+	// res is the run's Result, copied by value so it survives the
+	// cell's next run; a fused run's Result sums its lanes' Reached.
+	res *core.Result
+	// err is the typed recovery abort the run ended in, or nil.
+	err error
+	inj *Injector
+	vs  []core.Violation
+	// audited counts the results judged: 1 for a solo run, the lane
+	// count for a fused one; an aborted run's are partial results.
+	audited int
+}
+
+// runCell executes the cell r describes on one engine lifetime. Run 1
+// takes the cell's goal (or lane goals) and injector. Run 2 reuses the
+// engine, stalled or not, unbounded, with a run seed and an injector
+// seed derived from the cell's by rng.Mix64 (a fused cell draws fresh
+// lanes from its run seed), so state a previous search left behind —
+// a stale epoch stamp, a leaked queue slot — shows as an oracle
+// mismatch. A panic poisons the engine: then there is no run 2. Every
+// finished run is audited against the serial oracle under its goal,
+// every aborted run's partial result by core.AuditPartial. Errors are
+// harness problems only.
+func runCell(g *graph.CSR, ref func(int32) []int32, r Repro) ([]cellRun, error) {
 	opt := r.Options.Core()
 	if opt.Workers <= 0 {
 		opt.Workers = runtime.GOMAXPROCS(0)
 	}
-	// Every replayed run takes the artifact's goal, so it terminates
-	// where the recorded one did; core.Audit judges it under that goal.
-	goal := r.Options.goal()
-	if r.EngineRun {
-		// The failure was observed on a reused engine: replay the run
-		// three times on one engine so second-run-and-later bugs (state
-		// that only a previous search could have corrupted) reproduce.
-		// Typed recovery aborts (injected panics, forced stalls) are not
-		// violations; a panic poisons the engine, so the loop rebuilds
-		// it and keeps replaying, same as the soak does.
+	runSeed := rng.Mix64(opt.Seed)
+	var run func(reuse bool, inj *Injector) cellRun
+	if r.Algorithm == core.MSBFSL {
+		e, err := core.NewMSEngine(g, opt)
+		if err != nil {
+			return nil, fmt.Errorf("chaos: %s on %s: %w", r.Algorithm, r.Graph, err)
+		}
+		defer e.Close()
+		run = func(reuse bool, inj *Injector) cellRun {
+			srcs, goals := r.Sources, r.Goals
+			if reuse {
+				srcs, _ = drawLanes(rng.NewSplitMix64(runSeed), g.NumVertices())
+				goals = nil
+			}
+			if goals == nil {
+				goals = make([]core.Goal, len(srcs)) // every lane unbounded
+			}
+			e.SetChaos(inj)
+			ms, err := e.RunGoals(context.Background(), srcs, goals)
+			cr := cellRun{err: err, inj: inj}
+			if ms == nil {
+				return cr
+			}
+			cr.res, cr.audited = &core.Result{Levels: ms.Levels}, len(srcs)
+			for i := range srcs {
+				lr := ms.Lane(i)
+				cr.res.Reached += lr.Reached
+				cr.res.Truncated = cr.res.Truncated || lr.Truncated
+				var lvs []core.Violation
+				if err != nil {
+					lvs = core.AuditPartial(g, lr.Src, ref(lr.Src), lr.AsResult())
+				} else {
+					lvs = core.AuditAnswer(g, lr.Src, ref(lr.Src), goals[i], lr.AsResult())
+				}
+				for _, v := range lvs {
+					v.Detail = fmt.Sprintf("lane %d src=%d: %s", i, lr.Src, v.Detail)
+					cr.vs = append(cr.vs, v)
+				}
+			}
+			return cr
+		}
+	} else {
 		e, err := core.NewEngine(g, r.Algorithm, opt)
 		if err != nil {
-			return nil, nil, err
+			return nil, fmt.Errorf("chaos: %s on %s: %w", r.Algorithm, r.Graph, err)
 		}
-		defer func() { e.Close() }()
-		var all []core.Violation
-		var res *core.Result
-		for i := 0; i < 3; i++ {
-			inj := NewInjector(r.Profile, r.InjectionSeed, r.Options.Workers)
-			e.SetChaos(inj)
-			e.Reseed(opt.Seed)
-			res, err = e.RunGoal(context.Background(), r.Source, goal)
-			if err != nil {
-				if !recoveryAbort(err) {
-					return nil, nil, err
-				}
-				e.Close()
-				e, err = core.NewEngine(g, r.Algorithm, opt)
-				if err != nil {
-					return nil, nil, err
-				}
-				continue
+		defer e.Close()
+		run = func(reuse bool, inj *Injector) cellRun {
+			goal := r.Options.goal()
+			if reuse {
+				e.Reseed(runSeed)
+				goal = core.Goal{}
 			}
-			vs := core.Audit(g, r.Source, nil, goal, res)
-			vs = append(vs, levelViolations(inj)...)
-			all = append(all, vs...)
+			e.SetChaos(inj)
+			res, err := e.RunGoal(context.Background(), r.Source, goal)
+			cr := cellRun{err: err, inj: inj}
+			if res == nil {
+				return cr
+			}
+			copied := *res
+			cr.res, cr.audited = &copied, 1
+			if err != nil {
+				cr.vs = core.AuditPartial(g, r.Source, ref(r.Source), res)
+			} else {
+				cr.vs = core.Audit(g, r.Source, ref(r.Source), goal, res)
+			}
+			return cr
 		}
-		return all, res, nil
 	}
-	inj := NewInjector(r.Profile, r.InjectionSeed, r.Options.Workers)
-	opt.Chaos = inj
-	b, err := core.NewEngine(g, r.Algorithm, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := b.RunGoal(context.Background(), r.Source, goal)
-	b.Close()
-	if err != nil {
-		if recoveryAbort(err) {
-			return nil, res, nil
+	var runs []cellRun
+	for i, seed := range []uint64{r.InjectionSeed, rng.Mix64(r.InjectionSeed)} {
+		cr := run(i == 1, NewInjector(r.Profile, seed, opt.Workers))
+		if cr.err != nil && !recoveryAbort(cr.err) {
+			return nil, fmt.Errorf("chaos: %s on %s: %w", r.Algorithm, r.Graph, cr.err)
 		}
-		return nil, nil, err
+		switch {
+		case cr.err == nil:
+			cr.vs = append(cr.vs, levelViolations(cr.inj)...)
+		case cr.res == nil:
+			cr.vs = append(cr.vs, core.Violation{Invariant: "partial-result-returned",
+				Detail: fmt.Sprintf("abort lost the partial result: %v", cr.err)})
+		}
+		runs = append(runs, cr)
+		if isPanic(cr.err) {
+			break
+		}
 	}
-	vs := core.Audit(g, r.Source, nil, goal, res)
-	vs = append(vs, levelViolations(inj)...)
-	return vs, res, nil
+	return runs, nil
+}
+
+// oracles returns graph.ReferenceBFS of g per source, cached: a fused
+// cell audits up to 64 lanes per run, and sources repeat across cells.
+// The cache is emptied at 512 entries, which bounds a long soak's memory.
+func oracles(g *graph.CSR) func(src int32) []int32 {
+	cache := map[int32][]int32{}
+	return func(src int32) []int32 {
+		d, ok := cache[src]
+		if !ok {
+			if len(cache) >= 512 {
+				clear(cache)
+			}
+			d = graph.ReferenceBFS(g, src)
+			cache[src] = d
+		}
+		return d
+	}
 }
 
 // recoveryAbort reports whether err is one of the typed recovery
 // aborts a Disruptive profile legitimately provokes — a recovered
 // worker panic or a detected stall — as opposed to a harness failure.
 func recoveryAbort(err error) bool {
-	var wp *core.WorkerPanicError
 	var se *core.StallError
-	return errors.As(err, &wp) || errors.As(err, &se)
+	return isPanic(err) || errors.As(err, &se)
+}
+
+// isPanic reports whether err is a recovered worker panic, which
+// poisons the engine.
+func isPanic(err error) bool {
+	var wp *core.WorkerPanicError
+	return errors.As(err, &wp)
 }
 
 // levelViolations converts the injector's per-level audit findings:
@@ -295,7 +394,7 @@ func levelViolations(in *Injector) []core.Violation {
 // SoakConfig configures a differential soak sweep. Zero fields select
 // the documented defaults.
 type SoakConfig struct {
-	// Algorithms to sweep. Default: every core.Algorithm.
+	// Algorithms to sweep. Default: SoakAlgorithms.
 	Algorithms []core.Algorithm
 	// Graphs to sweep. Default: DefaultGraphs.
 	Graphs []GraphSpec
@@ -312,23 +411,14 @@ type SoakConfig struct {
 	// Hybrid pins direction-optimizing mode on for every run instead of
 	// the default one-in-four draw. Serial cells always drop it — the
 	// serial variant rejects hybrid — so the differential baseline
-	// stays in the sweep.
+	// stays in the sweep; fused cells drop it too.
 	Hybrid bool
 	// BaseSeed derives every per-run seed. Default 0xb5f5c4a0.
 	BaseSeed uint64
-	// Duration stops the sweep (checked between runs) once exceeded;
+	// Duration stops the sweep (checked between cells) once exceeded;
 	// rounds repeat with fresh derived seeds until then. 0 = exactly
 	// one sweep.
 	Duration time.Duration
-	// Engines drives all runs of each (graph, algorithm) pair through
-	// one shared core.Engine, created from the pair's first derived
-	// option set and then only reseeded (and re-hooked with a fresh
-	// injector) between runs. Option diversity per cell is narrower —
-	// workers/pools/etc. are frozen at engine build — but the auditor's
-	// invariants now also cover state-reuse bugs: a stale epoch stamp,
-	// a queue slot leaked by a previous search, or counters that
-	// survive a reset would all surface as oracle mismatches.
-	Engines bool
 	// ArtifactDir receives JSON repro artifacts for failed runs.
 	// Empty = don't write artifacts.
 	ArtifactDir string
@@ -343,9 +433,13 @@ type SoakConfig struct {
 	Registry *obs.Registry
 }
 
+// SoakAlgorithms is the default soak family set: every core.Algorithm
+// plus the fused multi-source engine, core.MSBFSL.
+var SoakAlgorithms = append(slices.Clone(core.Algorithms), core.MSBFSL)
+
 func (cfg SoakConfig) withDefaults() SoakConfig {
 	if cfg.Algorithms == nil {
-		cfg.Algorithms = core.Algorithms
+		cfg.Algorithms = SoakAlgorithms
 	}
 	if cfg.Graphs == nil {
 		cfg.Graphs = DefaultGraphs()
@@ -379,11 +473,9 @@ func (cfg SoakConfig) withDefaults() SoakConfig {
 
 // SoakReport summarizes one Soak call.
 type SoakReport struct {
-	// Runs is the number of (graph, algorithm, profile, seed) runs.
+	// Runs is the number of runs: two per (graph, algorithm, profile,
+	// seed) cell, one where the first run's panic poisoned the engine.
 	Runs int
-	// EngineRuns is how many of those ran on a shared, reused engine
-	// (SoakConfig.Engines).
-	EngineRuns int
 	// Failures is how many runs broke at least one invariant.
 	Failures int
 	// Injections is the total number of perturbations performed.
@@ -404,6 +496,12 @@ type SoakReport struct {
 	// Stalls is how many runs the watchdog aborted with a detected
 	// stall (Disruptive profiles only).
 	Stalls int
+	// LanesAudited counts the fused lanes of finished runs held to the
+	// answer tier of the audit contract.
+	LanesAudited int
+	// PartialAudited counts the partial results of aborted runs held to
+	// core.AuditPartial: one per solo run, one per fused lane.
+	PartialAudited int
 	// Artifacts lists the repro files written for failures.
 	Artifacts []string
 	// Elapsed is the sweep's wall-clock time.
@@ -412,20 +510,19 @@ type SoakReport struct {
 
 // String renders a one-line summary.
 func (r *SoakReport) String() string {
-	engines := ""
-	if r.EngineRuns > 0 {
-		engines = fmt.Sprintf(" (%d on shared engines)", r.EngineRuns)
-	}
-	faults := ""
+	s := fmt.Sprintf("soak: %d runs, %d failures, %d injections, %d stale steals, %d duplicate pops",
+		r.Runs, r.Failures, r.Injections, r.StaleSteals, r.Duplicates)
 	if r.Panics > 0 || r.Stalls > 0 {
-		faults = fmt.Sprintf(", %d recovered panics, %d detected stalls", r.Panics, r.Stalls)
+		s += fmt.Sprintf(", %d recovered panics, %d detected stalls, %d partial results audited",
+			r.Panics, r.Stalls, r.PartialAudited)
 	}
-	goals := ""
 	if r.Truncated > 0 {
-		goals = fmt.Sprintf(", %d goal-truncated", r.Truncated)
+		s += fmt.Sprintf(", %d goal-truncated", r.Truncated)
 	}
-	return fmt.Sprintf("soak: %d runs%s, %d failures, %d injections, %d stale steals, %d duplicate pops%s%s, %s",
-		r.Runs, engines, r.Failures, r.Injections, r.StaleSteals, r.Duplicates, faults, goals, r.Elapsed.Round(time.Millisecond))
+	if r.LanesAudited > 0 {
+		s += fmt.Sprintf(", %d fused lanes audited", r.LanesAudited)
+	}
+	return s + ", " + r.Elapsed.Round(time.Millisecond).String()
 }
 
 // deriveOptions expands one per-run seed into a full option set,
@@ -480,29 +577,50 @@ func deriveOptions(r *rng.SplitMix64, maxWorkers int, n int32) RunOptions {
 	// soak, crossing the direction machinery with every other dimension
 	// (claims, publication blocks).
 	o.Hybrid = r.Next()%4 == 0
-	// Goals: a third of the runs terminate early — at a random target
-	// vertex, a random (shallow) depth bound, or occasionally both, so
-	// the whichever-fires-first rule is exercised too. The rest stay
-	// unbounded and keep the full differential baseline.
-	if n > 0 {
-		switch r.Next() % 3 {
-		case 0:
-			o.Target = 1 + int32(r.Next()%uint64(n))
-			if r.Next()%4 == 0 {
-				o.MaxDepth = 1 + int32(r.Next()%8)
-			}
-		case 1:
-			o.MaxDepth = 1 + int32(r.Next()%8)
-		}
-	}
+	goal := drawGoal(r, n)
+	o.Target, o.MaxDepth = goal.Target, goal.MaxDepth
 	return o
 }
 
-// Soak runs the differential sweep: for every (graph, algorithm,
-// profile, seed) cell it executes the variant under the injector and
-// audits the result against the serial oracle and the protocol
-// invariants, emitting a repro artifact per failure. It only returns
-// an error for harness problems (generation, artifact I/O); invariant
+// drawGoal draws one run's (or one fused lane's) goal: a third
+// terminate early — at a random target vertex, a random (shallow)
+// depth bound, or occasionally both, so the whichever-fires-first rule
+// is exercised too. The rest stay unbounded and keep the full
+// differential baseline.
+func drawGoal(r *rng.SplitMix64, n int32) core.Goal {
+	var g core.Goal
+	if n > 0 {
+		switch r.Next() % 3 {
+		case 0:
+			g.Target = 1 + int32(r.Next()%uint64(n))
+			if r.Next()%4 == 0 {
+				g.MaxDepth = 1 + int32(r.Next()%8)
+			}
+		case 1:
+			g.MaxDepth = 1 + int32(r.Next()%8)
+		}
+	}
+	return g
+}
+
+// drawLanes draws a fused cell's lanes: 1–64 random sources,
+// duplicates allowed, each with its own drawGoal.
+func drawLanes(r *rng.SplitMix64, n int32) ([]int32, []core.Goal) {
+	k := 1 + int(r.Next()%core.MaxLanes)
+	srcs, goals := make([]int32, k), make([]core.Goal, k)
+	for i := range srcs {
+		srcs[i] = int32(r.Next() % uint64(n))
+		goals[i] = drawGoal(r, n)
+	}
+	return srcs, goals
+}
+
+// Soak runs the differential sweep. Every (graph, algorithm, profile,
+// seed) cell derives its options (or, for core.MSBFSL, its lanes) and
+// seeds, builds one engine and runs it twice (see runCell), auditing
+// every run against the serial oracle and the protocol invariants; a
+// cell with any violation emits one repro artifact. It only returns an
+// error for harness problems (generation, artifact I/O); invariant
 // violations are reported in the SoakReport.
 func Soak(cfg SoakConfig) (*SoakReport, error) {
 	cfg = cfg.withDefaults()
@@ -515,7 +633,7 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 	type prepared struct {
 		spec GraphSpec
 		g    *graph.CSR
-		want []int32
+		ref  func(int32) []int32
 	}
 	graphs := make([]prepared, 0, len(cfg.Graphs))
 	for _, spec := range cfg.Graphs {
@@ -523,32 +641,11 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("chaos: generating %s: %w", spec, err)
 		}
-		graphs = append(graphs, prepared{spec, g, graph.ReferenceBFS(g, 0)})
+		graphs = append(graphs, prepared{spec, g, oracles(g)})
 	}
-
-	// Engines mode: one shared engine per (graph, algorithm) pair,
-	// built lazily from the pair's first derived option set and reused
-	// by every later cell of the sweep. Disruptive profiles get their
-	// own engine per pair (the watchdog arms via build-time options,
-	// and their panics poison engines benign cells must not inherit).
-	type engKey struct {
-		gi   int
-		algo core.Algorithm
-		disr bool
-	}
-	type sharedEng struct {
-		e    *core.Engine
-		opts RunOptions
-	}
-	engines := make(map[engKey]*sharedEng)
-	defer func() {
-		for _, se := range engines {
-			se.e.Close()
-		}
-	}()
 
 	for round := 0; ; round++ {
-		for gi, pg := range graphs {
+		for _, pg := range graphs {
 			for _, algo := range cfg.Algorithms {
 				for _, prof := range cfg.Profiles {
 					for s := 0; s < cfg.Seeds; s++ {
@@ -558,141 +655,8 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 						}
 						cell := rng.Mix64(cfg.BaseSeed ^ rng.Mix64(uint64(round)<<32|uint64(s)) ^
 							rng.Mix64(uint64(len(pg.spec.Kind))+pg.spec.Seed) ^ hashString(string(algo)+prof.Name))
-						r := rng.NewSplitMix64(cell)
-						opts := deriveOptions(r, cfg.Workers, pg.g.NumVertices())
-						if cfg.Hybrid {
-							opts.Hybrid = true
-						}
-						if algo == core.Serial {
-							// The serial variant rejects Hybrid at
-							// construction; the draw (or pin) only
-							// applies to the parallel cells.
-							opts.Hybrid = false
-						}
-						// The cell's goal, captured before engines mode
-						// swaps opts for the shared engine's frozen set.
-						goal := opts.goal()
-						injSeed := r.Next()
-						if prof.Disruptive() {
-							// Arm the watchdog so forced stalls abort with
-							// a typed StallError instead of dragging the
-							// sweep; 50ms is well under StallMillis.
-							opts.StallTimeoutMillis = 50
-						}
-
-						var inj *Injector
-						var res *core.Result
-						var rerr error
-						if cfg.Engines {
-							key := engKey{gi, algo, prof.Disruptive()}
-							se := engines[key]
-							if se == nil {
-								e, eerr := core.NewEngine(pg.g, algo, opts.Core())
-								if eerr != nil {
-									return nil, fmt.Errorf("chaos: engine for %s on %s: %w", algo, pg.spec, eerr)
-								}
-								se = &sharedEng{e: e, opts: opts}
-								engines[key] = se
-							}
-							// The engine froze everything but the seed at
-							// build time; this cell contributes a fresh
-							// run seed, a fresh goal, and a fresh injector
-							// (sized for the engine's worker count, not
-							// this cell's).
-							seed := opts.Seed
-							opts = se.opts
-							opts.Seed = seed
-							opts.Target, opts.MaxDepth = goal.Target, goal.MaxDepth
-							inj = NewInjector(prof, injSeed, opts.Workers)
-							se.e.SetChaos(inj)
-							se.e.Reseed(seed)
-							res, rerr = se.e.RunGoal(context.Background(), 0, goal)
-							if rerr != nil && !recoveryAbort(rerr) {
-								return nil, fmt.Errorf("chaos: %s on %s (engine): %w", algo, pg.spec, rerr)
-							}
-							if rerr != nil {
-								// A recovered panic poisons the engine:
-								// discard it so the next cell of this pair
-								// rebuilds from scratch (Close is safe on a
-								// poisoned engine; its workers are parked).
-								var wp *core.WorkerPanicError
-								if errors.As(rerr, &wp) {
-									se.e.Close()
-									delete(engines, key)
-								}
-							}
-							rep.EngineRuns++
-						} else {
-							inj = NewInjector(prof, injSeed, opts.Workers)
-							copt := opts.Core()
-							copt.Chaos = inj
-							res, rerr = core.RunGoal(context.Background(), pg.g, 0, algo, copt, goal)
-							if rerr != nil && !recoveryAbort(rerr) {
-								return nil, fmt.Errorf("chaos: %s on %s: %w", algo, pg.spec, rerr)
-							}
-						}
-						rep.Runs++
-						rep.Injections += inj.Injections()
-						if rerr != nil {
-							// Typed recovery abort: the process survived
-							// the injected fault and surfaced it as data.
-							// The partial result is not audited (the run
-							// did not finish), but it must exist.
-							var wp *core.WorkerPanicError
-							if errors.As(rerr, &wp) {
-								rep.Panics++
-							} else {
-								rep.Stalls++
-							}
-							if res == nil {
-								rep.Failures++
-								fmt.Fprintf(cfg.Log, "FAIL %s on %s profile=%s: abort lost the partial result: %v\n",
-									algo, pg.spec, prof.Name, rerr)
-							}
-							publishSoakAbort(cfg.Registry, algo, prof, rerr)
-							if cfg.Verbose {
-								fmt.Fprintf(cfg.Log, "run %s %s %s workers=%d seed=%#x: recovered abort: %v\n",
-									algo, pg.spec, prof.Name, opts.Workers, opts.Seed, rerr)
-							}
-							continue
-						}
-						if res.Truncated {
-							rep.Truncated++
-						}
-						rep.StaleSteals += res.Counters.StealStale
-						if d := res.Duplicates(); d > 0 {
-							// Hybrid runs can report negative
-							// Duplicates() — bottom-up levels settle
-							// vertices without pops — which would
-							// silently shrink the sweep total.
-							rep.Duplicates += d
-						}
-
-						vs := core.Audit(pg.g, 0, pg.want, goal, res)
-						vs = append(vs, levelViolations(inj)...)
-						publishSoakRun(cfg.Registry, algo, prof, inj, res, len(vs))
-						if cfg.Verbose {
-							fmt.Fprintf(cfg.Log, "run %s %s %s workers=%d seed=%#x: %d injections, %d dup, %d violations\n",
-								algo, pg.spec, prof.Name, opts.Workers, opts.Seed, inj.Injections(), res.Duplicates(), len(vs))
-						}
-						if len(vs) == 0 {
-							continue
-						}
-						rep.Failures++
-						repro := Repro{
-							Graph: pg.spec, Source: 0, Algorithm: algo,
-							Options: opts, Profile: prof, InjectionSeed: injSeed,
-							EngineRun:  cfg.Engines,
-							Violations: vs,
-						}
-						fmt.Fprintf(cfg.Log, "FAIL %s on %s profile=%s: %v\n", algo, pg.spec, prof.Name, vs[0])
-						if cfg.ArtifactDir != "" {
-							path, err := WriteRepro(cfg.ArtifactDir, repro)
-							if err != nil {
-								return nil, err
-							}
-							rep.Artifacts = append(rep.Artifacts, path)
-							fmt.Fprintf(cfg.Log, "  repro artifact: %s\n", path)
+						if err := soakCell(cfg, rep, pg.g, pg.ref, deriveCell(cfg, pg.spec, pg.g, algo, prof, cell)); err != nil {
+							return nil, err
 						}
 					}
 				}
@@ -706,42 +670,118 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 	return rep, nil
 }
 
-// publishSoakRun feeds one audited run into the live registry. Called
-// after the audit, entirely outside the run, so the sweep's timing and
-// interleavings are unaffected.
-func publishSoakRun(reg *obs.Registry, algo core.Algorithm, prof Profile, inj *Injector, res *core.Result, violations int) {
-	if reg == nil {
-		return
+// deriveCell expands one cell seed into the cell's Repro: options by
+// deriveOptions, the injection seed, and for a fused cell its lanes.
+func deriveCell(cfg SoakConfig, spec GraphSpec, g *graph.CSR, algo core.Algorithm, prof Profile, seed uint64) Repro {
+	r := rng.NewSplitMix64(seed)
+	c := Repro{Graph: spec, Algorithm: algo, Profile: prof,
+		Options: deriveOptions(r, cfg.Workers, g.NumVertices())}
+	// The serial variant rejects Hybrid at construction; the draw (or
+	// pin) only applies to the parallel cells.
+	c.Options.Hybrid = (c.Options.Hybrid || cfg.Hybrid) && algo != core.Serial
+	c.InjectionSeed = r.Next()
+	if algo == core.MSBFSL {
+		// The fused engine honors only Workers, Seed and the watchdog;
+		// its goals are per lane.
+		c.Options = RunOptions{Workers: c.Options.Workers, Seed: c.Options.Seed}
+		c.Sources, c.Goals = drawLanes(r, g.NumVertices())
 	}
-	algoL := obs.L("algo", string(algo))
-	profL := obs.L("profile", prof.Name)
-	reg.Counter("optibfs_soak_runs_total", algoL, profL).Inc()
-	reg.Counter("optibfs_soak_injections_total", algoL, profL).Add(inj.Injections())
-	reg.Counter("optibfs_soak_stale_steals_total", algoL, profL).Add(res.Counters.StealStale)
-	if d := res.Duplicates(); d > 0 {
-		// Negative under hybrid (bottom-up settles without pops); a
-		// counter must never go backwards.
-		reg.Counter("optibfs_soak_duplicates_total", algoL, profL).Add(d)
+	if prof.Disruptive() {
+		// Arm the watchdog so forced stalls abort with a typed
+		// StallError instead of dragging the sweep; 50ms is well under
+		// StallMillis.
+		c.Options.StallTimeoutMillis = 50
 	}
-	if violations > 0 {
-		reg.Counter("optibfs_soak_failures_total", algoL, profL).Inc()
-	}
+	return c
 }
 
-// publishSoakAbort feeds one recovered-abort run into the live
-// registry, labeled by which typed error surfaced.
-func publishSoakAbort(reg *obs.Registry, algo core.Algorithm, prof Profile, err error) {
+// soakCell runs one cell, adds its runs to rep and the registry, and
+// writes its artifact if any run broke an invariant.
+func soakCell(cfg SoakConfig, rep *SoakReport, g *graph.CSR, ref func(int32) []int32, c Repro) error {
+	runs, err := runCell(g, ref, c)
+	if err != nil {
+		return err
+	}
+	for _, cr := range runs {
+		rep.Runs++
+		rep.Injections += cr.inj.Injections()
+		publishSoakRun(cfg.Registry, c.Algorithm, c.Profile, cr)
+		switch {
+		case isPanic(cr.err):
+			// Typed recovery aborts: the process survived the injected
+			// fault and surfaced it as data, with a partial result that
+			// understates and never lies.
+			rep.Panics++
+			rep.PartialAudited += cr.audited
+		case cr.err != nil:
+			rep.Stalls++
+			rep.PartialAudited += cr.audited
+		default:
+			if c.Algorithm == core.MSBFSL {
+				rep.LanesAudited += cr.audited
+			}
+			if cr.res.Truncated {
+				rep.Truncated++
+			}
+			rep.StaleSteals += cr.res.Counters.StealStale
+			if d := cr.res.Duplicates(); d > 0 {
+				// Hybrid runs can report negative Duplicates() —
+				// bottom-up levels settle vertices without pops — which
+				// would silently shrink the sweep total.
+				rep.Duplicates += d
+			}
+		}
+		if len(cr.vs) > 0 {
+			rep.Failures++
+			c.Violations = append(c.Violations, cr.vs...)
+		}
+		if cfg.Verbose {
+			fmt.Fprintf(cfg.Log, "run %s %s %s workers=%d seed=%#x: %d injections, %d violations, abort: %v\n",
+				c.Algorithm, c.Graph, c.Profile.Name, c.Options.Workers, c.Options.Seed, cr.inj.Injections(), len(cr.vs), cr.err)
+		}
+	}
+	if len(c.Violations) == 0 {
+		return nil
+	}
+	fmt.Fprintf(cfg.Log, "FAIL %s on %s profile=%s: %v\n", c.Algorithm, c.Graph, c.Profile.Name, c.Violations[0])
+	if cfg.ArtifactDir != "" {
+		path, err := WriteRepro(cfg.ArtifactDir, c)
+		if err != nil {
+			return err
+		}
+		rep.Artifacts = append(rep.Artifacts, path)
+		fmt.Fprintf(cfg.Log, "  repro artifact: %s\n", path)
+	}
+	return nil
+}
+
+// publishSoakRun feeds one audited run into the live registry, with a
+// recovered abort labeled by which typed error surfaced. Called after
+// the audit, entirely outside the run, so the sweep's timing and
+// interleavings are unaffected.
+func publishSoakRun(reg *obs.Registry, algo core.Algorithm, prof Profile, cr cellRun) {
 	if reg == nil {
 		return
 	}
-	kind := "stall"
-	var wp *core.WorkerPanicError
-	if errors.As(err, &wp) {
-		kind = "panic"
+	algoL, profL := obs.L("algo", string(algo)), obs.L("profile", prof.Name)
+	reg.Counter("optibfs_soak_runs_total", algoL, profL).Inc()
+	reg.Counter("optibfs_soak_injections_total", algoL, profL).Add(cr.inj.Injections())
+	switch {
+	case isPanic(cr.err):
+		reg.Counter("optibfs_soak_recovered_aborts_total", algoL, profL, obs.L("kind", "panic")).Inc()
+	case cr.err != nil:
+		reg.Counter("optibfs_soak_recovered_aborts_total", algoL, profL, obs.L("kind", "stall")).Inc()
+	default:
+		reg.Counter("optibfs_soak_stale_steals_total", algoL, profL).Add(cr.res.Counters.StealStale)
+		if d := cr.res.Duplicates(); d > 0 {
+			// Negative under hybrid (bottom-up settles without pops); a
+			// counter must never go backwards.
+			reg.Counter("optibfs_soak_duplicates_total", algoL, profL).Add(d)
+		}
 	}
-	reg.Counter("optibfs_soak_runs_total", obs.L("algo", string(algo)), obs.L("profile", prof.Name)).Inc()
-	reg.Counter("optibfs_soak_recovered_aborts_total",
-		obs.L("algo", string(algo)), obs.L("profile", prof.Name), obs.L("kind", kind)).Inc()
+	if len(cr.vs) > 0 {
+		reg.Counter("optibfs_soak_failures_total", algoL, profL).Inc()
+	}
 }
 
 // hashString mixes a short label into a seed.

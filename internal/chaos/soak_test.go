@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -199,9 +200,12 @@ func TestSoakSweepAllVariantsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRuns := len(graphs) * len(core.Algorithms) * len(profiles) * seeds
+	wantRuns := 2 * len(graphs) * len(SoakAlgorithms) * len(profiles) * seeds
 	if rep.Runs != wantRuns {
-		t.Fatalf("ran %d cells, want %d", rep.Runs, wantRuns)
+		t.Fatalf("ran %d runs, want %d (two per cell)", rep.Runs, wantRuns)
+	}
+	if rep.LanesAudited == 0 {
+		t.Fatal("default families audited no fused lanes")
 	}
 	if rep.Failures != 0 || len(rep.Artifacts) != 0 {
 		t.Fatalf("soak failures: %d\n%s", rep.Failures, buf.String())
@@ -258,24 +262,26 @@ func TestSoakMinimalConfig(t *testing.T) {
 	}
 }
 
-// TestSoakEnginesSmoke runs a small sweep entirely through shared
-// engines (one per graph-algorithm pair) and checks it stays clean:
-// the auditor's oracle comparison now also covers state-reuse bugs —
-// a stale epoch stamp or a queue slot leaked by the previous run would
-// surface as a distance mismatch on a later cell.
+// TestSoakEnginesSmoke runs a small sweep and checks every cell made
+// its reuse run on the engine it built: the auditor's oracle
+// comparison then also covers state-reuse bugs — a stale epoch stamp
+// or a queue slot leaked by the first run would surface as a distance
+// mismatch on the second.
 func TestSoakEnginesSmoke(t *testing.T) {
 	var buf bytes.Buffer
+	graphs := []GraphSpec{
+		{Kind: "star", N: 512, Seed: 4},
+		{Kind: "chunglu", N: 1024, M: 8192, Gamma: 2.0, Seed: 2},
+	}
+	profiles := []Profile{{Name: "baseline"}, Profiles()[0]}
+	algos := []core.Algorithm{core.BFSCL, core.BFSDL, core.BFSWL, core.BFSWSL, core.MSBFSL}
 	rep, err := Soak(SoakConfig{
-		Graphs: []GraphSpec{
-			{Kind: "star", N: 512, Seed: 4},
-			{Kind: "chunglu", N: 1024, M: 8192, Gamma: 2.0, Seed: 2},
-		},
-		Profiles:   []Profile{{Name: "baseline"}, Profiles()[0]},
+		Graphs:     graphs,
+		Profiles:   profiles,
 		Seeds:      2,
 		Workers:    4,
-		Engines:    true,
 		Log:        &buf,
-		Algorithms: []core.Algorithm{core.BFSCL, core.BFSDL, core.BFSWL, core.BFSWSL},
+		Algorithms: algos,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -283,24 +289,40 @@ func TestSoakEnginesSmoke(t *testing.T) {
 	if rep.Failures != 0 {
 		t.Fatalf("engine sweep broke invariants: %s", buf.String())
 	}
-	if rep.EngineRuns != rep.Runs || rep.Runs == 0 {
-		t.Fatalf("EngineRuns=%d Runs=%d, want all runs on shared engines", rep.EngineRuns, rep.Runs)
-	}
-	if !strings.Contains(rep.String(), "shared engines") {
-		t.Fatalf("report does not mention engine runs: %s", rep)
+	if cells := len(graphs) * len(profiles) * 2 * len(algos); rep.Runs != 2*cells {
+		t.Fatalf("Runs=%d for %d cells, want a reuse run in every cell", rep.Runs, cells)
 	}
 }
 
-// TestReplayEngineRun checks the engine-aware replay path: an
-// EngineRun artifact replays on one reused engine without error.
+// TestReplayEngineRun replays an artifact in the format written before
+// every cell reused its engine, "engine_run" flag included: the flag
+// decodes as an unknown field and the whole cell replays.
 func TestReplayEngineRun(t *testing.T) {
-	r := Repro{
+	data, err := json.Marshal(Repro{
 		Graph:         GraphSpec{Kind: "chunglu", N: 1024, M: 8192, Gamma: 2.0, Seed: 2},
 		Algorithm:     core.BFSWSL,
 		Options:       RunOptions{Workers: 4, Seed: 11},
 		Profile:       Profiles()[0],
 		InjectionSeed: 99,
-		EngineRun:     true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]any
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	raw["engine_run"] = true
+	if data, err = json.Marshal(raw); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "engine-run.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := LoadRepro(path)
+	if err != nil {
+		t.Fatal(err)
 	}
 	vs, res, err := Replay(r)
 	if err != nil {
@@ -311,6 +333,42 @@ func TestReplayEngineRun(t *testing.T) {
 	}
 	if len(vs) != 0 {
 		t.Fatalf("healthy engine replay reported violations: %v", vs)
+	}
+}
+
+// TestReplayFusedCell round-trips a fused cell through an artifact:
+// lane sources (a duplicate included) and per-lane goals survive, and
+// the replay runs and audits every lane. A hand-built artifact without
+// goals replays its lanes unbounded.
+func TestReplayFusedCell(t *testing.T) {
+	r := Repro{
+		Graph:         GraphSpec{Kind: "layered", N: 1500, M: 7500, Layers: 30, Seed: 9},
+		Sources:       []int32{0, 700, 700},
+		Goals:         []core.Goal{{}, {MaxDepth: 3}, core.GoalTo(1400)},
+		Algorithm:     core.MSBFSL,
+		Options:       RunOptions{Workers: 4, Seed: 5},
+		Profile:       mustProfile(t, "mixed"),
+		InjectionSeed: 7,
+	}
+	path, err := WriteRepro(t.TempDir(), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadRepro(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Sources, r.Sources) || !slices.Equal(got.Goals, r.Goals) {
+		t.Fatalf("lanes lost in artifact round-trip: %v %v", got.Sources, got.Goals)
+	}
+	for _, c := range []Repro{got, {Graph: r.Graph, Sources: r.Sources, Algorithm: core.MSBFSL, Profile: r.Profile}} {
+		vs, res, err := Replay(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(vs) != 0 || res == nil || res.Reached == 0 {
+			t.Fatalf("fused replay: result %v, violations %v", res, vs)
+		}
 	}
 }
 
@@ -339,5 +397,60 @@ func TestSoakPublishesRegistry(t *testing.T) {
 	}
 	if got := reg.Counter("optibfs_soak_failures_total", labels...).Value(); got != int64(rep.Failures) {
 		t.Fatalf("soak_failures_total %d, want %d", got, rep.Failures)
+	}
+}
+
+// TestMSLaneSoak sweeps the fused engine's lane audits under benign
+// perturbation and under injected panics/stalls. Zero violations
+// tolerated: finished lanes exact, partial lanes understate-only.
+func TestMSLaneSoak(t *testing.T) {
+	var buf bytes.Buffer
+	graphs := []GraphSpec{
+		{Kind: "rmat", N: 1024, M: 8192, Seed: 1},
+		{Kind: "layered", N: 1200, M: 6000, Layers: 40, Seed: 3},
+		{Kind: "star", N: 512, Seed: 4},
+	}
+	profiles := []Profile{
+		{Name: "baseline"},
+		{Name: "jitter", Prob: uniformProb(0.05), Yields: 1},
+		{Name: "front-races", Prob: prob(core.ChaosFrontStore, 0.7), Yields: 3, Spin: 32},
+		// Malign faults: perturbations at the level barrier either
+		// panic a worker or stall it past the soak's 50ms watchdog;
+		// both must abort into a typed error with understate-only
+		// partial lanes.
+		{Name: "ms-faults", Prob: prob(core.ChaosStall, 0.4), Yields: 1,
+			PanicProb: 0.5, StallMillis: 150},
+	}
+	const seeds = 2
+	rep, err := Soak(SoakConfig{
+		Graphs:     graphs,
+		Profiles:   profiles,
+		Algorithms: []core.Algorithm{core.MSBFSL},
+		Seeds:      seeds,
+		Workers:    4,
+		Log:        &buf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Log(rep.String())
+	if rep.Failures > 0 {
+		t.Fatalf("%d fused runs broke lane invariants:\n%s", rep.Failures, buf.String())
+	}
+	// Every cell makes its reuse run unless its first run panicked.
+	if cells := len(graphs) * len(profiles) * seeds; rep.Runs > 2*cells || rep.Runs+rep.Panics < 2*cells {
+		t.Fatalf("runs = %d (%d panics) for %d cells", rep.Runs, rep.Panics, cells)
+	}
+	if rep.LanesAudited == 0 {
+		t.Fatal("no lanes audited")
+	}
+	if rep.Panics == 0 {
+		t.Fatal("fault profile injected no panics (audit under faults unexercised)")
+	}
+	if rep.Stalls == 0 {
+		t.Fatal("fault profile produced no detected stalls (fused watchdog unexercised)")
+	}
+	if rep.PartialAudited == 0 {
+		t.Fatal("no partial lanes audited")
 	}
 }

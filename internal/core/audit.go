@@ -98,6 +98,39 @@ func AuditAnswer(g *graph.CSR, src int32, want []int32, goal Goal, res *Result) 
 	return vs
 }
 
+// AuditPartial is the contract's tier for the partial result of an
+// aborted run (a recovered panic, a detected stall, a canceled context),
+// solo or a fused lane's AsResult. It understates and never lies:
+//
+//	partial-distances-exact  every settled distance matches the oracle.
+//	partial-reach-count      Reached equals the settled count.
+//
+// want is as in AuditAnswer.
+func AuditPartial(g *graph.CSR, src int32, want []int32, res *Result) []Violation {
+	var vs violations
+	if want == nil {
+		want = graph.ReferenceBFS(g, src)
+	}
+	if len(res.Dist) != len(want) {
+		vs.add("partial-distances-exact", "len(Dist) = %d, oracle %d", len(res.Dist), len(want))
+		return vs
+	}
+	var settled int64
+	for v, d := range res.Dist {
+		if d == graph.Unreached {
+			continue
+		}
+		settled++
+		if d != want[v] && len(vs) == 0 {
+			vs.add("partial-distances-exact", "settled dist[%d] = %d, oracle %d", v, d, want[v])
+		}
+	}
+	if settled != res.Reached {
+		vs.add("partial-reach-count", "Reached = %d, %d settled", res.Reached, settled)
+	}
+	return vs
+}
+
 // Audit is AuditAnswer plus the work-accounting invariants of the
 // optimistic protocols:
 //

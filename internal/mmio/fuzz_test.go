@@ -14,6 +14,11 @@ import (
 // corpus as regression tests; `go test -fuzz FuzzReadMatrixMarket`
 // explores further.
 
+// fuzzBudget caps the CSR each fuzz input may build: the text formats
+// take their vertex count from a size line or a single id, so without
+// it one mutated line costs up to 2 GiB of offsets.
+const fuzzBudget = 1 << 24
+
 func FuzzReadMatrixMarket(f *testing.F) {
 	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 1.0\n")
 	f.Add("%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n3 2\n")
@@ -34,13 +39,11 @@ func FuzzReadMatrixMarket(f *testing.F) {
 	// An entry count of 4·MaxVertices with no entries behind it: the
 	// parser must not allocate the promise.
 	f.Add("%%MatrixMarket matrix coordinate pattern general\n2 2 1073741824\n")
-	// The size line's vertex count is still trusted up to MaxVertices
-	// (a 2^28-row header costs the 2 GiB of offsets its CSR needs), so
-	// exploration runs under a 2^20 cap to keep each input small.
-	defer func(old int64) { MaxVertices = old }(MaxVertices)
-	MaxVertices = 1 << 20
+	// A size line inside MaxVertices with one entry behind it: the
+	// budget must refuse its 2 GiB of offsets.
+	f.Add("%%MatrixMarket matrix coordinate pattern general\n268435456 268435456 1\n1 1\n")
 	f.Fuzz(func(t *testing.T, in string) {
-		g, err := ReadMatrixMarket(strings.NewReader(in))
+		g, err := ReadMatrixMarketBudget(strings.NewReader(in), fuzzBudget)
 		if err == nil && g.Validate() != nil {
 			t.Fatalf("parser accepted invalid graph for %q", in)
 		}
@@ -56,8 +59,10 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("")
 	// 20-digit overflow coordinate.
 	f.Add("99999999999999999999 1\n")
+	// One line naming vertex 2^28−1: the budget must refuse it.
+	f.Add("268435455 0\n")
 	f.Fuzz(func(t *testing.T, in string) {
-		g, err := ReadEdgeList(strings.NewReader(in))
+		g, err := ReadEdgeListBudget(strings.NewReader(in), fuzzBudget)
 		if err == nil && g.Validate() != nil {
 			t.Fatalf("parser accepted invalid graph for %q", in)
 		}

@@ -36,13 +36,17 @@ import (
 //     scanner or reader error other than a clean truncation. The
 //     server or network's fault (HTTP 500).
 //
-// Both are wrapped with %w, so errors.Is works through any layer of
-// added context.
+// The text readers add a third outcome when the caller sets a CSR byte
+// budget: ErrTooLarge, well-formed input whose graph would not fit it
+// (HTTP 413). All three are wrapped with %w, so errors.Is works through
+// any layer of added context.
 var (
 	// ErrMalformed marks input rejected as structurally invalid.
 	ErrMalformed = errors.New("malformed input")
 	// ErrIO marks a read failure of the underlying stream.
 	ErrIO = errors.New("read failed")
+	// ErrTooLarge marks input whose CSR exceeds the reader's byte budget.
+	ErrTooLarge = errors.New("CSR exceeds byte budget")
 )
 
 // malformed builds an ErrMalformed-wrapped error with context.
@@ -91,12 +95,30 @@ func readLE[T int32 | int64](r io.Reader, n int64) ([]T, error) {
 	return out, nil
 }
 
+// csrBudget refuses, with ErrTooLarge, a CSR of n vertices and m edges
+// whose 8·(n+1) + 4·m bytes exceed budget (when positive). The text
+// formats take n from a size line or from the largest id on one line,
+// so a few bytes can name a vertex count worth gigabytes of offsets:
+// the check runs before graph.FromEdges allocates them.
+func csrBudget(n, m, budget int64) error {
+	if csr := 8*(n+1) + 4*m; budget > 0 && csr > budget {
+		return fmt.Errorf("mmio: CSR of %d bytes (n=%d, m=%d) > budget %d: %w", csr, n, m, budget, ErrTooLarge)
+	}
+	return nil
+}
+
 // ReadMatrixMarket parses a MatrixMarket coordinate-format stream into
-// a directed CSR. Vertex ids in the file are 1-based per the format.
-// For `symmetric`/`skew-symmetric` headers each entry also adds the
-// reverse edge (except diagonal entries). Entry values (for non-pattern
-// matrices) are parsed and discarded — BFS is unweighted.
-func ReadMatrixMarket(r io.Reader) (*graph.CSR, error) {
+// a directed CSR, with no byte budget; see ReadMatrixMarketBudget.
+func ReadMatrixMarket(r io.Reader) (*graph.CSR, error) { return ReadMatrixMarketBudget(r, 0) }
+
+// ReadMatrixMarketBudget parses a MatrixMarket coordinate-format stream
+// into a directed CSR. Vertex ids in the file are 1-based per the
+// format. For `symmetric`/`skew-symmetric` headers each entry also adds
+// the reverse edge (except diagonal entries). Entry values (for
+// non-pattern matrices) are parsed and discarded — BFS is unweighted.
+// A positive budget caps the CSR's bytes, 8·(n+1) + 4·m, refusing
+// larger graphs with ErrTooLarge before they are built.
+func ReadMatrixMarketBudget(r io.Reader, budget int64) (*graph.CSR, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 
@@ -196,6 +218,9 @@ func ReadMatrixMarket(r io.Reader) (*graph.CSR, error) {
 	if seen != entries {
 		return nil, malformed("header promised %d entries, found %d", entries, seen)
 	}
+	if err := csrBudget(n, int64(len(edges)), budget); err != nil {
+		return nil, err
+	}
 	g, err := graph.FromEdges(int32(n), edges, graph.BuildOptions{})
 	if err != nil {
 		return nil, malformed("%v", err)
@@ -220,9 +245,14 @@ func WriteMatrixMarket(w io.Writer, g *graph.CSR) error {
 	return bw.Flush()
 }
 
-// ReadEdgeList parses "u v" pairs (0-based, whitespace separated, #
-// comments allowed) into a CSR with n = max id + 1 vertices.
-func ReadEdgeList(r io.Reader) (*graph.CSR, error) {
+// ReadEdgeList parses an edge list with no byte budget; see
+// ReadEdgeListBudget.
+func ReadEdgeList(r io.Reader) (*graph.CSR, error) { return ReadEdgeListBudget(r, 0) }
+
+// ReadEdgeListBudget parses "u v" pairs (0-based, whitespace separated,
+// # comments allowed) into a CSR with n = max id + 1 vertices. A
+// positive budget caps the CSR's bytes as ReadMatrixMarketBudget does.
+func ReadEdgeListBudget(r io.Reader, budget int64) (*graph.CSR, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var edges []graph.Edge
@@ -259,6 +289,9 @@ func ReadEdgeList(r io.Reader) (*graph.CSR, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, ioErr(err)
+	}
+	if err := csrBudget(maxID+1, int64(len(edges)), budget); err != nil {
+		return nil, err
 	}
 	g, err := graph.FromEdges(int32(maxID+1), edges, graph.BuildOptions{})
 	if err != nil {

@@ -116,6 +116,21 @@ func TestMaxVerticesGuards(t *testing.T) {
 	if _, err := ReadEdgeList(strings.NewReader("999999999999 1\n")); err == nil {
 		t.Fatal("edge list accepted absurd vertex id")
 	}
+	// Vertex counts inside MaxVertices that no byte pays for: a size
+	// line or one edge-list line names 2^28 vertices, 2 GiB of offsets.
+	// A budget refuses both before the CSR is built; the unbudgeted
+	// wrappers keep accepting such graphs for library callers.
+	const budget = 1 << 20
+	mtx := "%%MatrixMarket matrix coordinate pattern general\n268435456 268435456 1\n1 1\n"
+	if _, err := ReadMatrixMarketBudget(strings.NewReader(mtx), budget); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("2^28-vertex size line under a budget: %v, want ErrTooLarge", err)
+	}
+	if _, err := ReadEdgeListBudget(strings.NewReader("268435455 0\n"), budget); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("2^28-vertex edge line under a budget: %v, want ErrTooLarge", err)
+	}
+	if g, err := ReadEdgeListBudget(strings.NewReader("0 1\n1 2\n"), budget); err != nil || g.NumVertices() != 3 {
+		t.Fatalf("small edge list under a budget: %v", err)
+	}
 	// A short binary stream whose header promises the largest plausible
 	// arrays (2 GiB of offsets, 64 GiB of edges) must fail as truncated,
 	// allocating in proportion to the bytes present: allocating the
